@@ -33,7 +33,6 @@ from typing import Union
 
 from .dihedral import ArrangementType
 from .errors import DegenerateArrangementError, InconsistentDataError, SchemaError
-from .exact import QMatrix, qmat_det
 from .fourlines import GENERATOR, eplus_profile, four_line_surface
 from .mwgroup import MWPoint, abel_jacobi_image
 from .nslattice import DivisorProfile, build_table
@@ -155,8 +154,13 @@ def tangent_line_at(t: Rat) -> Line:
     return Line((-(3 * t * t - 1), 2 * t, (t * t - 1) ** 2))
 
 
+def _triple(a, b, c) -> Fraction:
+    """Determinant of the 3x3 matrix with rows a, b, c: a . (b x c)."""
+    return sum(x * y for x, y in zip(a, _cross(b, c)))
+
+
 def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
-    return qmat_det(QMatrix([a.coords, b.coords, c.coords])) == 0
+    return _triple(a.coords, b.coords, c.coords) == 0
 
 
 @dataclass(frozen=True)
@@ -240,7 +244,7 @@ def generate_arrangement(s1: Rat, s2: Rat, sign: int = 1) -> Arrangement:
     q_points = tuple(param_point(t) for t in q_params)
     p_points = tuple(param_point(t) for t in p_params)
     tangents = tuple(tangent_line_at(t) for t in q_params)
-    if qmat_det(QMatrix([line.coeffs for line in tangents])) == 0:
+    if _triple(*(line.coeffs for line in tangents)) == 0:
         raise DegenerateArrangementError("L_1, L_2 and L_3 are concurrent")
     l0 = Line.through(p_points[0], p_points[1])
     corners = {

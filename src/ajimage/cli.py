@@ -33,7 +33,6 @@ from .errors import (
     InconsistentDataError,
     MissingIntersectionError,
     SchemaError,
-    SingularMatrixError,
 )
 from .exact import QMatrix
 from .fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface, ns_relation
@@ -573,7 +572,7 @@ def main(argv=None) -> int:
     except (SchemaError, DegenerateArrangementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InconsistentDataError, MissingIntersectionError, SingularMatrixError) as exc:
+    except (InconsistentDataError, MissingIntersectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

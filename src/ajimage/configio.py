@@ -101,6 +101,12 @@ def _int_map(doc, where: str) -> dict[str, int]:
     return {str(k): parse_int(v, f"{where}[{k!r}]") for k, v in doc.items()}
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list")
+    return value
+
+
 def _str_field(doc, key, where) -> str:
     val = doc[key]
     if not isinstance(val, str) or not val:
@@ -112,9 +118,7 @@ def surface_from_dict(doc: Mapping) -> SurfaceConfig:
     _check_keys(doc, "surface", ("chi", "fibers", "mw_free_rank", "sections"),
                 ("torsion_group", "torsion_table"))
     fibers = []
-    if not isinstance(doc["fibers"], list):
-        raise SchemaError("surface.fibers: expected a list")
-    for i, f in enumerate(doc["fibers"]):
+    for i, f in enumerate(_list(doc["fibers"], "surface.fibers")):
         where = f"surface.fibers[{i}]"
         _check_keys(f, where, ("id", "kind"))
         try:
@@ -123,7 +127,7 @@ def surface_from_dict(doc: Mapping) -> SurfaceConfig:
             raise SchemaError(f"{where}: {exc}") from None
         fibers.append((_str_field(f, "id", where), kind))
     sections = []
-    for i, s in enumerate(doc["sections"]):
+    for i, s in enumerate(_list(doc["sections"], "surface.sections")):
         where = f"surface.sections[{i}]"
         _check_keys(s, where, ("name", "s_dot_O", "components"))
         sections.append(
@@ -135,28 +139,34 @@ def surface_from_dict(doc: Mapping) -> SurfaceConfig:
         )
     factors = tuple(
         parse_int(v, f"surface.torsion_group[{i}]")
-        for i, v in enumerate(doc.get("torsion_group", []))
+        for i, v in enumerate(_list(doc.get("torsion_group", []), "surface.torsion_group"))
     )
     try:
         group = AbelianGroup(factors)
     except ValueError as exc:
         raise SchemaError(f"surface.torsion_group: {exc}") from None
     torsion = []
-    for i, t in enumerate(doc.get("torsion_table", [])):
+    for i, t in enumerate(_list(doc.get("torsion_table", []), "surface.torsion_table")):
         where = f"surface.torsion_table[{i}]"
         _check_keys(t, where, ("name", "components", "coords"))
         torsion.append(
             TorsionSectionSpec(
                 _str_field(t, "name", where),
                 _int_map(t["components"], f"{where}.components"),
-                tuple(parse_int(v, f"{where}.coords[{j}]") for j, v in enumerate(t["coords"])),
+                tuple(
+                    parse_int(v, f"{where}.coords[{j}]")
+                    for j, v in enumerate(_list(t["coords"], f"{where}.coords"))
+                ),
             )
         )
+    rank = parse_int(doc["mw_free_rank"], "surface.mw_free_rank")
+    if rank < 0:
+        raise SchemaError(f"surface.mw_free_rank: must be >= 0, got {rank}")
     return SurfaceConfig(
         chi=parse_int(doc["chi"], "surface.chi"),
         fibers=tuple(fibers),
         sections=tuple(sections),
-        mw_free_rank=parse_int(doc["mw_free_rank"], "surface.mw_free_rank"),
+        mw_free_rank=rank,
         torsion_group=group,
         torsion_table=tuple(torsion),
     )
@@ -233,9 +243,7 @@ def parse_config(doc: Mapping) -> ConfigDocument:
     version = parse_int(doc["schema_version"], "schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}")
-    divisors = doc.get("divisors", [])
-    if not isinstance(divisors, list):
-        raise SchemaError("divisors: expected a list")
+    divisors = _list(doc.get("divisors", []), "divisors")
     return ConfigDocument(
         surface=surface_from_dict(doc["surface"]),
         divisors=tuple(divisor_from_dict(d) for d in divisors),

@@ -6,10 +6,6 @@ problems (the input is malformed before any mathematics happens).
 """
 
 
-class SingularMatrixError(ValueError):
-    """Matrix is singular where an inverse or unique solution was required."""
-
-
 class InconsistentDataError(Exception):
     """Intersection data contradicts itself; message names the failing formula."""
 

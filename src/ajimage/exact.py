@@ -1,19 +1,16 @@
-"""Exact rational linear algebra: matrices over Fraction, Bareiss elimination,
-linear solving and Smith normal form with unimodular transforms.
+"""Exact rational linear algebra: matrices over Fraction, rank, and Smith
+normal form with unimodular transforms.
 
-Everything here is exact; floats never appear.  Matrices are small (the
-largest intersection matrix a fiber produces is a handful of rows), so
-clarity wins over asymptotics, but the elimination core is still
-fraction-free (Bareiss) to keep intermediate numerators small.
+Everything here is exact; floats never appear.  The Smith form is the only
+elimination the fiber catalog runs: kodaira reads the inverse A^{-1}, the
+component group and every dual class off one Smith reduction per fiber
+kind.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
-
-from .errors import SingularMatrixError
+from operator import mul
 
 
 def _as_fraction_rows(entries) -> tuple[tuple[Fraction, ...], ...]:
@@ -89,97 +86,6 @@ class QMatrix:
         return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 
 
-def _scaled_integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    # Scale each row by the lcm of its denominators.  Row scaling is a left
-    # multiplication, so solutions of [A | B] systems are unchanged.
-    out = []
-    for row in rows:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
-
-
-def _bareiss_forward(m: list[list[int]]) -> tuple[int, list[int]]:
-    """Fraction-free forward elimination in place on an n x w integer matrix
-    (w >= n).  Returns (sign, pivots); raises SingularMatrixError if some
-    leading column has no pivot.  Afterwards m is upper triangular on its
-    left n columns and every entry is an exact integer (a minor of the input).
-    """
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, len(m[i])):
-                # One-step Bareiss update; the division is exact.
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign, [m[k][k] for k in range(n)]
-
-
-def _back_substitute(m: list[list[int]], n: int, col: int) -> tuple[Fraction, ...]:
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(m[i][col])
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return tuple(x)
-
-
-def qmat_inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse of a square QMatrix via Bareiss elimination on [m | I]."""
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("inverse needs a square matrix")
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.rows)]
-    work = _scaled_integer_rows(aug)
-    _bareiss_forward(work)
-    cols = [_back_substitute(work, n, n + j) for j in range(n)]
-    return QMatrix(list(zip(*cols)))
-
-
-def linear_solve(a: QMatrix, b: Sequence) -> tuple[Fraction, ...]:
-    """Unique solution x of a x = b; raises SingularMatrixError otherwise."""
-    n = a.nrows
-    if n != a.ncols:
-        raise ValueError("linear_solve needs a square matrix")
-    bvec = [Fraction(x) for x in b]
-    if len(bvec) != n:
-        raise ValueError("shape mismatch")
-    aug = [list(row) + [bvec[i]] for i, row in enumerate(a.rows)]
-    work = _scaled_integer_rows(aug)
-    _bareiss_forward(work)
-    return _back_substitute(work, n, n)
-
-
-def qmat_det(m: QMatrix) -> Fraction:
-    """Exact determinant (Bareiss on a denominator-scaled copy)."""
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    work = []
-    for row in m.rows:
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        work.append([int(x * mult) for x in row])
-    try:
-        sign, pivots = _bareiss_forward(work)
-    except SingularMatrixError:
-        return Fraction(0)
-    return Fraction(sign * pivots[-1]) / scale
-
-
 def qmat_rank(m: QMatrix) -> int:
     """Rank over the rationals (plain Gaussian elimination)."""
     work = [list(row) for row in m.rows]
@@ -215,6 +121,17 @@ class SmithForm:
 
     def __repr__(self):
         return f"SmithForm(invariant_factors={self.invariant_factors})"
+
+    def inverse(self) -> QMatrix:
+        """Inverse V S^{-1} U of the reduced matrix, which must be square and
+        nonsingular.  S^{-1} is scaled by the last invariant factor, so the
+        product stays integral until one final division."""
+        top = self.invariant_factors[-1] if self.invariant_factors else 0
+        if len(self.u) != len(self.v) or top == 0:
+            raise ValueError("only a nonsingular square matrix has an inverse")
+        scaled = ([top // f * x for x in row] for row, f in zip(self.u, self.invariant_factors))
+        cols = list(zip(*scaled))
+        return QMatrix([[Fraction(sum(map(mul, row, col)), top) for col in cols] for row in self.v])
 
 
 def _int_rows(a) -> list[list[int]]:

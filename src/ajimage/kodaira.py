@@ -2,9 +2,12 @@
 
 A reducible fiber F = sum_i a_i Theta_i carries: component multiplicities
 a_i, the intersection matrix A of the non-identity components Theta_1..,
-and the finite group R^dual / R of the sublattice R they span.  Dual
-vectors are reduced to that group through the Smith normal form of the
-positive definite Gram matrix -A.
+and the finite group R^dual / R of the sublattice R they span.  One Smith
+normal form U (-A) V = S of the positive definite Gram matrix -A gives all
+of it: the inverse A^{-1} = -V S^{-1} U, the group (the invariant factors
+of S above 1), and the class of every dual vector -A^{-1} c, which is U c
+reduced mod those factors.  Only the rows of U that belong to a factor
+above 1 (the class rows) are kept.
 
 Component labeling convention (fixed here, documented once):
 
@@ -38,9 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import Iterable
 
-from .exact import QMatrix, qmat_inverse, smith_normal_form
+from .exact import QMatrix, smith_normal_form
 
 _KIND_RE = re.compile(r"^(I)(\d+)(\*?)$|^(II|III|IV)(\*?)$")
 
@@ -196,9 +200,8 @@ class ReducibleFiberData:
     simple: tuple[int, ...]  # indices i >= 1 with multiplicity 1
     group: AbelianGroup
     euler: int
-    # Smith data of the Gram matrix -a, used to reduce dual vectors:
-    _snf_u: tuple[tuple[int, ...], ...]
-    _snf_factors: tuple[int, ...]
+    # rows of the Smith row transform U that belong to group.invariant_factors
+    _class_rows: tuple[tuple[int, ...], ...]
     # component group element -> simple component index (0 for identity)
     class_to_simple: dict
 
@@ -226,11 +229,10 @@ def _fiber_data_cached(kind: FiberKind) -> ReducibleFiberData:
         if total != 0:
             raise AssertionError(f"catalog graph for {kind} breaks the fiber relation at {j}")
     a = QMatrix([[full[i, j] for j in range(1, m)] for i in range(1, m)])
-    a_inv = qmat_inverse(a)
     gram = [[-int(full[i, j]) for j in range(1, m)] for i in range(1, m)]
     sf = smith_normal_form(gram)
-    factors = tuple(f for f in sf.invariant_factors if f > 1)
-    group = AbelianGroup(factors)
+    a_inv = QMatrix([[-x for x in row] for row in sf.inverse().rows])
+    group = AbelianGroup(tuple(f for f in sf.invariant_factors if f > 1))
     simple = tuple(i for i in range(1, m) if mults[i] == 1)
 
     data = ReducibleFiberData(
@@ -243,8 +245,7 @@ def _fiber_data_cached(kind: FiberKind) -> ReducibleFiberData:
         simple=simple,
         group=group,
         euler=_euler(kind),
-        _snf_u=sf.u,
-        _snf_factors=sf.invariant_factors,
+        _class_rows=tuple(row for row, f in zip(sf.u, sf.invariant_factors) if f > 1),
         class_to_simple={},
     )
     # the simple components hit every class exactly once; build the inverse map
@@ -272,8 +273,7 @@ def reduce_dual_vector(kind: str | FiberKind, x: Iterable) -> tuple[int, ...]:
     """Class of a dual-lattice vector x in R^dual / R.
 
     x is given in the Theta_1.. coordinate basis; membership in the dual
-    lattice means (-A) x is integral.  The class is read off through the
-    SNF row transform: coordinates (U (-A) x) mod the nontrivial factors.
+    lattice means (-A) x is integral, and x = -A^{-1} c for c = (-A) x.
     """
     data = fiber_data(kind)
     return dual_reduce(data, x)
@@ -283,12 +283,19 @@ def dual_reduce(data: ReducibleFiberData, x: Iterable) -> tuple[int, ...]:
     vec = tuple(Fraction(v) for v in x)
     if len(vec) != data.m - 1:
         raise ValueError(f"expected {data.m - 1} coordinates for {data.kind}")
-    y = [-sum(data.a[i, j] * vec[j] for j in range(data.m - 1)) for i in range(data.m - 1)]
-    if any(v.denominator != 1 for v in y):
+    c = [-sum(data.a[i, j] * vec[j] for j in range(data.m - 1)) for i in range(data.m - 1)]
+    if any(v.denominator != 1 for v in c):
         raise ValueError(f"vector {tuple(map(str, vec))} is not in the dual lattice of {data.kind}")
-    z = [sum(u * int(v) for u, v in zip(row, y)) for row in data._snf_u]
+    return incidence_class(data, [int(v) for v in c])
+
+
+def incidence_class(data: ReducibleFiberData, c) -> tuple[int, ...]:
+    """Class of the dual vector -A^{-1} c of an integral incidence vector c
+    (c_i = D . Theta_i): the class rows times c, mod the invariant factors."""
+    if len(c) != data.m - 1:
+        raise ValueError(f"expected {data.m - 1} incidences for {data.kind}")
     return tuple(
-        int(zi) % f for zi, f in zip(z, data._snf_factors) if f > 1
+        sum(map(mul, row, c)) % f for row, f in zip(data._class_rows, data.group.invariant_factors)
     )
 
 
@@ -304,5 +311,4 @@ def dual_class_of(data: ReducibleFiberData, i: int) -> tuple[int, ...]:
         return data.group.zero()
     if not 1 <= i < data.m:
         raise ValueError(f"{data.kind} has components 0..{data.m - 1}")
-    col = tuple(-data.a_inv[r, i - 1] for r in range(data.m - 1))
-    return dual_reduce(data, col)
+    return tuple(row[i - 1] % f for row, f in zip(data._class_rows, data.group.invariant_factors))

@@ -2,7 +2,8 @@
 decomposition of a divisor class into n * generator + torsion.
 
 gamma_ns sends a divisor to the per-fiber dual vectors -A_v^{-1} c(v, D);
-gamma_bar reduces those to the component groups R_v^dual / R_v.  Both kill
+gamma_bar gives their classes in the component groups R_v^dual / R_v,
+read off c(v, D) through each fiber's Smith class rows.  Both kill
 the trivial lattice, so the image of a divisor equals the image of its
 attached Mordell-Weil point, which is what makes torsion resolvable from
 intersection data alone: the class gamma_bar(D) - n * gamma_bar(s_o) must
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentDataError
-from .kodaira import AbelianGroup, dual_class_of
+from .kodaira import AbelianGroup, dual_class_of, incidence_class
 from .nslattice import (
     DivisorProfile,
     IntersectionTable,
@@ -98,15 +99,15 @@ def _zero_tuple(table: IntersectionTable) -> DualClassTuple:
 
 
 def gamma_bar(table: IntersectionTable, divisor: DivisorProfile | str) -> DualClassTuple:
-    """gamma_ns reduced to the product of component groups."""
-    from .kodaira import dual_reduce
-
-    vectors = gamma_ns(table, divisor)
-    groups = tuple(table.fiber_of(fid).group for fid, _ in table.cfg.fibers)
+    """gamma_ns reduced to the product of component groups, read straight
+    off the incidence vectors c(v, D)."""
+    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
+    fibers = [table.fiber_of(fid) for fid, _ in table.cfg.fibers]
     parts = tuple(
-        dual_reduce(table.fiber_of(fid), vectors[fid]) for fid, _ in table.cfg.fibers
+        incidence_class(data, d.c.get(fid) or (0,) * (data.m - 1))
+        for (fid, _), data in zip(table.cfg.fibers, fibers)
     )
-    return DualClassTuple(groups, parts)
+    return DualClassTuple(tuple(data.group for data in fibers), parts)
 
 
 def gamma_bar_section(table: IntersectionTable, section: SectionProfile | str) -> DualClassTuple:

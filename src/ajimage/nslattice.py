@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 
 from .errors import InconsistentDataError, MissingIntersectionError, SchemaError
 from .exact import QMatrix
-from .kodaira import AbelianGroup, FiberKind, ReducibleFiberData, fiber_data
+from .kodaira import AbelianGroup, FiberKind, ReducibleFiberData, _euler, _graph, fiber_data
 
 # Symbols indexing the intersection form.  Plain tuples keep them hashable
 # and easy to pattern match: ("O",), ("F",), ("theta", fiber_id, i),
@@ -328,22 +328,24 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     """
     if cfg.chi <= 0:
         raise SchemaError("chi must be positive")
-    fibers: dict[str, ReducibleFiberData] = {}
-    for fid, kind in cfg.fibers:
-        if fid in fibers:
+    seen: set[str] = set()
+    for fid, _ in cfg.fibers:
+        if fid in seen:
             raise SchemaError(f"duplicate fiber id {fid!r}")
-        fibers[fid] = fiber_data(kind)
+        seen.add(fid)
 
-    euler_total = sum(d.euler for d in fibers.values())
+    # both bounds need only the kinds, so they run before any catalog is built
+    euler_total = sum(_euler(kind) for _, kind in cfg.fibers)
     if euler_total > 12 * cfg.chi:
         raise InconsistentDataError(
             f"fiber Euler numbers sum to {euler_total} > 12 chi = {12 * cfg.chi}"
         )
-    lattice_rank = 2 + sum(d.m - 1 for d in fibers.values()) + cfg.mw_free_rank
+    lattice_rank = 2 + sum(len(_graph(kind)[0]) - 1 for _, kind in cfg.fibers) + cfg.mw_free_rank
     if lattice_rank > 10 * cfg.chi:
         raise InconsistentDataError(
             f"trivial lattice plus Mordell-Weil rank {lattice_rank} exceeds 10 chi"
         )
+    fibers = {fid: fiber_data(kind) for fid, kind in cfg.fibers}
 
     def check_components(components: Mapping[str, int], who: str):
         for fid, k in components.items():

@@ -6,10 +6,18 @@ group structure is found by brute-force coset enumeration.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def det_cofactor(rows):
-    rows = [[Fraction(x) for x in row] for row in rows]
+    return _det_cofactor(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+
+@lru_cache(maxsize=None)
+def _det_cofactor(rows):
+    # Laplace expansion along the first row.  The minors of one matrix repeat
+    # across the expansion (and across the minors an adjugate needs), so
+    # memoizing on the rows makes it cost about 2^n instead of n! steps.
     n = len(rows)
     if n == 0:
         return Fraction(1)
@@ -17,8 +25,8 @@ def det_cofactor(rows):
         return rows[0][0]
     total = Fraction(0)
     for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * det_cofactor(minor)
+        minor = tuple(r[:j] + r[j + 1 :] for r in rows[1:])
+        total += (-1) ** j * rows[0][j] * _det_cofactor(minor)
     return total
 
 

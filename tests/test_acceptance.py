@@ -41,14 +41,13 @@ from ajimage import (
     param_point,
     phi0,
     phi0_self,
-    qmat_det,
     shioda_tate_check,
     u_of,
     verify_ns_relation,
 )
 from ajimage.nslattice import SYM_F, SYM_O, theta
 
-from oracles import abelian_order_multiset, coset_orders
+from oracles import abelian_order_multiset, coset_orders, det_cofactor
 
 ALL_KINDS = (
     ["I2", "I3", "I4", "I5", "I6", "I7"]
@@ -142,7 +141,7 @@ def test_arrangement_pipeline_and_collinearity_oracle():
         except DegenerateArrangementError:
             continue
         produced += 1
-        det = qmat_det(QMatrix([list(p.coords) for p in arr.q_points]))
+        det = det_cofactor([p.coords for p in arr.q_points])
         if sign == 1:
             assert det == 0 and classify_type(arr).value == "I"
             assert image_of(arr) == MWPoint(0, (0, 0))
@@ -162,7 +161,7 @@ def test_arrangement_pipeline_and_collinearity_oracle():
         if len({t1, t2, t3}) < 3:
             continue
         pts = [param_point(t) for t in (t1, t2, t3)]
-        det_zero = qmat_det(QMatrix([list(p.coords) for p in pts])) == 0
+        det_zero = det_cofactor([p.coords for p in pts]) == 0
         assert (u_of(t1) * u_of(t2) * u_of(t3) == 1) == det_zero, (t1, t2, t3)
         checked += 1
 

@@ -6,6 +6,7 @@ subprocess test exercises the ``python -m ajimage`` entry point for real.
 """
 
 import json
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,8 @@ import pytest
 
 from ajimage import cli
 from ajimage.configio import bundled_config, dumps_config, loads_config
+
+from test_configio import SCHEMA_CASES, with_value
 
 
 def run(capsys, *argv):
@@ -130,6 +133,15 @@ def test_image_usage_errors(tmp_path, capsys):
     assert code == 2 and "unknown generator section" in err
     code, _, err = run(capsys, "image")
     assert code == 2  # argparse: --config/--bundled required
+
+
+@pytest.mark.parametrize("path, value, message", SCHEMA_CASES)
+def test_image_schema_errors_exit_2(tmp_path, capsys, path, value, message):
+    raw = with_value(json.loads(dumps_config(bundled_config("fourlines_type2"))), path, value)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    code, _, err = run(capsys, "image", "--config", str(config))
+    assert code == 2 and re.search(message, err) and "Traceback" not in err
 
 
 def test_image_bad_json_config(tmp_path, capsys):

@@ -151,6 +151,31 @@ def test_bad_fiber_kind_rejected():
         parse_config(doc)
 
 
+# (path into the document, bad value, expected message): values that used to
+# escape the schema check as a TypeError or pass it outright
+SCHEMA_CASES = [
+    (("surface", "sections"), 5, "surface.sections: expected a list"),
+    (("surface", "torsion_group"), 4, "surface.torsion_group: expected a list"),
+    (("surface", "torsion_table"), None, "surface.torsion_table: expected a list"),
+    (("surface", "torsion_table", 0, "coords"), 1, r"torsion_table\[0\].coords: expected a list"),
+    (("surface", "mw_free_rank"), -3, "surface.mw_free_rank: must be >= 0"),
+]
+
+
+def with_value(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message", SCHEMA_CASES)
+def test_malformed_surface_fields_rejected(path, value, message):
+    with pytest.raises(SchemaError, match=message):
+        parse_config(with_value(base_doc(), path, value))
+
+
 def test_bad_torsion_group_rejected():
     doc = base_doc()
     doc["surface"]["torsion_group"] = [3, 2]

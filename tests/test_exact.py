@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajimage.exact import (
-    QMatrix,
-    SmithForm,
-    linear_solve,
-    qmat_det,
-    qmat_inverse,
-    qmat_rank,
-    smith_normal_form,
-)
-from ajimage.errors import SingularMatrixError
+from ajimage.exact import QMatrix, SmithForm, qmat_rank, smith_normal_form
 
 from oracles import coset_orders, det_cofactor, inverse_adjugate, abelian_order_multiset
 
@@ -35,78 +26,33 @@ def square_int_matrices(n, lo=-5, hi=5):
 
 
 def test_inverse_golden_i0star():
-    assert qmat_inverse(QMatrix(I0STAR)) == QMatrix(I0STAR_INV)
+    assert smith_normal_form(I0STAR).inverse() == QMatrix(I0STAR_INV)
 
 
 def test_inverse_identity():
-    assert qmat_inverse(QMatrix.identity(4)) == QMatrix.identity(4)
+    assert smith_normal_form(QMatrix.identity(4)).inverse() == QMatrix.identity(4)
 
 
 def test_inverse_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        qmat_inverse(QMatrix([[1, 2], [2, 4]]))
-
-
-def test_inverse_rational_entries():
-    m = QMatrix([[Fraction(1, 2), 3], [0, Fraction(-2, 7)]])
-    assert qmat_inverse(m) == QMatrix(inverse_adjugate(m.rows))
+    with pytest.raises(ValueError, match="nonsingular square"):
+        smith_normal_form([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(ValueError, match="nonsingular square"):
+        smith_normal_form([[1, 2, 3], [4, 5, 6]]).inverse()
 
 
 @settings(max_examples=120)
 @given(st.integers(1, 4).flatmap(square_int_matrices))
 def test_inverse_matches_adjugate_oracle(entries):
+    sf = smith_normal_form(entries)
     if det_cofactor(entries) == 0:
-        with pytest.raises(SingularMatrixError):
-            qmat_inverse(QMatrix(entries))
+        with pytest.raises(ValueError):
+            sf.inverse()
         return
     m = QMatrix(entries)
-    inv = qmat_inverse(m)
+    inv = sf.inverse()
     assert inv == QMatrix(inverse_adjugate(entries))
     assert m * inv == QMatrix.identity(m.nrows)
     assert inv * m == QMatrix.identity(m.nrows)
-
-
-def test_linear_solve_golden():
-    # A x = (1,1,1,0) for the I0* matrix; expected value checked against the
-    # adjugate oracle rather than hand-frozen.
-    b = [1, 1, 1, 0]
-    x = linear_solve(QMatrix(I0STAR), b)
-    assert x == (-2, -2, -2, -3)
-    assert x == tuple(
-        sum(Fraction(r) * bb for r, bb in zip(row, b)) for row in inverse_adjugate(I0STAR)
-    )
-
-
-def test_linear_solve_1x1():
-    assert linear_solve(QMatrix([[-2]]), [1]) == (Fraction(-1, 2),)
-
-
-def test_linear_solve_singular():
-    with pytest.raises(SingularMatrixError):
-        linear_solve(QMatrix([[1, 1], [1, 1]]), [1, 2])
-
-
-@settings(max_examples=80)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            square_int_matrices(n), st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-        )
-    )
-)
-def test_linear_solve_round_trip(case):
-    entries, x = case
-    if det_cofactor(entries) == 0:
-        return
-    m = QMatrix(entries)
-    b = m * x
-    assert linear_solve(m, b) == tuple(Fraction(v) for v in x)
-
-
-@settings(max_examples=80)
-@given(st.integers(1, 4).flatmap(square_int_matrices))
-def test_det_matches_cofactor_oracle(entries):
-    assert qmat_det(QMatrix(entries)) == det_cofactor(entries)
 
 
 def test_rank():

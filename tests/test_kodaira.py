@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,7 +14,7 @@ from ajimage.kodaira import (
     reduce_dual_vector,
 )
 
-from oracles import abelian_order_multiset, coset_orders, det_cofactor
+from oracles import abelian_order_multiset, coset_orders, det_cofactor, inverse_adjugate
 
 ALL_KINDS = (
     ["I2", "I3", "I4", "I5", "I6", "I7"]
@@ -59,6 +60,40 @@ def test_i2_i3_golden():
     d3 = fiber_data("I3")
     assert d3.a == QMatrix([[-2, 1], [1, -2]])
     assert d3.group.invariant_factors == (3,)
+
+
+def test_inverse_matches_adjugate_oracle():
+    for kind in ALL_KINDS:
+        data = fiber_data(kind)
+        assert data.a_inv == QMatrix(inverse_adjugate(data.a.rows)), kind
+
+
+@pytest.mark.parametrize("kind", ["I100", "I100*"])
+def test_inverse_times_matrix_is_identity_on_large_fibers(kind):
+    # in integers: scale A^{-1} by the common denominator of its entries
+    data = fiber_data(kind)
+    k = data.m - 1
+    den = lcm(*(x.denominator for row in data.a_inv.rows for x in row))
+    scaled = [[int(x * den) for x in row] for row in data.a_inv.rows]
+    a = [[int(x) for x in row] for row in data.a.rows]
+    cols = list(zip(*scaled))
+    for i in range(k):
+        assert [sum(x * y for x, y in zip(a[i], col)) for col in cols] == [
+            den * (i == j) for j in range(k)
+        ], (kind, i)
+
+
+def test_inverse_diagonal_matches_shioda_closed_forms():
+    # Shioda, "On the Mordell-Weil lattices" (1990), section 8: the local
+    # height contributions are the negated diagonal entries of A^{-1}
+    n = 100
+    data = fiber_data(f"I{n}")
+    for i in range(1, n):
+        assert data.a_inv[i - 1, i - 1] == Fraction(-i * (n - i), n), i
+    data = fiber_data(f"I{n}*")
+    assert data.a_inv[0, 0] == -1  # the near leg Theta_1
+    for far in (2, 3):
+        assert data.a_inv[far - 1, far - 1] == -(1 + Fraction(n, 4)), far
 
 
 def test_multiplicity_one_on_cycle():

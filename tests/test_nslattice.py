@@ -1,4 +1,6 @@
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -130,6 +132,18 @@ def test_validation_errors():
     with pytest.raises(SchemaError):
         build_table(cfg, [DivisorProfile("O", 1, 0, {}, 5)])  # reserved name, wrong data
     build_table(cfg, [O_PROFILE, F_PROFILE])  # canonical aliases pass
+
+
+@pytest.mark.parametrize("chi, bound", [(1, "Euler"), (170, "exceeds 10 chi")])
+def test_bounds_checked_before_any_catalog(chi, bound):
+    # an I2000 catalog would take minutes; both bounds must reject from the
+    # kinds alone (chi = 170 passes the Euler bound and fails the rank bound)
+    cfg = four_line_surface()
+    huge = replace(cfg, chi=chi, fibers=cfg.fibers + (("big", FiberKind.parse("I2000")),))
+    start = time.perf_counter()
+    with pytest.raises(InconsistentDataError, match=bound):
+        build_table(huge)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_torsion_table_validation():
