@@ -47,7 +47,6 @@ from .dihedral import (
     RelationVerdict,
     d2n_cover_exists,
     is_divisible,
-    mw_scale,
     verify_ns_relation,
 )
 from .errors import (
@@ -79,13 +78,13 @@ from .kodaira import (
     fiber_data,
 )
 from .mwgroup import (
+    Derivation,
     DualClassTuple,
     MWPoint,
     abel_jacobi_image,
+    derive,
     gamma_bar,
     gamma_bar_section,
-    gamma_ns,
-    integrality_constraint,
     resolve_torsion,
     shioda_tate_check,
 )
@@ -100,7 +99,6 @@ from .nslattice import (
     build_table,
     height_pairing,
     n_of,
-    phi0,
     phi0_cross,
     phi0_self,
     profile_from_class,
@@ -119,6 +117,7 @@ __all__ = [
     "ConfigDocument",
     "CoverVerdict",
     "DegenerateArrangementError",
+    "Derivation",
     "DivisibilityVerdict",
     "DivisorProfile",
     "DualClassTuple",
@@ -152,6 +151,7 @@ __all__ = [
     "config_to_dict",
     "cubic_form",
     "d2n_cover_exists",
+    "derive",
     "divisor_profile_for",
     "dual_class",
     "dumps_config",
@@ -161,22 +161,18 @@ __all__ = [
     "four_line_surface",
     "gamma_bar",
     "gamma_bar_section",
-    "gamma_ns",
     "generate_arrangement",
     "height_pairing",
     "image_of",
-    "integrality_constraint",
     "is_divisible",
     "load_config",
     "loads_config",
-    "mw_scale",
     "n_of",
     "ns_relation",
     "on_cubic",
     "param_of_u",
     "param_point",
     "parse_config",
-    "phi0",
     "phi0_cross",
     "phi0_self",
     "profile_from_class",

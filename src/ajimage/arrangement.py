@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .dihedral import ArrangementType
+from .dihedral import _TYPE_VARIANT, ArrangementType
 from .errors import DegenerateArrangementError, InconsistentDataError, SchemaError
 from .fourlines import GENERATOR, eplus_profile, four_line_surface
 from .mwgroup import MWPoint, abel_jacobi_image
@@ -308,9 +308,6 @@ def classify_type(arr: Arrangement) -> ArrangementType:
             f"arrangement tagged {arr.type_tag} but its tangency points classify as {tag}"
         )
     return tag
-
-
-_TYPE_VARIANT = {ArrangementType.TYPE_I: "collinear", ArrangementType.TYPE_II: "noncollinear"}
 
 
 def divisor_profile_for(arr: Arrangement, smooth_cubic: bool = False) -> DivisorProfile:

@@ -37,16 +37,8 @@ from .errors import (
 from .exact import QMatrix
 from .fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface, ns_relation
 from .kodaira import dual_class_of, fiber_data
-from .mwgroup import (
-    MWPoint,
-    abel_jacobi_image,
-    gamma_bar,
-    gamma_bar_section,
-    gamma_ns,
-    resolve_torsion,
-    shioda_tate_check,
-)
-from .nslattice import build_table, height_pairing, n_of, phi0_self
+from .mwgroup import MWPoint, abel_jacobi_image, derive, shioda_tate_check
+from .nslattice import build_table
 
 _BUNDLE_ALIASES = {
     "type1": "fourlines_type1",
@@ -188,20 +180,13 @@ def cmd_image(args) -> int:
             f" {', '.join(sorted(table.divisors)) or 'none'}"
         ) from None
 
-    height = height_pairing(table, gen, gen)
-    self_pairing = phi0_self(table, divisor)
-    res = n_of(table, divisor, gen)
-    point = abel_jacobi_image(table, divisor, gen)
-    tors = resolve_torsion(table, divisor, point.free_coeff, gen)
-    classes = gamma_bar(table, divisor)
-    residual = classes - point.free_coeff * gamma_bar_section(table, gen)
-    vectors = gamma_ns(table, divisor)
+    der = derive(table, divisor, gen)
+    free, point, tors = der.free, der.point, der.torsion
 
     gamma_report = {}
     gamma_lines = []
-    for idx, (fid, kind) in enumerate(doc.surface.fibers):
-        vec = vectors[fid]
-        cls = classes.parts[idx]
+    gammas = zip(doc.surface.fibers, der.gamma_vectors, der.gamma_classes.parts)
+    for (fid, kind), vec, cls in gammas:
         gamma_report[fid] = {
             "kind": str(kind),
             "vector": [render_number(x) for x in vec],
@@ -216,14 +201,14 @@ def cmd_image(args) -> int:
         "source": source,
         "divisor": divisor.name,
         "generator": gen.name,
-        "height": render_number(height),
-        "phi0_self": render_number(self_pairing),
-        "n_squared": res.n_squared,
+        "height": render_number(free.height),
+        "phi0_self": render_number(free.phi0_self),
+        "n_squared": free.n_squared,
         "n": point.free_coeff,
-        "sign_determined": res.sign_determined,
+        "sign_determined": free.sign_determined,
         "gamma": gamma_report,
         "torsion_residual": {
-            "classes": [list(p) for p in residual.parts],
+            "classes": [list(p) for p in der.torsion_residual.parts],
             "name": tors.name or "0",
             "coords": list(tors.coords),
         },
@@ -232,7 +217,7 @@ def cmd_image(args) -> int:
     fibers_str = ", ".join(f"{fid} {kind}" for fid, kind in doc.surface.fibers)
     sign_note = (
         f"(sign fixed by the registered {divisor.name}.{gen.name} pairing)"
-        if res.sign_determined
+        if free.sign_determined
         else "(sign undetermined; both signs give the same decomposition)"
     )
     lines = [
@@ -240,15 +225,15 @@ def cmd_image(args) -> int:
         f"surface: chi = {doc.surface.chi}; fibers {fibers_str};"
         f" free rank {doc.surface.mw_free_rank};"
         f" torsion {doc.surface.torsion_group.describe()}",
-        f"generator: {gen.name}  (height <P_o, P_o> = {height})",
+        f"generator: {gen.name}  (height <P_o, P_o> = {free.height})",
         f"divisor: {divisor.name}  (d = D.F = {divisor.d}, D.O = {divisor.d_dot_o},"
         f" D^2 = {divisor.d_squared})",
-        f"phi0(D).phi0(D) = {self_pairing}",
-        f"n^2 = -phi0(D).phi0(D) / height = {res.n_squared}",
+        f"phi0(D).phi0(D) = {free.phi0_self}",
+        f"n^2 = -phi0(D).phi0(D) / height = {free.n_squared}",
         f"n = {point.free_coeff}  {sign_note}",
         "gamma trace  (-A_v^{-1} c(v, D) per fiber, then its component-group class):",
         *gamma_lines,
-        f"torsion residual gamma(D) - n gamma({gen.name}) = {residual}"
+        f"torsion residual gamma(D) - n gamma({gen.name}) = {der.torsion_residual}"
         f"  ->  {tors.name or '0'}, coords ({', '.join(map(str, tors.coords))})",
         f"P_D = {point}",
     ]
@@ -416,8 +401,8 @@ def _demo_bundled_image(name: str, expected: MWPoint, shown: str) -> str:
 
 
 def _demo_height() -> str:
-    table = build_table(four_line_surface())
-    h = height_pairing(table, GENERATOR, GENERATOR)
+    table = build_table(four_line_surface(), [eplus_profile("collinear")])
+    h = derive(table, "E+", GENERATOR).free.height
     _require(h == Fraction(1, 2), f"<P_o, P_o> = {h}, expected 1/2")
     return "<P_o, P_o> = 1/2"
 
@@ -469,7 +454,7 @@ def _demo_guardrail() -> str:
     bad = replace(eplus_profile("collinear"), d_squared=2)
     table = build_table(four_line_surface(), [bad])
     try:
-        n_of(table, "E+", GENERATOR)
+        derive(table, "E+", GENERATOR)
     except InconsistentDataError as exc:
         _require("not a perfect square" in str(exc),
                  f"rejection lacks the perfect-square diagnostic: {exc}")

@@ -1,15 +1,15 @@
 """Divisibility in a rank-one Mordell-Weil group and what it decides.
 
-Two consumers share the arithmetic here.  `is_divisible` answers whether a
-point n*P_o + t admits an n-th root in Z x T, solving each cyclic factor of
-the torsion group by gcd arithmetic and returning an explicit witness.  On
-top of it, `d2n_cover_exists` runs the existence criterion for a dihedral
-cover of order 2n branched along a four-line-plus-cubic arrangement: for a
-Type I arrangement the two cubic preimages are linearly equivalent and the
-attached point is O, so every n works; for Type II the decision reduces to
-n-divisibility of P_{E+} - P_{E-} = 4*P_o (even n), while an odd prime
-factor of n would have to divide the free coefficient 2 of the point
-attached to E+ (odd n), which kills every odd n.
+`is_divisible` answers whether a point n*P_o + t admits an n-th root in
+Z x T, solving each cyclic factor of the torsion group by gcd arithmetic and
+returning an explicit witness.  `d2n_cover_exists` decides whether a
+dihedral cover of order 2n branched along a four-line-plus-cubic
+arrangement exists with one rule for every type and every n: exactly when
+P_{E+} - P_{E-} is n-divisible in Z x (Z/2)^2.  Both points are computed by
+`abel_jacobi_image` on the type's bundled surface (collinear shape for
+Type I, non-collinear for Type II), once per type on first use, and every
+reason in the verdict is rendered from them.  For odd n this is the same as
+n-divisibility of P_{E+} alone, since 2 is invertible on the odd part.
 
 `verify_ns_relation` is the supporting check that two formal divisor
 classes really are equal in the Neron-Severi group: it compares their
@@ -23,14 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import gcd
 
 from .errors import SchemaError
 from .exact import QMatrix, qmat_rank
-from .fourlines import four_line_surface
+from .fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface
 from .kodaira import AbelianGroup
-from .mwgroup import MWPoint
-from .nslattice import FormalClass, IntersectionTable, _sym_str
+from .mwgroup import MWPoint, abel_jacobi_image
+from .nslattice import FormalClass, IntersectionTable, _sym_str, build_table
 
 
 class ArrangementType(Enum):
@@ -55,14 +56,8 @@ class ArrangementType(Enum):
         return f"Type {self.value}"
 
 
-def _coords(point: MWPoint, group: AbelianGroup) -> tuple[int, ...]:
-    # an empty torsion tuple means the zero element of any torsion group
-    return group.reduce(point.torsion) if point.torsion else group.zero()
-
-
-def mw_scale(n: int, point: MWPoint, group: AbelianGroup) -> MWPoint:
-    """n * point in Z x T arithmetic (the name tag does not survive)."""
-    return MWPoint(n * point.free_coeff, group.scale(n, _coords(point, group)))
+# the bundled splitting shape (fourlines.VARIANTS) of each arrangement type
+_TYPE_VARIANT = {ArrangementType.TYPE_I: "collinear", ArrangementType.TYPE_II: "noncollinear"}
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,8 @@ def is_divisible(q: MWPoint, n: int, torsion_group: AbelianGroup) -> Divisibilit
         raise SchemaError(f"divisibility test needs n >= 2, got {n}")
     if q.free_coeff % n:
         return DivisibilityVerdict(False, None)
-    coords = _coords(q, torsion_group)
+    # an empty torsion tuple means the zero element of any torsion group
+    coords = torsion_group.reduce(q.torsion) if q.torsion else torsion_group.zero()
     witness = []
     for t, m in zip(coords, torsion_group.invariant_factors):
         g = gcd(n, m)
@@ -109,49 +105,38 @@ class CoverVerdict:
         return self.exists
 
 
+@cache
+def _cover_points(atype: ArrangementType) -> tuple[MWPoint, MWPoint, MWPoint, AbelianGroup]:
+    """P_{E+}, P_{E-}, their difference and the torsion group of the type's
+    bundled surface."""
+    variant = _TYPE_VARIANT[atype]
+    table = build_table(four_line_surface(), [eplus_profile(variant), eminus_profile(variant)])
+    plus, minus = (abel_jacobi_image(table, name, GENERATOR) for name in ("E+", "E-"))
+    group = table.cfg.torsion_group
+    torsion = group.add(plus.torsion, group.neg(minus.torsion))
+    return plus, minus, MWPoint(plus.free_coeff - minus.free_coeff, torsion), group
+
+
 def d2n_cover_exists(arrangement_type: "str | ArrangementType", n: int) -> CoverVerdict:
-    """Does a dihedral cover of order 2n exist for this arrangement type?"""
+    """Does a dihedral cover of order 2n exist for this arrangement type?
+
+    Exactly when P_{E+} - P_{E-} is n-divisible in the Mordell-Weil group.
+    """
     atype = ArrangementType.parse(arrangement_type)
     if n < 3:
         raise SchemaError(f"dihedral covers need n >= 3, got {n}")
-    if atype is ArrangementType.TYPE_I:
-        return CoverVerdict(
-            atype,
-            n,
-            True,
-            (
-                "E+ and E- are linearly equivalent, so the splitting relation"
-                f" required by a dihedral cover of order {2 * n} holds for every n",
-                "the point attached to E+ is O, and O is n-divisible for every n",
-            ),
-        )
-    if n % 2:
-        p = min(f for f in range(3, n + 1) if n % f == 0)
-        return CoverVerdict(
-            atype,
-            n,
-            False,
-            (
-                f"n = {n} is odd; a cover of order {2 * n} would make the point"
-                f" attached to E+ divisible by the prime {p}",
-                f"that point has free coefficient 2, and {p} does not divide 2,"
-                " so no such cover exists",
-            ),
-        )
-    target = MWPoint(4)
-    group = four_line_surface().torsion_group
-    verdict = is_divisible(target, n, group)
+    plus, minus, diff, group = _cover_points(atype)
+    verdict = is_divisible(diff, n, group)
     reasons = [
-        f"n = {n} is even; a cover of order {2 * n} exists exactly when"
-        " P_{E+} - P_{E-} = 4*P_o is n-divisible in the Mordell-Weil group",
+        f"on the bundled {_TYPE_VARIANT[atype]} surface P_{{E+}} = {plus} and"
+        f" P_{{E-}} = {minus}, so P_{{E+}} - P_{{E-}} = {diff}",
+        f"a cover of order {2 * n} exists exactly when P_{{E+}} - P_{{E-}} is"
+        f" {n}-divisible in the Mordell-Weil group",
     ]
     if verdict.divisible:
-        reasons.append(f"4*P_o = {n}*({verdict.witness}), so the cover exists")
+        reasons.append(f"{diff} = {n}*({verdict.witness}), so the cover exists")
     else:
-        reasons.append(
-            f"no point X satisfies {n}*X = 4*P_o (the free coefficient 4 is not"
-            f" divisible by {n}), so no cover exists"
-        )
+        reasons.append(f"no point X satisfies {n}*X = {diff}, so no cover exists")
     return CoverVerdict(atype, n, verdict.divisible, tuple(reasons), verdict.witness)
 
 

@@ -181,12 +181,18 @@ def _graph(kind: FiberKind):
     raise ValueError(f"no component data for {kind}")
 
 
-def _euler(kind: FiberKind) -> int:
+def _components(kind: FiberKind) -> int:
+    """Number of components m, from the kind alone (no graph is built)."""
     if kind.family == "I":
         return kind.n
     if kind.family == "I*":
-        return kind.n + 6
-    return {"III": 3, "IV": 4, "III*": 9, "IV*": 8, "II*": 10}[kind.family]
+        return kind.n + 5
+    return {"III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[kind.family]
+
+
+def _euler(kind: FiberKind) -> int:
+    # e = m for the multiplicative kinds I_n, m + 1 for every additive kind
+    return _components(kind) + (kind.family != "I")
 
 
 @dataclass(frozen=True)
@@ -217,8 +223,19 @@ def _full_matrix(mults, edges) -> QMatrix:
     return QMatrix(rows)
 
 
+# Largest fiber (and largest total over one surface's fibers) that gets a
+# catalog.  The build is cubic in m: I256 takes 2.4 s (CPython 3.11, x86_64),
+# where the I9997 that a chi = 1000 config could otherwise ask for takes hours.
+MAX_COMPONENTS = 256
+
+
 @lru_cache(maxsize=None)
 def _fiber_data_cached(kind: FiberKind) -> ReducibleFiberData:
+    if _components(kind) > MAX_COMPONENTS:
+        raise ValueError(
+            f"fiber {kind} has {_components(kind)} components; the catalog is capped at"
+            f" MAX_COMPONENTS = {MAX_COMPONENTS}"
+        )
     mults, edges = _graph(kind)
     m = len(mults)
     full = _full_matrix(mults, edges)

@@ -1,13 +1,18 @@
-"""Mordell-Weil bookkeeping: dual-class maps, torsion resolution and the
-decomposition of a divisor class into n * generator + torsion.
+"""Mordell-Weil bookkeeping: the decomposition of a divisor class into
+n * generator + torsion, derived once and kept as a `Derivation` record.
 
-gamma_ns sends a divisor to the per-fiber dual vectors -A_v^{-1} c(v, D);
-gamma_bar gives their classes in the component groups R_v^dual / R_v,
-read off c(v, D) through each fiber's Smith class rows.  Both kill
-the trivial lattice, so the image of a divisor equals the image of its
-attached Mordell-Weil point, which is what makes torsion resolvable from
-intersection data alone: the class gamma_bar(D) - n * gamma_bar(s_o) must
-be hit by exactly one torsion-table entry (or be zero).
+`derive` solves x_v = A_v^{-1} c(v, D) once per fiber with nonzero c(v, D)
+and reads everything else off those solves: phi0(D).phi0(D) (quadratic
+route) and phi0(D).phi0(s_o) (linear route, x_v[k - 1]) give n; the gamma
+vectors are -x_v; gamma_bar gives their classes in the component groups
+R_v^dual / R_v, read off c(v, D) through each fiber's Smith class rows.
+Both kill the trivial lattice, so the image of a divisor equals the image
+of its attached Mordell-Weil point, which is what makes torsion resolvable
+from intersection data alone: the residual gamma_bar(D) - n * gamma_bar(s_o)
+must be hit by exactly one torsion-table entry (or be zero).  The height
+identity then fixes the bookkeeping s(D).O of the attached section.
+`abel_jacobi_image` returns the record's point; the CLI renders the record.
+Closed forms after Shioda, On the Mordell-Weil lattices (1990), section 8.
 """
 
 from __future__ import annotations
@@ -16,15 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentDataError
-from .kodaira import AbelianGroup, dual_class_of, incidence_class
+from .kodaira import AbelianGroup, incidence_class
 from .nslattice import (
     DivisorProfile,
+    FreeCoefficient,
     IntersectionTable,
     SectionProfile,
     SurfaceConfig,
-    FreeCoefficient,
-    height_pairing,
-    n_of,
+    _free_coefficient,
+    _gamma_tuple,
+    _solves,
 )
 
 
@@ -82,25 +88,9 @@ class MWPoint:
         return f"{self.free_coeff}*P_o + {tors}"
 
 
-def gamma_ns(table: IntersectionTable, divisor: DivisorProfile | str) -> dict[str, tuple[Fraction, ...]]:
-    """Per-fiber dual vectors -A_v^{-1} c(v, D)."""
-    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
-    out = {}
-    for fid, _ in table.cfg.fibers:
-        data = table.fiber_of(fid)
-        cvec = d.c.get(fid) or (0,) * (data.m - 1)
-        out[fid] = tuple(-x for x in (data.a_inv * cvec))
-    return out
-
-
-def _zero_tuple(table: IntersectionTable) -> DualClassTuple:
-    groups = tuple(table.fiber_of(fid).group for fid, _ in table.cfg.fibers)
-    return DualClassTuple(groups, tuple(g.zero() for g in groups))
-
-
 def gamma_bar(table: IntersectionTable, divisor: DivisorProfile | str) -> DualClassTuple:
-    """gamma_ns reduced to the product of component groups, read straight
-    off the incidence vectors c(v, D)."""
+    """Classes of the gamma vectors -A_v^{-1} c(v, D) in the product of the
+    component groups, read straight off the incidence vectors c(v, D)."""
     d = table.divisor(divisor) if isinstance(divisor, str) else divisor
     fibers = [table.fiber_of(fid) for fid, _ in table.cfg.fibers]
     parts = tuple(
@@ -113,30 +103,12 @@ def gamma_bar(table: IntersectionTable, divisor: DivisorProfile | str) -> DualCl
 def gamma_bar_section(table: IntersectionTable, section: SectionProfile | str) -> DualClassTuple:
     """gamma_bar of a section, read directly off its component assignment."""
     s = table.section(section) if isinstance(section, str) else section
+    return _component_classes(table, s.components)
+
+
+def _component_classes(table: IntersectionTable, components) -> DualClassTuple:
     groups = tuple(table.fiber_of(fid).group for fid, _ in table.cfg.fibers)
-    parts = tuple(
-        dual_class_of(table.fiber_of(fid), s.components.get(fid, 0))
-        for fid, _ in table.cfg.fibers
-    )
-    return DualClassTuple(groups, parts)
-
-
-@dataclass(frozen=True)
-class IntegralityReport:
-    """Which fibers force the attached section onto the identity component."""
-
-    constrained: dict
-
-    def all_constrained(self) -> bool:
-        return all(self.constrained.values())
-
-
-def integrality_constraint(table: IntersectionTable, divisor: DivisorProfile | str) -> IntegralityReport:
-    """A_v^{-1} c(v, D) integral means s(D) meets the identity component at v."""
-    vectors = gamma_ns(table, divisor)
-    return IntegralityReport(
-        {fid: all(x.denominator == 1 for x in vec) for fid, vec in vectors.items()}
-    )
+    return DualClassTuple(groups, _gamma_tuple(table.cfg, table.fibers, components))
 
 
 @dataclass(frozen=True)
@@ -153,24 +125,22 @@ class TorsionElement:
 
 
 def _torsion_elements(table: IntersectionTable) -> list[TorsionElement]:
-    cfg = table.cfg
-    out = [TorsionElement(None, cfg.torsion_group.zero(), _zero_tuple(table))]
-    groups = tuple(table.fiber_of(fid).group for fid, _ in cfg.fibers)
-    for spec in cfg.torsion_table:
-        parts = tuple(
-            dual_class_of(table.fiber_of(fid), spec.components.get(fid, 0))
-            for fid, _ in cfg.fibers
-        )
-        out.append(
-            TorsionElement(spec.name, cfg.torsion_group.reduce(spec.coords), DualClassTuple(groups, parts))
-        )
-    return out
+    group = table.cfg.torsion_group
+    return [TorsionElement(None, group.zero(), _component_classes(table, {}))] + [
+        TorsionElement(spec.name, group.reduce(spec.coords),
+                       _component_classes(table, spec.components))
+        for spec in table.cfg.torsion_table
+    ]
 
 
 def resolve_torsion(table: IntersectionTable, divisor: DivisorProfile | str, n: int,
                     generator: SectionProfile | str) -> TorsionElement:
     """Match gamma_bar(D) - n * gamma_bar(s_o) against the torsion table."""
     target = gamma_bar(table, divisor) - n * gamma_bar_section(table, generator)
+    return _match_torsion(table, target)
+
+
+def _match_torsion(table: IntersectionTable, target: DualClassTuple) -> TorsionElement:
     for elem in _torsion_elements(table):
         if elem.classes == target:
             return elem
@@ -180,48 +150,73 @@ def resolve_torsion(table: IntersectionTable, divisor: DivisorProfile | str, n: 
     )
 
 
-def abel_jacobi_image(table: IntersectionTable, divisor: DivisorProfile | str,
-                      generator: SectionProfile | str) -> MWPoint:
+@dataclass(frozen=True)
+class Derivation:
+    """Everything P_D = n * P_o + t is decided from, in one record."""
+
+    free: FreeCoefficient  # n, n^2, sign route, <P_o, P_o>, phi0(D).phi0(D)
+    gamma_vectors: tuple[tuple[Fraction, ...], ...]  # -A_v^{-1} c(v, D), config fiber order
+    gamma_classes: DualClassTuple  # gamma_bar(D)
+    torsion_residual: DualClassTuple  # gamma_bar(D) - n * gamma_bar(s_o)
+    torsion: TorsionElement
+    s_dot_o: int  # s(D).O of the attached section, from the height identity
+    point: MWPoint
+
+
+def derive(table: IntersectionTable, divisor: DivisorProfile | str,
+           generator: SectionProfile | str) -> Derivation:
     """Full decomposition P_D = n * P_o + torsion of a divisor class.
 
-    Runs n_of (quadratic + linear routes), resolves torsion, and verifies
-    the section bookkeeping: the height identity must give the attached
-    section an integral intersection with O.  With an undetermined sign
-    both sign choices must agree on torsion, otherwise the decomposition is
-    reported as ambiguous.
+    Runs both routes to n, resolves torsion, and verifies the section
+    bookkeeping: the height identity must give the attached section an
+    integral intersection with O.  With an undetermined sign both sign
+    choices must agree on torsion, otherwise the decomposition is reported
+    as ambiguous.
     """
     d = table.divisor(divisor) if isinstance(divisor, str) else divisor
     gen = table.section(generator) if isinstance(generator, str) else generator
-    res = n_of(table, d, gen)
-    tors = resolve_torsion(table, d, res.n, gen)
-    if not res.sign_determined:
-        other = resolve_torsion(table, d, -res.n, gen)
-        if other != tors:
-            raise InconsistentDataError(
-                f"sign of n = {res.n} is undetermined and the torsion resolution"
-                " depends on it; register D.s_o to fix the sign"
-            )
-    _check_bookkeeping(table, d, gen, res, tors)
-    return MWPoint(res.n, tors.coords, tors.name)
+    xs = _solves(table, d)
+    free = _free_coefficient(table, d, gen, xs)
+    classes = gamma_bar(table, d)
+    gen_classes = gamma_bar_section(table, gen)
+    residual = classes - free.n * gen_classes
+    tors = _match_torsion(table, residual)
+    if not free.sign_determined and _match_torsion(table, classes + free.n * gen_classes) != tors:
+        raise InconsistentDataError(
+            f"sign of n = {free.n} is undetermined and the torsion resolution"
+            " depends on it; register D.s_o to fix the sign"
+        )
+    vectors = tuple(
+        tuple(-x for x in xs[fid]) if fid in xs else (Fraction(0),) * (table.fiber_of(fid).m - 1)
+        for fid, _ in table.cfg.fibers
+    )
+    return Derivation(
+        free, vectors, classes, residual, tors, _bookkeeping(table, d, free, classes, tors),
+        MWPoint(free.n, tors.coords, tors.name),
+    )
 
 
-def _check_bookkeeping(table: IntersectionTable, d: DivisorProfile, gen: SectionProfile,
-                       res: FreeCoefficient, tors: TorsionElement) -> None:
+def abel_jacobi_image(table: IntersectionTable, divisor: DivisorProfile | str,
+                      generator: SectionProfile | str) -> MWPoint:
+    """P_D = n * P_o + torsion; the point of `derive`."""
+    return derive(table, divisor, generator).point
+
+
+def _bookkeeping(table: IntersectionTable, d: DivisorProfile, free: FreeCoefficient,
+                 classes: DualClassTuple, tors: TorsionElement) -> int:
     # <P_D, P_D> = n^2 <P_o, P_o> must equal 2 chi + 2 s(D).O + contr, where
     # contr is read off the dual classes of P_D (one simple component each);
     # s(D).O must come out a nonnegative integer, or -chi when P_D = O.
     chi = table.cfg.chi
-    height = res.n_squared * height_pairing(table, gen, gen)
     contrib = Fraction(0)
-    target = gamma_bar(table, d)
-    for (fid, _), part in zip(table.cfg.fibers, target.parts):
+    for (fid, _), part in zip(table.cfg.fibers, classes.parts):
         data = table.fiber_of(fid)
         k = data.class_to_simple[part]
         if k:
             contrib += data.a_inv[k - 1, k - 1]
-    s_dot_o = (height - 2 * chi - contrib) / 2
+    s_dot_o = (free.n_squared * free.height - 2 * chi - contrib) / 2
     ok = s_dot_o.denominator == 1 and (
-        s_dot_o >= 0 or (s_dot_o == -chi and res.n == 0 and tors.is_zero())
+        s_dot_o >= 0 or (s_dot_o == -chi and free.n == 0 and tors.is_zero())
     )
     if not ok:
         raise InconsistentDataError(
@@ -233,6 +228,7 @@ def _check_bookkeeping(table: IntersectionTable, d: DivisorProfile, gen: Section
     n_star = (d.d - 1) * chi + d.d_dot_o - s_dot_o
     if n_star.denominator != 1:
         raise InconsistentDataError("fiber coefficient in the decomposition is not integral")
+    return int(s_dot_o)
 
 
 @dataclass(frozen=True)

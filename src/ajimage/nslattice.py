@@ -32,11 +32,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import InconsistentDataError, MissingIntersectionError, SchemaError
-from .exact import QMatrix
-from .kodaira import AbelianGroup, FiberKind, ReducibleFiberData, _euler, _graph, fiber_data
+from .kodaira import (
+    MAX_COMPONENTS,
+    AbelianGroup,
+    FiberKind,
+    ReducibleFiberData,
+    _components,
+    _euler,
+    dual_class_of,
+    fiber_data,
+)
 
 # Symbols indexing the intersection form.  Plain tuples keep them hashable
 # and easy to pattern match: ("O",), ("F",), ("theta", fiber_id, i),
@@ -288,12 +297,6 @@ class IntersectionTable:
         return self.divisors[name]
 
 
-def _canonical_o_profile(chi: int, fiber_ids) -> DivisorProfile:
-    return DivisorProfile(
-        name="O", d=1, d_dot_o=-chi, c={fid: None for fid in fiber_ids}, d_squared=-chi
-    )
-
-
 def _torsion_s_dot_o(chi: int, fibers: dict[str, ReducibleFiberData],
                      components: Mapping[str, int], name: str) -> int:
     # height 0 forces  2 chi + 2 s.O + sum (A^{-1})_kk = 0
@@ -323,8 +326,9 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     Checks: known fiber ids everywhere, component indices in range and on
     simple components for sections, c-vector lengths, the Euler bound
     sum e_v <= 12 chi, the rank bound 2 + sum(m_v - 1) + mw rank <= 10 chi,
-    and full consistency of the torsion table (closure, distinct classes,
-    coordinate additivity, height zero).
+    the size cap sum m_v <= MAX_COMPONENTS (these three from the kinds alone,
+    before any catalog is built), and full consistency of the torsion table
+    (closure, distinct classes, coordinate additivity, height zero).
     """
     if cfg.chi <= 0:
         raise SchemaError("chi must be positive")
@@ -334,16 +338,21 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
             raise SchemaError(f"duplicate fiber id {fid!r}")
         seen.add(fid)
 
-    # both bounds need only the kinds, so they run before any catalog is built
     euler_total = sum(_euler(kind) for _, kind in cfg.fibers)
     if euler_total > 12 * cfg.chi:
         raise InconsistentDataError(
             f"fiber Euler numbers sum to {euler_total} > 12 chi = {12 * cfg.chi}"
         )
-    lattice_rank = 2 + sum(len(_graph(kind)[0]) - 1 for _, kind in cfg.fibers) + cfg.mw_free_rank
+    m_total = sum(_components(kind) for _, kind in cfg.fibers)
+    lattice_rank = 2 + m_total - len(cfg.fibers) + cfg.mw_free_rank
     if lattice_rank > 10 * cfg.chi:
         raise InconsistentDataError(
             f"trivial lattice plus Mordell-Weil rank {lattice_rank} exceeds 10 chi"
+        )
+    if m_total > MAX_COMPONENTS:
+        raise SchemaError(
+            f"fibers have {m_total} components in all; catalogs are capped at"
+            f" MAX_COMPONENTS = {MAX_COMPONENTS}"
         )
     fibers = {fid: fiber_data(kind) for fid, kind in cfg.fibers}
 
@@ -464,58 +473,31 @@ def _validate_torsion_table(cfg, fibers, check_components):
 
 
 def _gamma_tuple(cfg, fibers, components: Mapping[str, int]):
-    from .kodaira import dual_class_of
-
     return tuple(
         dual_class_of(fibers[fid], components.get(fid, 0)) for fid, _ in cfg.fibers
     )
 
 
-def phi0(table: IntersectionTable, divisor: DivisorProfile | str) -> FormalClass:
-    """Image of D under the projection killing <O, F, Theta_{v, i>=1}>."""
-    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
-    chi = table.cfg.chi
-    sym = {"O": SYM_O, "F": SYM_F}.get(d.name, divisor_sym(d.name))
-    out = {sym: Fraction(1)}
-    out[SYM_O] = out.get(SYM_O, Fraction(0)) - d.d
-    out[SYM_F] = out.get(SYM_F, Fraction(0)) - (d.d * chi + d.d_dot_o)
-    for fid, _ in table.cfg.fibers:
-        data = table.fiber_of(fid)
-        cvec = _cvec(d, fid, data)
-        if not any(cvec):
-            continue
-        coeff = table.fibers[fid].a_inv * cvec
-        for i, x in enumerate(coeff, start=1):
-            if x:
-                out[theta(fid, i)] = out.get(theta(fid, i), Fraction(0)) - x
-    return FormalClass(out)
+def _solves(table: IntersectionTable, d: DivisorProfile) -> dict[str, tuple[Fraction, ...]]:
+    """x_v = A_v^{-1} c(v, D) for every fiber with c(v, D) != 0: the one solve
+    per fiber that phi0_self, phi0_cross and the gamma vectors all read."""
+    return {
+        fid: table.fiber_of(fid).a_inv * d.c[fid]
+        for fid, _ in table.cfg.fibers
+        if any(d.c.get(fid) or ())
+    }
 
 
-def _cvec(d: DivisorProfile, fid: str, data: ReducibleFiberData) -> tuple[int, ...]:
-    vec = d.c.get(fid)
-    return tuple(vec) if vec else (0,) * (data.m - 1)
-
-
-def phi0_self(table: IntersectionTable, divisor: DivisorProfile | str) -> Fraction:
-    """phi0(D).phi0(D) in closed form; needs D^2."""
-    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
+def _phi0_self(table: IntersectionTable, d: DivisorProfile, xs) -> Fraction:
     if d.d_squared is None:
         raise MissingIntersectionError(f"divisor {d.name!r}: D^2 required for phi0_self")
     total = Fraction(d.d_squared) - 2 * d.d * d.d_dot_o - d.d * d.d * table.cfg.chi
-    for fid, _ in table.cfg.fibers:
-        data = table.fiber_of(fid)
-        cvec = _cvec(d, fid, data)
-        if any(cvec):
-            sol = data.a_inv * cvec
-            total -= sum(ci * xi for ci, xi in zip(cvec, sol))
+    for fid, x in xs.items():
+        total -= sum(map(mul, d.c[fid], x))
     return total
 
 
-def phi0_cross(table: IntersectionTable, divisor: DivisorProfile | str,
-               section: SectionProfile | str) -> Fraction:
-    """phi0(D).phi0(s) in closed form; needs D.s."""
-    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
-    s = table.section(section) if isinstance(section, str) else section
+def _phi0_cross(table: IntersectionTable, d: DivisorProfile, s: SectionProfile, xs) -> Fraction:
     if d.name == "O":
         d_dot_s = s.s_dot_o
     elif d.name == "F":
@@ -527,16 +509,25 @@ def phi0_cross(table: IntersectionTable, divisor: DivisorProfile | str,
             f"divisor {d.name!r}: D.{s.name} required for phi0_cross"
         )
     total = Fraction(d_dot_s) - d.d * s.s_dot_o - d.d * table.cfg.chi - d.d_dot_o
-    for fid, _ in table.cfg.fibers:
-        data = table.fiber_of(fid)
+    for fid, x in xs.items():
         k = s.components.get(fid, 0)
-        if k == 0:
-            continue
-        cvec = _cvec(d, fid, data)
-        if any(cvec):
-            sol = data.a_inv * cvec
-            total -= sol[k - 1]
+        if k:
+            total -= x[k - 1]
     return total
+
+
+def phi0_self(table: IntersectionTable, divisor: DivisorProfile | str) -> Fraction:
+    """phi0(D).phi0(D) in closed form; needs D^2."""
+    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
+    return _phi0_self(table, d, _solves(table, d))
+
+
+def phi0_cross(table: IntersectionTable, divisor: DivisorProfile | str,
+               section: SectionProfile | str) -> Fraction:
+    """phi0(D).phi0(s) in closed form; needs D.s."""
+    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
+    s = table.section(section) if isinstance(section, str) else section
+    return _phi0_cross(table, d, s, _solves(table, d))
 
 
 def height_pairing(table: IntersectionTable, s1: SectionProfile | str,
@@ -615,9 +606,13 @@ def profile_from_class(table: IntersectionTable, cls: FormalClass, name: str) ->
 
 @dataclass(frozen=True)
 class FreeCoefficient:
+    """n, how its sign was fixed, and the two numbers it was read from."""
+
     n: int
     n_squared: int
     sign_determined: bool
+    height: Fraction  # <P_o, P_o>
+    phi0_self: Fraction  # phi0(D).phi0(D)
 
 
 def n_of(table: IntersectionTable, divisor: DivisorProfile | str,
@@ -628,27 +623,33 @@ def n_of(table: IntersectionTable, divisor: DivisorProfile | str,
     perfect square.  When D.s_o is registered, the linear route fixes the
     sign and must agree.
     """
+    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
+    gen = table.section(generator) if isinstance(generator, str) else generator
+    return _free_coefficient(table, d, gen, _solves(table, d))
+
+
+def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionProfile,
+                      xs) -> FreeCoefficient:
     if table.cfg.mw_free_rank != 1:
         raise InconsistentDataError(
             f"free coefficient needs Mordell-Weil free rank 1, not {table.cfg.mw_free_rank}"
         )
-    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
-    gen = table.section(generator) if isinstance(generator, str) else generator
     h = height_pairing(table, gen, gen)
     if h <= 0:
         raise InconsistentDataError(
             f"generator {gen.name!r} has height {h}; a free generator needs positive height"
         )
-    n_sq = -phi0_self(table, d) / h
+    self_pairing = _phi0_self(table, d, xs)
+    n_sq = -self_pairing / h
     if n_sq < 0 or n_sq.denominator != 1 or isqrt(n_sq.numerator) ** 2 != n_sq.numerator:
         raise InconsistentDataError(
             f"n^2 = {n_sq} not a perfect square => inconsistent intersection data"
         )
     n_abs = isqrt(n_sq.numerator)
     try:
-        cross = phi0_cross(table, d, gen)
+        cross = _phi0_cross(table, d, gen, xs)
     except MissingIntersectionError:
-        return FreeCoefficient(n_abs, int(n_sq), sign_determined=False)
+        return FreeCoefficient(n_abs, int(n_sq), False, h, self_pairing)
     n_lin = -cross / h
     if n_lin.denominator != 1:
         raise InconsistentDataError(
@@ -658,4 +659,4 @@ def n_of(table: IntersectionTable, divisor: DivisorProfile | str,
         raise InconsistentDataError(
             f"linear n = {n_lin} disagrees with n^2 = {n_sq} => inconsistent intersection data"
         )
-    return FreeCoefficient(int(n_lin), int(n_sq), sign_determined=True)
+    return FreeCoefficient(int(n_lin), int(n_sq), True, h, self_pairing)

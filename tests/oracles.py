@@ -2,11 +2,16 @@
 
 These deliberately avoid the library's elimination/SNF code paths:
 determinants and inverses go through cofactor expansion, and quotient
-group structure is found by brute-force coset enumeration.
+group structure is found by brute-force coset enumeration.  The formal
+phi0 expansion and Mordell-Weil scaling below check the library's closed
+forms and divisibility witnesses without sharing their formulas.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+
+from ajimage.mwgroup import MWPoint
+from ajimage.nslattice import SYM_F, SYM_O, FormalClass, divisor_sym, theta
 
 
 def det_cofactor(rows):
@@ -103,3 +108,28 @@ def abelian_order_multiset(factors):
         os = [f // gcd(c, f) if c else 1 for c, f in zip(combo, factors)]
         orders.append(lcm(*os) if os else 1)
     return sorted(orders)
+
+
+def phi0(table, divisor):
+    """phi0(D) = D - d O - (d chi + O.D) F - sum_v Theta_v A_v^{-1} c(v, D) as a
+    formal class, so that pairing it through the table's generic pairing
+    code can be compared with the closed forms phi0_self / phi0_cross."""
+    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
+    chi = table.cfg.chi
+    sym = {"O": SYM_O, "F": SYM_F}.get(d.name, divisor_sym(d.name))
+    out = {sym: Fraction(1)}
+    out[SYM_O] = out.get(SYM_O, Fraction(0)) - d.d
+    out[SYM_F] = out.get(SYM_F, Fraction(0)) - (d.d * chi + d.d_dot_o)
+    for fid, _ in table.cfg.fibers:
+        cvec = d.c.get(fid)
+        if not cvec or not any(cvec):
+            continue
+        for i, x in enumerate(table.fiber_of(fid).a_inv * cvec, start=1):
+            out[theta(fid, i)] = out.get(theta(fid, i), Fraction(0)) - x
+    return FormalClass(out)
+
+
+def mw_scale(n, point, group):
+    """n * point in Z x T arithmetic (the name tag does not survive)."""
+    coords = group.reduce(point.torsion) if point.torsion else group.zero()
+    return MWPoint(n * point.free_coeff, group.scale(n, coords))

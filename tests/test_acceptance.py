@@ -39,7 +39,6 @@ from ajimage import (
     ns_relation,
     param_of_u,
     param_point,
-    phi0,
     phi0_self,
     shioda_tate_check,
     u_of,
@@ -47,7 +46,7 @@ from ajimage import (
 )
 from ajimage.nslattice import SYM_F, SYM_O, theta
 
-from oracles import abelian_order_multiset, coset_orders, det_cofactor
+from oracles import abelian_order_multiset, coset_orders, det_cofactor, phi0
 
 ALL_KINDS = (
     ["I2", "I3", "I4", "I5", "I6", "I7"]

@@ -9,11 +9,14 @@ import json
 import re
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from ajimage import cli
 from ajimage.configio import bundled_config, dumps_config, loads_config
+from ajimage.exact import QMatrix
 
 from test_configio import SCHEMA_CASES, with_value
 
@@ -162,7 +165,7 @@ def test_cover_single_n(capsys):
     code, out, _ = run(capsys, "cover", "--type", "II", "--n", "6")
     assert code == 0
     assert "order 12 does not exist" in out
-    assert "4 is not\n  divisible" in out or "not divisible by 6" in out
+    assert "no point X satisfies 6*X = 4*P_o + 0" in out
 
 
 def test_cover_sweep_json(capsys):
@@ -332,3 +335,64 @@ def test_round_trip_of_emitted_config(tmp_path):
     # the config a user writes from our serializer must parse back identically
     doc = bundled_config("fourlines_type2")
     assert loads_config(dumps_config(doc)) == doc
+
+
+# ---------------------------------------------------------------------------
+# golden stdout and the one-derivation contract
+
+# stdout of each argument list, recorded before `image` and `cover` were
+# rebuilt on the derivation record; "render" entries must match byte for
+# byte, "cover" entries in their decisions (the reasons are reworded)
+GOLDEN = json.loads((Path(__file__).parent / "golden_stdout.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN["render"], ids=lambda c: " ".join(c["argv"]))
+def test_stdout_matches_golden(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["cover"], ids=lambda c: " ".join(c["argv"]))
+def test_cover_decisions_match_golden(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    got, want = json.loads(out), json.loads(case["stdout"])
+    assert (got["sweep"], got["exists_for"]) == (want["sweep"], want["exists_for"])
+    keys = ("n", "order", "exists") + (("witness",) if want["arrangement_type"] == "II" else ())
+    assert [[r[k] for k in keys] for r in got["results"]] == [
+        [r[k] for k in keys] for r in want["results"]
+    ]
+
+
+def test_image_solves_once(capsys, monkeypatch):
+    # one A^-1 c product for the one fiber where c(v, E+) is nonzero
+    run(capsys, "image", "--bundled", "type2", "--json")  # warm the catalogs
+    calls = []
+    mul = QMatrix.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(QMatrix, "__mul__", counting)
+    code, _, _ = run(capsys, "image", "--bundled", "type2", "--json")
+    assert code == 0 and len(calls) == 1
+
+
+def test_fiber_over_size_cap_is_usage_error(capsys):
+    code, _, err = run(capsys, "fiber", "I100000")
+    assert code == 2 and "MAX_COMPONENTS" in err
+
+
+def test_huge_chi_config_capped_before_any_catalog(tmp_path, capsys):
+    # chi = 1000 lets a lone I9997 fiber through both the Euler and rank bounds
+    raw = json.loads(dumps_config(bundled_config("fourlines_type2")))
+    raw["surface"]["chi"] = 1000
+    raw["surface"]["fibers"] = [{"id": "big", "kind": "I9997"}]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "image", "--config", str(path))
+    assert code == 2 and "9997 components in all" in err and "MAX_COMPONENTS" in err
+    assert time.perf_counter() - start < 0.5

@@ -11,14 +11,15 @@ from ajimage.dihedral import (
     RelationStatus,
     d2n_cover_exists,
     is_divisible,
-    mw_scale,
     verify_ns_relation,
 )
 from ajimage.errors import SchemaError
 from ajimage.fourlines import eminus_profile, eplus_profile, four_line_surface, ns_relation
 from ajimage.kodaira import AbelianGroup
-from ajimage.mwgroup import MWPoint
+from ajimage.mwgroup import MWPoint, abel_jacobi_image
 from ajimage.nslattice import FormalClass, SYM_F, build_table, theta
+
+from oracles import mw_scale
 
 Z22 = AbelianGroup((2, 2))
 
@@ -98,11 +99,37 @@ def test_cover_decision_table():
     assert v4.exists and v4.witness == MWPoint(1, (0, 0))
 
 
+def test_cover_table_from_computed_points():
+    # one rule for both types: P_{E+} - P_{E-} is n-divisible, with both
+    # points computed on the type's bundled surface
+    for atype, variant, want in (("I", "collinear", set(range(3, 61))),
+                                 ("II", "noncollinear", {4})):
+        t = relation_table(variant)
+        plus, minus = (abel_jacobi_image(t, name, "s_o") for name in ("E+", "E-"))
+        diff = MWPoint(plus.free_coeff - minus.free_coeff,
+                       Z22.add(plus.torsion, Z22.neg(minus.torsion)))
+        got = set()
+        for n in range(3, 61):
+            verdict = d2n_cover_exists(atype, n)
+            assert verdict.exists == is_divisible(diff, n, Z22).divisible
+            assert verdict.witness == is_divisible(diff, n, Z22).witness
+            if n % 2:  # 2 is invertible on the odd part: dividing P_{E+} is the same
+                assert is_divisible(diff, n, Z22).divisible == is_divisible(plus, n, Z22).divisible
+            if verdict:
+                got.add(n)
+                assert mw_scale(n, verdict.witness, Z22) == diff
+            joined = " ".join(verdict.reasons)
+            assert str(plus) in joined and str(minus) in joined and str(diff) in joined
+        assert got == want
+    assert str(d2n_cover_exists("II", 4).witness) == "1*P_o + 0"
+    assert str(d2n_cover_exists("I", 5).witness) == "O"
+
+
 def test_cover_verdict_reasons():
     v7 = d2n_cover_exists("I", 7)
     assert v7.exists and all(isinstance(r, str) and r for r in v7.reasons)
     v9 = d2n_cover_exists("II", 9)
-    assert not v9.exists and "3" in " ".join(v9.reasons)
+    assert not v9.exists and "no point X satisfies 9*X" in " ".join(v9.reasons)
     v6 = d2n_cover_exists("II", 6)
     assert not v6.exists and "4*P_o" in " ".join(v6.reasons)
     assert bool(v4 := d2n_cover_exists("II", 4)) and isinstance(v4, CoverVerdict)

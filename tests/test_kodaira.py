@@ -6,8 +6,10 @@ import pytest
 
 from ajimage.exact import QMatrix
 from ajimage.kodaira import (
+    MAX_COMPONENTS,
     AbelianGroup,
     FiberKind,
+    _components,
     component_group,
     dual_class,
     fiber_data,
@@ -145,6 +147,19 @@ def test_euler_numbers():
     expected = {"I2": 2, "I7": 7, "I0*": 6, "I3*": 9, "III": 3, "IV": 4, "III*": 9, "IV*": 8, "II*": 10}
     for kind, e in expected.items():
         assert fiber_data(kind).euler == e, kind
+
+
+def test_component_count_from_kind():
+    for kind in ALL_KINDS + ["I100", "I100*"]:
+        assert _components(FiberKind.parse(kind)) == fiber_data(kind).m, kind
+
+
+def test_catalog_size_cap():
+    assert MAX_COMPONENTS == 256
+    assert _components(FiberKind.parse("I251*")) == MAX_COMPONENTS
+    for kind in ("I257", "I252*", "I100000"):
+        with pytest.raises(ValueError, match="MAX_COMPONENTS"):
+            fiber_data(kind)
 
 
 def test_dual_classes_i0star():

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ajimage.errors import InconsistentDataError
 from ajimage.fourlines import eminus_profile, eplus_profile, four_line_surface
@@ -11,20 +13,25 @@ from ajimage.kodaira import dual_class, fiber_data
 from ajimage.mwgroup import (
     MWPoint,
     abel_jacobi_image,
+    derive,
     gamma_bar,
     gamma_bar_section,
-    gamma_ns,
-    integrality_constraint,
     resolve_torsion,
     shioda_tate_check,
 )
 from ajimage.nslattice import (
+    SYM_F,
+    SYM_O,
     DivisorProfile,
+    FormalClass,
     SectionProfile,
     SurfaceConfig,
     build_table,
     height_pairing,
+    profile_from_class,
     section_as_divisor,
+    section_sym,
+    theta,
     torsion_profile,
 )
 
@@ -41,15 +48,16 @@ O_PROFILE = DivisorProfile("O", d=1, d_dot_o=-1, c={}, d_squared=-1)
 
 
 def test_gamma_ns_goldens():
+    # the gamma vectors -A_v^{-1} c(v, D) of the derivation, in fiber order
     t = table_with(variant="noncollinear")
-    vecs = gamma_ns(t, "E+")
-    assert vecs["inf"] == (2, 2, 2, 3)
-    assert vecs["1"] == (0,)
+    vecs = derive(t, "E+", "s_o").gamma_vectors
+    assert vecs[0] == (2, 2, 2, 3)
+    assert vecs[1] == (0,)
     t2 = table_with(section_as_divisor(table_with(), "s_o"))
-    vecs2 = gamma_ns(t2, "s_o")
-    assert vecs2["inf"] == (1, Fraction(1, 2), Fraction(1, 2), 1)
-    assert vecs2["1"] == (Fraction(1, 2),)
-    assert vecs2["2"] == (0,)
+    vecs2 = derive(t2, "s_o", "s_o").gamma_vectors
+    assert vecs2[0] == (1, Fraction(1, 2), Fraction(1, 2), 1)
+    assert vecs2[1] == (Fraction(1, 2),)
+    assert vecs2[2] == (0,)
 
 
 def test_gamma_bar_goldens():
@@ -91,14 +99,19 @@ def test_gamma_additivity():
 
 
 def test_integrality_constraint():
+    # A_v^{-1} c(v, D) is integral exactly where s(D) meets the identity
+    # component, i.e. where the gamma class vanishes
+    def integral(table, name):
+        der = derive(table, name, "s_o")
+        flags = [all(x.denominator == 1 for x in vec) for vec in der.gamma_vectors]
+        assert flags == [not any(part) for part in der.gamma_classes.parts]
+        return flags
+
     t = table_with(O_PROFILE, variant="noncollinear")
-    rep = integrality_constraint(t, "E+")
-    assert rep.constrained == {"inf": True, "1": True, "2": True, "3": True}
-    assert rep.all_constrained()
+    assert integral(t, "E+") == [True, True, True, True]
     t2 = table_with(section_as_divisor(table_with(), "s_o"))
-    rep2 = integrality_constraint(t2, "s_o")
-    assert rep2.constrained == {"inf": False, "1": False, "2": True, "3": True}
-    assert integrality_constraint(t, "O").all_constrained()
+    assert integral(t2, "s_o") == [False, False, True, True]
+    assert integral(t, "O") == [True, True, True, True]
 
 
 def test_resolve_torsion_goldens():
@@ -167,6 +180,38 @@ def test_abel_jacobi_section_round_trips():
         img = abel_jacobi_image(tt, spec.name, "s_o")
         assert img == MWPoint(0, spec.coords, spec.name)
         assert str(img) == spec.name
+
+
+def test_derivation_record_type2():
+    der = derive(table_with(variant="noncollinear"), "E+", "s_o")
+    assert der.free.height == Fraction(1, 2) and der.free.phi0_self == -2
+    assert (der.free.n, der.free.n_squared, der.free.sign_determined) == (2, 4, True)
+    assert der.gamma_classes.is_zero() and der.torsion_residual.is_zero()
+    assert der.torsion.is_zero() and der.s_dot_o == 0
+    assert der.point == abel_jacobi_image(table_with(variant="noncollinear"), "E+", "s_o")
+
+
+BUNDLED = table_with()
+TRIVIAL_LATTICE = [SYM_O, SYM_F] + [
+    theta(fid, i) for fid, _ in BUNDLED.cfg.fibers for i in range(BUNDLED.fiber_of(fid).m)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-4, 4),
+    st.lists(st.integers(-2, 2), min_size=len(TRIVIAL_LATTICE), max_size=len(TRIVIAL_LATTICE)),
+)
+def test_image_ignores_trivial_lattice_noise(k, noise):
+    # D = k s_o + a O + b F + sum c Theta_{v,i} has P_D = k P_o by construction
+    cls = k * FormalClass.of(section_sym("s_o"))
+    for sym, c in zip(TRIVIAL_LATTICE, noise):
+        cls = cls + c * FormalClass.of(sym)
+    table = table_with(profile_from_class(BUNDLED, cls, "D"))
+    der = derive(table, "D", "s_o")
+    assert der.point == MWPoint(k, (0, 0))
+    assert der.free.n_squared == k * k
+    assert der.torsion_residual.is_zero()
 
 
 def test_abel_jacobi_sign_undetermined_ok():

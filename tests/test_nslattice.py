@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ajimage import nslattice
 from ajimage.errors import InconsistentDataError, MissingIntersectionError, SchemaError
 from ajimage.fourlines import eminus_profile, eplus_profile, four_line_surface
 from ajimage.kodaira import AbelianGroup, FiberKind
@@ -22,7 +23,6 @@ from ajimage.nslattice import (
     divisor_sym,
     height_pairing,
     n_of,
-    phi0,
     phi0_cross,
     phi0_self,
     profile_from_class,
@@ -32,6 +32,8 @@ from ajimage.nslattice import (
     torsion_profile,
     zero_section_profile,
 )
+
+from oracles import phi0
 
 
 def table_with(*divisors, variant=None):
@@ -144,6 +146,21 @@ def test_bounds_checked_before_any_catalog(chi, bound):
     with pytest.raises(InconsistentDataError, match=bound):
         build_table(huge)
     assert time.perf_counter() - start < 0.5
+
+
+def test_size_cap_checked_from_kinds(monkeypatch):
+    # chi = 1000 lets a lone I9997 fiber through both the Euler and rank bounds
+    huge = SurfaceConfig(1000, (("big", FiberKind.parse("I9997")),), (), 1)
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="MAX_COMPONENTS"):
+        build_table(huge)
+    assert time.perf_counter() - start < 0.5
+    cfg = four_line_surface()  # 5 + 3 * 2 = 11 components
+    monkeypatch.setattr(nslattice, "MAX_COMPONENTS", 11)
+    build_table(cfg)
+    monkeypatch.setattr(nslattice, "MAX_COMPONENTS", 10)
+    with pytest.raises(SchemaError, match="11 components in all"):
+        build_table(cfg)
 
 
 def test_torsion_table_validation():
