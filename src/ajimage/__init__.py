@@ -58,7 +58,6 @@ from .errors import (
 from .exact import (
     QMatrix,
     SmithForm,
-    qmat_rank,
     smith_normal_form,
 )
 from .fourlines import (
@@ -176,7 +175,6 @@ __all__ = [
     "phi0_cross",
     "phi0_self",
     "profile_from_class",
-    "qmat_rank",
     "resolve_torsion",
     "section_as_divisor",
     "shioda_tate_check",

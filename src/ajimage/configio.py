@@ -263,6 +263,10 @@ def loads_config(text: str) -> ConfigDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except ValueError:  # an integer literal past int's string-conversion limit
+        raise SchemaError("invalid JSON: an integer literal has too many digits") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
     return parse_config(doc)
 
 
@@ -272,7 +276,10 @@ def dumps_config(config: ConfigDocument) -> str:
 
 def load_config(path) -> ConfigDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"config {path} is not UTF-8 text: {exc.reason}") from None
     return loads_config(text)
 
 

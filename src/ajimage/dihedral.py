@@ -13,10 +13,10 @@ n-divisibility of P_{E+} alone, since 2 is invertible on the odd part.
 
 `verify_ns_relation` is the supporting check that two formal divisor
 classes really are equal in the Neron-Severi group: it compares their
-pairings against every table generator and their self-intersections.
-Agreement is conclusive only when the generators span full rank, so a
-rank-deficient table yields a distinct "inconclusive" verdict rather than
-a silent pass.
+pairings with the table generators (G x) and their self-intersections.
+Agreement is conclusive only when the generators span full rank (read once
+per table off the Smith form of their Gram block), so a rank-deficient
+table yields a distinct "inconclusive" verdict rather than a silent pass.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import cache
 from math import gcd
 
 from .errors import SchemaError
-from .exact import QMatrix, qmat_rank
 from .fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface
 from .kodaira import AbelianGroup
 from .mwgroup import MWPoint, abel_jacobi_image
@@ -170,12 +169,11 @@ def verify_ns_relation(table: IntersectionTable, lhs: FormalClass, rhs: FormalCl
     if lhs == rhs:
         return RelationVerdict(RelationStatus.HOLDS, "sides are syntactically identical")
     gens = table.generators()
-    mismatches = []
-    for g in gens:
-        left = table.pair_class(lhs, FormalClass.of(g))
-        right = table.pair_class(rhs, FormalClass.of(g))
-        if left != right:
-            mismatches.append(f"{_sym_str(g)}: {left} != {right}")
+    mismatches = [
+        f"{_sym_str(g)}: {left} != {right}"
+        for g, left, right in zip(gens, table.profile(lhs), table.profile(rhs))
+        if left != right
+    ]
     sq_left = table.pair_class(lhs, lhs)
     sq_right = table.pair_class(rhs, rhs)
     if sq_left != sq_right:
@@ -184,14 +182,9 @@ def verify_ns_relation(table: IntersectionTable, lhs: FormalClass, rhs: FormalCl
         return RelationVerdict(
             RelationStatus.FAILS, "intersection profiles disagree", tuple(mismatches)
         )
-    if ns_rank is None:
-        ns_rank = (
-            2
-            + sum(table.fiber_of(fid).m - 1 for fid, _ in table.cfg.fibers)
-            + table.cfg.mw_free_rank
-        )
-    gram = QMatrix([[table.pair(a, b) for b in gens] for a in gens])
-    rank = qmat_rank(gram)
+    if ns_rank is None:  # 2 + sum(m_v - 1) + free rank
+        ns_rank = len(gens) - len(table.sections) + table.cfg.mw_free_rank
+    rank = table.generator_rank
     if rank < ns_rank:
         return RelationVerdict(
             RelationStatus.INCONCLUSIVE,

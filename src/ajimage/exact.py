@@ -1,10 +1,11 @@
-"""Exact rational linear algebra: matrices over Fraction, rank, and Smith
-normal form with unimodular transforms.
+"""Exact rational linear algebra: matrices over Fraction and Smith normal
+form with unimodular transforms.
 
 Everything here is exact; floats never appear.  The Smith form is the only
-elimination the fiber catalog runs: kodaira reads the inverse A^{-1}, the
+elimination the library runs: kodaira reads the inverse A^{-1}, the
 component group and every dual class off one Smith reduction per fiber
-kind.
+kind, and nslattice reads the rank of a table's generator Gram matrix off
+its nonzero invariant factors.
 """
 
 from __future__ import annotations
@@ -84,27 +85,6 @@ class QMatrix:
         cells = [[str(x) for x in row] for row in self.rows]
         width = max((len(c) for row in cells for c in row), default=1)
         return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
-
-
-def qmat_rank(m: QMatrix) -> int:
-    """Rank over the rationals (plain Gaussian elimination)."""
-    work = [list(row) for row in m.rows]
-    rank = 0
-    col = 0
-    while rank < len(work) and col < m.ncols:
-        pivot_row = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        prow = work[rank]
-        for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                f = work[r][col] / prow[col]
-                work[r] = [x - f * y for x, y in zip(work[r], prow)]
-        rank += 1
-        col += 1
-    return rank
 
 
 class SmithForm:

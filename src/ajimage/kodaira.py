@@ -66,9 +66,12 @@ class FiberKind:
         if not m:
             raise ValueError(f"unrecognized fiber kind {text!r}")
         if m.group(1):
-            n = int(m.group(2))
-            starred = bool(m.group(3))
-            kind = FiberKind("I*" if starred else "I", n)
+            family = "I*" if m.group(3) else "I"
+            try:
+                n = int(m.group(2))
+            except ValueError:  # past int's string-conversion limit
+                raise ValueError(f"fiber index n of {family}_n has {len(m.group(2))} digits") from None
+            kind = FiberKind(family, n)
         else:
             kind = FiberKind(m.group(4) + m.group(5))
         kind.check_reducible()

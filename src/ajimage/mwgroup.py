@@ -103,12 +103,8 @@ def gamma_bar(table: IntersectionTable, divisor: DivisorProfile | str) -> DualCl
 def gamma_bar_section(table: IntersectionTable, section: SectionProfile | str) -> DualClassTuple:
     """gamma_bar of a section, read directly off its component assignment."""
     s = table.section(section) if isinstance(section, str) else section
-    return _component_classes(table, s.components)
-
-
-def _component_classes(table: IntersectionTable, components) -> DualClassTuple:
     groups = tuple(table.fiber_of(fid).group for fid, _ in table.cfg.fibers)
-    return DualClassTuple(groups, _gamma_tuple(table.cfg, table.fibers, components))
+    return DualClassTuple(groups, _gamma_tuple(table.cfg, table.fibers, s.components))
 
 
 @dataclass(frozen=True)
@@ -124,15 +120,6 @@ class TorsionElement:
         return self.name or "0"
 
 
-def _torsion_elements(table: IntersectionTable) -> list[TorsionElement]:
-    group = table.cfg.torsion_group
-    return [TorsionElement(None, group.zero(), _component_classes(table, {}))] + [
-        TorsionElement(spec.name, group.reduce(spec.coords),
-                       _component_classes(table, spec.components))
-        for spec in table.cfg.torsion_table
-    ]
-
-
 def resolve_torsion(table: IntersectionTable, divisor: DivisorProfile | str, n: int,
                     generator: SectionProfile | str) -> TorsionElement:
     """Match gamma_bar(D) - n * gamma_bar(s_o) against the torsion table."""
@@ -141,9 +128,12 @@ def resolve_torsion(table: IntersectionTable, divisor: DivisorProfile | str, n: 
 
 
 def _match_torsion(table: IntersectionTable, target: DualClassTuple) -> TorsionElement:
-    for elem in _torsion_elements(table):
-        if elem.classes == target:
-            return elem
+    group = table.cfg.torsion_group
+    if target.is_zero():
+        return TorsionElement(None, group.zero(), target)
+    for spec, parts in zip(table.cfg.torsion_table, table.torsion_classes):
+        if parts == target.parts:
+            return TorsionElement(spec.name, group.reduce(spec.coords), target)
     raise InconsistentDataError(
         f"no torsion section realizes the dual class {target}; intersection data is"
         " inconsistent with the torsion table"

@@ -7,13 +7,21 @@ section meets in every reducible fiber) and divisor profiles (degree d =
 D.F, D.O, the component-incidence vectors c(v, D), optionally D^2 and
 pairings against named sections/divisors).
 
-From that data the table answers every pairing the theory determines:
+From that data the table holds one symmetric Gram matrix G.  Its basis is
+the generators O, F, Theta_{v,i} (i >= 1, fibers in config order) and the
+named sections, followed by the registered divisors; the entries are
 
     O.O = -chi, O.F = 1, F.F = 0,
-    Theta_{v,i}.Theta_{v,j} = A_v[i,j]   (i, j >= 1, same fiber),
-    Theta_{v,0} = F - sum_i a_i Theta_{v,i}   (fiber relation),
-    s.Theta_{v,i} = [i == component of s at v],   s.s = -chi,
-    D.F = d, D.O, D.Theta_{v,i} = c(v, D)_i.
+    Theta_{v,i}.Theta_{v,j} = A_v[i,j]   (i, j >= 1, same fiber; 0 across fibers),
+    s.Theta_{v,i} = [i == component of s at v],   s.O,   s.F = 1,   s.s = -chi,
+    D.F = d, D.O, D.Theta_{v,i} = c(v, D)_i, and the registered D.s, D^2, D.D'.
+
+Entries nothing registers (distinct sections, a missing D.s, D^2 or D.D')
+are gaps; reading one raises MissingIntersectionError naming both symbols.
+Theta_{v,0} is the fixed vector F - sum_i a_i Theta_{v,i} (fiber relation),
+and divisors named O or F (with the canonical data) are the O and F basis
+vectors.  So x.y = x^T G y, and the pairings of x with the generators are
+G x (`IntersectionTable.profile`).  G is built on first use.
 
 On top of it sit the projection phi0 away from the trivial lattice
 <O, F, Theta_{v, i>=1}>, its self/cross intersection numbers in closed
@@ -31,11 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import InconsistentDataError, MissingIntersectionError, SchemaError
+from .exact import smith_normal_form
 from .kodaira import (
     MAX_COMPONENTS,
     AbelianGroup,
@@ -52,6 +62,8 @@ from .kodaira import (
 # ("section", name), ("divisor", name).
 SYM_O = ("O",)
 SYM_F = ("F",)
+# divisor names that stand for O and F themselves
+_RESERVED = {"O": SYM_O, "F": SYM_F}
 
 
 def theta(fiber_id: str, i: int) -> tuple:
@@ -169,14 +181,16 @@ class SurfaceConfig:
 
 
 class IntersectionTable:
-    """Pairing oracle over the symbols of one configured surface."""
+    """The intersection form of one configured surface as one Gram matrix."""
 
     def __init__(self, cfg: SurfaceConfig, fibers: dict[str, ReducibleFiberData],
-                 sections: dict[str, SectionProfile], divisors: dict[str, DivisorProfile]):
+                 sections: dict[str, SectionProfile], divisors: dict[str, DivisorProfile],
+                 torsion_classes: tuple):
         self.cfg = cfg
         self.fibers = fibers
         self.sections = sections
         self.divisors = divisors
+        self.torsion_classes = torsion_classes  # dual class tuples, torsion-table order
 
     def generators(self) -> list[tuple]:
         """Spanning symbols: O, F, all Theta_{v, i>=1}, all named sections."""
@@ -188,104 +202,111 @@ class IntersectionTable:
             syms.append(section_sym(s.name))
         return syms
 
-    _RANK = {"O": 0, "F": 1, "theta": 2, "section": 3, "divisor": 4}
+    @cached_property
+    def _basis(self) -> list[tuple]:
+        return self.generators() + [divisor_sym(n) for n in self.divisors if n not in _RESERVED]
 
-    def pair(self, a: tuple, b: tuple) -> Fraction:
-        if self._RANK[a[0]] > self._RANK[b[0]]:
-            a, b = b, a
-        return self._pair_ordered(a, b)
+    @cached_property
+    def _index(self) -> dict[tuple, int]:
+        index = {sym: i for i, sym in enumerate(self._basis)}
+        index.update((divisor_sym(n), index[s]) for n, s in _RESERVED.items() if n in self.divisors)
+        return index
 
-    def _theta_expand(self, fid: str) -> FormalClass:
-        # Theta_{v,0} = F - sum_{i>=1} a_i Theta_{v,i}
-        data = self.fibers[fid]
-        coeffs = {SYM_F: Fraction(1)}
-        for i in range(1, data.m):
-            coeffs[theta(fid, i)] = Fraction(-data.multiplicities[i])
-        return FormalClass(coeffs)
+    @cached_property
+    def _gram(self) -> list[list]:
+        index, chi, n = self._index, self.cfg.chi, len(self._basis)
+        # O, F and the Theta's pair with everything; among sections and
+        # divisors an entry is a gap (None) until something registers it
+        known = 2 + sum(data.m - 1 for data in self.fibers.values())
+        g = [[0] * n if i < known else [0] * known + [None] * (n - known) for i in range(n)]
 
-    def _pair_ordered(self, a: tuple, b: tuple) -> Fraction:
-        chi = self.cfg.chi
-        if a == SYM_O:
-            if b == SYM_O:
-                return Fraction(-chi)
-            if b == SYM_F:
-                return Fraction(1)
-            if b[0] == "theta":
-                if b[2] == 0:
-                    return self.pair_class(self._theta_expand(b[1]), FormalClass.of(SYM_O))
-                return Fraction(0)
-            if b[0] == "section":
-                return Fraction(self.sections[b[1]].s_dot_o)
-            return Fraction(self.divisors[b[1]].d_dot_o)
-        if a == SYM_F:
-            if b == SYM_F:
-                return Fraction(0)
-            if b[0] == "theta":
-                return Fraction(0)
-            if b[0] == "section":
-                return Fraction(1)
-            return Fraction(self.divisors[b[1]].d)
-        if a[0] == "theta":
-            _, fid, i = a
-            if i == 0:
-                return self.pair_class(self._theta_expand(fid), FormalClass.of(b))
-            if b[0] == "theta":
-                _, gid, j = b
-                if gid != fid:
-                    return Fraction(0)
-                if j == 0:
-                    return self.pair_class(self._theta_expand(gid), FormalClass.of(a))
-                return self.fibers[fid].a[i - 1, j - 1]
-            if b[0] == "section":
-                return Fraction(int(self.sections[b[1]].components.get(fid, 0) == i))
-            return Fraction(self.divisors[b[1]].c[fid][i - 1])
-        if a[0] == "section":
-            if b[0] == "section":
-                if a[1] == b[1]:
-                    return Fraction(-chi)
-                # pairings between distinct sections are only known against O
-                raise MissingIntersectionError(
-                    f"pairing of distinct sections {a[1]!r}.{b[1]!r} is not registered"
-                )
-            db = self.divisors[b[1]]
-            if db.name == "O":
-                return Fraction(self.sections[a[1]].s_dot_o)
-            if db.name == "F":
-                return Fraction(1)
-            val = db.d_dot_section.get(a[1])
-            if val is None:
-                raise MissingIntersectionError(
-                    f"divisor {b[1]!r} has no registered pairing with section {a[1]!r}"
-                )
-            return Fraction(val)
-        # divisor . divisor
-        da, db = self.divisors[a[1]], self.divisors[b[1]]
-        if a[1] == b[1]:
-            if da.d_squared is None:
-                raise MissingIntersectionError(f"divisor {a[1]!r} has no registered self-intersection")
-            return Fraction(da.d_squared)
-        # the O / F aliases pair canonically with everything
-        if da.name == "O":
-            return Fraction(db.d_dot_o)
-        if db.name == "O":
-            return Fraction(da.d_dot_o)
-        if da.name == "F":
-            return Fraction(db.d)
-        if db.name == "F":
-            return Fraction(da.d)
-        val = da.d_dot_divisor.get(b[1], db.d_dot_divisor.get(a[1]))
-        if val is None:
-            raise MissingIntersectionError(
-                f"no registered pairing between divisors {a[1]!r} and {b[1]!r}"
-            )
-        return Fraction(val)
+        def put(a, b, value):
+            i, j = index[a], index[b]
+            g[i][j] = g[j][i] = value
+
+        put(SYM_O, SYM_O, -chi)
+        put(SYM_O, SYM_F, 1)
+        for fid, data in self.fibers.items():
+            first = index[theta(fid, 1)]
+            for i, row in enumerate(data.a.rows, first):
+                g[i][first : first + len(row)] = map(int, row)
+        for s in self.sections.values():
+            sym = section_sym(s.name)
+            put(sym, SYM_O, s.s_dot_o)
+            put(sym, SYM_F, 1)
+            put(sym, sym, -chi)
+            for fid, k in s.components.items():
+                if k:
+                    put(sym, theta(fid, k), 1)
+        for name, d in self.divisors.items():
+            if name in _RESERVED:
+                continue
+            sym = divisor_sym(name)
+            put(sym, SYM_O, d.d_dot_o)
+            put(sym, SYM_F, d.d)
+            for fid, vec in d.c.items():
+                for i, value in enumerate(vec, 1):
+                    put(sym, theta(fid, i), value)
+            for other, value in d.d_dot_section.items():
+                put(sym, section_sym(other), value)
+            for other, value in d.d_dot_divisor.items():
+                if other in self.divisors and other not in _RESERVED and other != name:
+                    put(sym, divisor_sym(other), value)
+            put(sym, sym, d.d_squared)
+        return g
+
+    def _vector(self, x: FormalClass) -> dict[int, int | Fraction]:
+        """Coefficients of x on the basis, by index lookup."""
+        index = self._index
+        vec: dict = {}
+        for sym, c in x.coeffs.items():
+            if c.denominator == 1:
+                c = c.numerator
+            i = index.get(sym)
+            if i is not None:
+                vec[i] = vec.get(i, 0) + c
+                continue
+            if sym[0] != "theta" or sym[2] != 0 or sym[1] not in self.fibers:
+                raise KeyError(f"{_sym_str(sym)} is not a symbol of this table")
+            # Theta_{v,0} = F - sum_{i>=1} a_i Theta_{v,i}
+            f, first = index[SYM_F], index[theta(sym[1], 1)] - 1
+            vec[f] = vec.get(f, 0) + c
+            for k, a in enumerate(self.fibers[sym[1]].multiplicities[1:], 1):
+                vec[first + k] = vec.get(first + k, 0) - a * c
+        return vec
+
+    def _times(self, x: FormalClass, columns) -> list:
+        """(G x)_j for every basis index j in columns."""
+        gram = self._gram
+        out = [0] * len(columns)
+        for i, a in self._vector(x).items():
+            row = gram[i]
+            for k, j in enumerate(columns):
+                value = row[j]
+                if value is None:
+                    pair = ".".join(_sym_str(self._basis[idx]) for idx in (i, j))
+                    raise MissingIntersectionError(f"the pairing {pair} is not registered")
+                out[k] += a * value
+        return out
 
     def pair_class(self, x: FormalClass, y: FormalClass) -> Fraction:
-        total = Fraction(0)
-        for sa, ca in x.coeffs.items():
-            for sb, cb in y.coeffs.items():
-                total += ca * cb * self.pair(sa, sb)
-        return total
+        """x^T G y."""
+        yv = self._vector(y)
+        return Fraction(sum(map(mul, yv.values(), self._times(x, list(yv)))))
+
+    def pair(self, a: tuple, b: tuple) -> Fraction:
+        return self.pair_class(FormalClass.of(a), FormalClass.of(b))
+
+    def profile(self, x: FormalClass) -> list:
+        """G x on the generators: the pairings of x with each of generators()."""
+        return self._times(x, range(len(self.generators())))
+
+    @cached_property
+    def generator_rank(self) -> int:
+        """Rank of the generators' Gram block: its nonzero invariant factors."""
+        n = len(self.generators())
+        block = [self._times(FormalClass.of(sym), range(n)) for sym in self._basis[:n]]
+        return sum(1 for f in smith_normal_form(block).invariant_factors if f)
 
     def fiber_of(self, fid: str) -> ReducibleFiberData:
         return self.fibers[fid]
@@ -371,7 +392,7 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
 
     sections: dict[str, SectionProfile] = {}
     for s in cfg.sections:
-        if s.name in ("O", "F"):
+        if s.name in _RESERVED:
             raise SchemaError(f"section name {s.name!r} is reserved")
         if s.name in sections:
             raise SchemaError(f"duplicate section name {s.name!r}")
@@ -380,13 +401,13 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
         check_components(s.components, f"section {s.name!r}")
         sections[s.name] = s
 
-    _validate_torsion_table(cfg, fibers, check_components)
+    torsion_classes = _validate_torsion_table(cfg, fibers, check_components)
 
     divisors_map: dict[str, DivisorProfile] = {}
     for d in divisors:
         if d.name in divisors_map:
             raise SchemaError(f"duplicate divisor name {d.name!r}")
-        if d.name in ("O", "F"):
+        if d.name in _RESERVED:
             d = _check_reserved_divisor(cfg, d)
         for fid, cvec in d.c.items():
             if fid not in fibers:
@@ -399,7 +420,15 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
             if sec not in sections:
                 raise SchemaError(f"divisor {d.name!r}: unknown section {sec!r}")
         # d_dot_divisor may mention divisors not registered in this table;
-        # profiles are reusable and unused pairings are harmless
+        # profiles are reusable and unused pairings are harmless.  Two
+        # registered divisors that name each other must agree.
+        for other, value in d.d_dot_divisor.items():
+            back = divisors_map[other].d_dot_divisor.get(d.name) if other in divisors_map else None
+            if back is not None and back != value:
+                raise InconsistentDataError(
+                    f"divisors {d.name!r} and {other!r} register different pairings"
+                    f" {value} and {back}"
+                )
         divisors_map[d.name] = d
 
     # every registered divisor needs a full c assignment (missing fibers mean 0)
@@ -413,7 +442,7 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
             d.name, d.d, d.d_dot_o, cmap, d.d_squared, dict(d.d_dot_section), dict(d.d_dot_divisor)
         )
 
-    return IntersectionTable(cfg, fibers, sections, normalized)
+    return IntersectionTable(cfg, fibers, sections, normalized, torsion_classes)
 
 
 def _check_reserved_divisor(cfg: SurfaceConfig, d: DivisorProfile) -> DivisorProfile:
@@ -427,7 +456,8 @@ def _check_reserved_divisor(cfg: SurfaceConfig, d: DivisorProfile) -> DivisorPro
     return d
 
 
-def _validate_torsion_table(cfg, fibers, check_components):
+def _validate_torsion_table(cfg, fibers, check_components) -> tuple:
+    """Check the torsion table; return the dual class tuple of every entry."""
     group = cfg.torsion_group
     seen_tuples = {}
     seen_coords = {}
@@ -452,7 +482,7 @@ def _validate_torsion_table(cfg, fibers, check_components):
             "torsion table must list exactly the nonzero elements of torsion_group"
         )
     if not cfg.torsion_table:
-        return
+        return ()
     # coordinate addition must mirror dual-class addition (gamma-bar injectivity)
     zero_tup = tuple(fibers[fid].group.zero() for fid, _ in cfg.fibers)
     table = dict(seen_coords)
@@ -470,6 +500,7 @@ def _validate_torsion_table(cfg, fibers, check_components):
                 raise InconsistentDataError(
                     "torsion table is not closed under addition of dual class tuples"
                 )
+    return tuple(seen_tuples)
 
 
 def _gamma_tuple(cfg, fibers, components: Mapping[str, int]):
@@ -579,28 +610,23 @@ def section_as_divisor(table: IntersectionTable, section: SectionProfile | str,
 
 
 def profile_from_class(table: IntersectionTable, cls: FormalClass, name: str) -> DivisorProfile:
-    """Derive the divisor profile of a formal class from table rows."""
-    d = table.pair_class(cls, FormalClass.of(SYM_F))
-    d_dot_o = table.pair_class(cls, FormalClass.of(SYM_O))
-    if d.denominator != 1 or d_dot_o.denominator != 1:
-        raise InconsistentDataError(f"class {name!r} has non-integral degree data")
-    c = {}
-    for fid, _ in table.cfg.fibers:
-        vec = []
-        for i in range(1, table.fiber_of(fid).m):
-            val = table.pair_class(cls, FormalClass.of(theta(fid, i)))
-            if val.denominator != 1:
-                raise InconsistentDataError(f"class {name!r}: non-integral Theta pairing")
-            vec.append(int(val))
-        c[fid] = tuple(vec)
-    d_dot_section = {}
-    for s in table.cfg.sections:
-        val = table.pair_class(cls, FormalClass.of(section_sym(s.name)))
-        if val.denominator != 1:
-            raise InconsistentDataError(f"class {name!r}: non-integral pairing with {s.name!r}")
-        d_dot_section[s.name] = int(val)
+    """Derive the divisor profile of a formal class from its pairings with
+    the generators (table.profile)."""
+    gens = table.generators()
+    values = table.profile(cls)
+    for sym, value in zip(gens, values):
+        if value.denominator != 1:
+            raise InconsistentDataError(
+                f"class {name!r}: non-integral pairing with {_sym_str(sym)}"
+            )
+    pairing = dict(zip(gens, map(int, values)))
+    c = {
+        fid: tuple(pairing[theta(fid, i)] for i in range(1, table.fiber_of(fid).m))
+        for fid, _ in table.cfg.fibers
+    }
+    d_dot_section = {s.name: pairing[section_sym(s.name)] for s in table.cfg.sections}
     return DivisorProfile(
-        name, int(d), int(d_dot_o), c, table.pair_class(cls, cls), d_dot_section
+        name, pairing[SYM_F], pairing[SYM_O], c, table.pair_class(cls, cls), d_dot_section
     )
 
 

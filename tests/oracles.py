@@ -4,12 +4,14 @@ These deliberately avoid the library's elimination/SNF code paths:
 determinants and inverses go through cofactor expansion, and quotient
 group structure is found by brute-force coset enumeration.  The formal
 phi0 expansion and Mordell-Weil scaling below check the library's closed
-forms and divisibility witnesses without sharing their formulas.
+forms and divisibility witnesses without sharing their formulas, and the
+symbol-by-symbol pairing checks the intersection table's Gram matrix.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+from ajimage.errors import MissingIntersectionError
 from ajimage.mwgroup import MWPoint
 from ajimage.nslattice import SYM_F, SYM_O, FormalClass, divisor_sym, theta
 
@@ -127,6 +129,97 @@ def phi0(table, divisor):
         for i, x in enumerate(table.fiber_of(fid).a_inv * cvec, start=1):
             out[theta(fid, i)] = out.get(theta(fid, i), Fraction(0)) - x
     return FormalClass(out)
+
+
+def pair_reference(table, a, b):
+    """Intersection number of two symbols by case analysis over their kinds
+    (O, F, Theta_{v,i}, sections, divisors), expanding Theta_{v,0} through the
+    fiber relation on each use.  Reads the table's registered profiles and
+    fiber matrices only, never its Gram matrix."""
+    order = {"O": 0, "F": 1, "theta": 2, "section": 3, "divisor": 4}
+    if order[a[0]] > order[b[0]]:
+        a, b = b, a
+    chi = table.cfg.chi
+    if a == SYM_O:
+        if b == SYM_O:
+            return Fraction(-chi)
+        if b == SYM_F:
+            return Fraction(1)
+        if b[0] == "theta":
+            if b[2] == 0:
+                return pair_class_reference(table, _theta0(table, b[1]), FormalClass.of(SYM_O))
+            return Fraction(0)
+        if b[0] == "section":
+            return Fraction(table.sections[b[1]].s_dot_o)
+        return Fraction(table.divisors[b[1]].d_dot_o)
+    if a == SYM_F:
+        if b == SYM_F or b[0] == "theta":
+            return Fraction(0)
+        if b[0] == "section":
+            return Fraction(1)
+        return Fraction(table.divisors[b[1]].d)
+    if a[0] == "theta":
+        _, fid, i = a
+        if i == 0:
+            return pair_class_reference(table, _theta0(table, fid), FormalClass.of(b))
+        if b[0] == "theta":
+            _, gid, j = b
+            if gid != fid:
+                return Fraction(0)
+            if j == 0:
+                return pair_class_reference(table, _theta0(table, gid), FormalClass.of(a))
+            return table.fibers[fid].a[i - 1, j - 1]
+        if b[0] == "section":
+            return Fraction(int(table.sections[b[1]].components.get(fid, 0) == i))
+        return Fraction(table.divisors[b[1]].c[fid][i - 1])
+    if a[0] == "section":
+        if b[0] == "section":
+            if a[1] == b[1]:
+                return Fraction(-chi)
+            raise MissingIntersectionError(f"distinct sections {a[1]!r}.{b[1]!r}")
+        db = table.divisors[b[1]]
+        if db.name == "O":
+            return Fraction(table.sections[a[1]].s_dot_o)
+        if db.name == "F":
+            return Fraction(1)
+        return _registered(db.d_dot_section.get(a[1]), a, b)
+    da, db = table.divisors[a[1]], table.divisors[b[1]]
+    if a[1] == b[1]:
+        return _registered(da.d_squared, a, b)
+    # the reserved O / F divisors pair canonically with everything
+    if da.name == "O":
+        return Fraction(db.d_dot_o)
+    if db.name == "O":
+        return Fraction(da.d_dot_o)
+    if da.name == "F":
+        return Fraction(db.d)
+    if db.name == "F":
+        return Fraction(da.d)
+    return _registered(da.d_dot_divisor.get(b[1], db.d_dot_divisor.get(a[1])), a, b)
+
+
+def _registered(value, a, b):
+    if value is None:
+        raise MissingIntersectionError(f"no registered pairing {a}.{b}")
+    return Fraction(value)
+
+
+def _theta0(table, fid):
+    # Theta_{v,0} = F - sum_{i>=1} a_i Theta_{v,i}
+    mults = table.fibers[fid].multiplicities
+    coeffs = {SYM_F: Fraction(1)}
+    for i in range(1, len(mults)):
+        coeffs[theta(fid, i)] = Fraction(-mults[i])
+    return FormalClass(coeffs)
+
+
+def pair_class_reference(table, x, y):
+    """x.y term by term through pair_reference."""
+    total = Fraction(0)
+    for sa, ca in x.coeffs.items():
+        for sb, cb in y.coeffs.items():
+            total += ca * cb * pair_reference(table, sa, sb)
+    return total
 
 
 def mw_scale(n, point, group):

@@ -138,11 +138,24 @@ def test_image_usage_errors(tmp_path, capsys):
     assert code == 2  # argparse: --config/--bundled required
 
 
-@pytest.mark.parametrize("path, value, message", SCHEMA_CASES)
+# whole files that fail before any field is read (path None: value is the bytes)
+UNDECODABLE_CASES = [
+    pytest.param(None, b'{"schema_version": ' + b"9" * 5000 + b"}", "too many digits",
+                 id="5000-digit-integer"),
+    pytest.param(None, b"\xff\xfe" + '{"surface": 1}'.encode("utf-16-le"), "not UTF-8",
+                 id="utf-16-bom"),
+    pytest.param(None, b"[" * 100_000, "nested too deeply", id="100000-nested-arrays"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", SCHEMA_CASES + UNDECODABLE_CASES)
 def test_image_schema_errors_exit_2(tmp_path, capsys, path, value, message):
-    raw = with_value(json.loads(dumps_config(bundled_config("fourlines_type2"))), path, value)
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(raw), encoding="utf-8")
+    if path is None:
+        config.write_bytes(value)
+    else:
+        raw = with_value(json.loads(dumps_config(bundled_config("fourlines_type2"))), path, value)
+        config.write_text(json.dumps(raw), encoding="utf-8")
     code, _, err = run(capsys, "image", "--config", str(config))
     assert code == 2 and re.search(message, err) and "Traceback" not in err
 
@@ -383,6 +396,10 @@ def test_image_solves_once(capsys, monkeypatch):
 def test_fiber_over_size_cap_is_usage_error(capsys):
     code, _, err = run(capsys, "fiber", "I100000")
     assert code == 2 and "MAX_COMPONENTS" in err
+    # past int's string-conversion limit the message still names the index
+    code, _, err = run(capsys, "fiber", "I" + "7" * 5000 + "*")
+    assert code == 2 and "fiber index n of I*_n has 5000 digits" in err
+    assert "Exceeds the limit" not in err
 
 
 def test_huge_chi_config_capped_before_any_catalog(tmp_path, capsys):

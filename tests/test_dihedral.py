@@ -13,11 +13,12 @@ from ajimage.dihedral import (
     is_divisible,
     verify_ns_relation,
 )
-from ajimage.errors import SchemaError
+from ajimage import nslattice
+from ajimage.errors import MissingIntersectionError, SchemaError
 from ajimage.fourlines import eminus_profile, eplus_profile, four_line_surface, ns_relation
 from ajimage.kodaira import AbelianGroup
 from ajimage.mwgroup import MWPoint, abel_jacobi_image
-from ajimage.nslattice import FormalClass, SYM_F, build_table, theta
+from ajimage.nslattice import FormalClass, SYM_F, SectionProfile, build_table, theta
 
 from oracles import mw_scale
 
@@ -197,6 +198,38 @@ def test_relation_equivalence_properties():
     assert verify_ns_relation(t, b, a).status is RelationStatus.HOLDS
     assert verify_ns_relation(t, b, c).status is RelationStatus.HOLDS
     assert verify_ns_relation(t, a, c).status is RelationStatus.HOLDS
+
+
+def test_relation_rank_from_one_smith_form_per_table(monkeypatch):
+    t = relation_table("collinear")
+    lhs, rhs = ns_relation("collinear")
+    calls = []
+    smith_normal_form = nslattice.smith_normal_form
+
+    def counting(block):
+        calls.append(block)
+        return smith_normal_form(block)
+
+    monkeypatch.setattr(nslattice, "smith_normal_form", counting)
+    for _ in range(2):
+        verdict = verify_ns_relation(t, lhs, rhs)
+        assert verdict.status is RelationStatus.HOLDS
+        assert verdict.detail.endswith("over a rank-10 spanning set")
+    assert len(calls) == 1
+
+
+def test_relation_on_two_sections_needs_their_pairing():
+    # nothing registers s_o.s2, so neither a profile nor the rank can be read
+    cfg = four_line_surface()
+    cfg = replace(cfg, sections=cfg.sections + (SectionProfile("s2", 0, {"2": 1}),))
+    t = relation_table("collinear", cfg)
+    with pytest.raises(MissingIntersectionError, match="E\\+.s2"):
+        verify_ns_relation(t, *ns_relation("collinear"))
+    # F = Theta_{1,0} + Theta_{1,1} agrees on every profile entry; the rank
+    # then needs s_o.s2
+    fiber = FormalClass.of(theta("1", 0)) + FormalClass.of(theta("1", 1))
+    with pytest.raises(MissingIntersectionError, match="s_o.s2"):
+        verify_ns_relation(t, FormalClass.of(SYM_F), fiber)
 
 
 def test_relation_respects_declared_rank_override():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajimage.exact import QMatrix, SmithForm, qmat_rank, smith_normal_form
+from ajimage.exact import QMatrix, SmithForm, smith_normal_form
 
 from oracles import coset_orders, det_cofactor, inverse_adjugate, abelian_order_multiset
 
@@ -53,13 +53,6 @@ def test_inverse_matches_adjugate_oracle(entries):
     assert inv == QMatrix(inverse_adjugate(entries))
     assert m * inv == QMatrix.identity(m.nrows)
     assert inv * m == QMatrix.identity(m.nrows)
-
-
-def test_rank():
-    assert qmat_rank(QMatrix([[1, 2], [2, 4]])) == 1
-    assert qmat_rank(QMatrix(I0STAR)) == 4
-    assert qmat_rank(QMatrix([[0, 0], [0, 0]])) == 0
-    assert qmat_rank(QMatrix([[Fraction(1, 3), 0, 1], [1, 0, 3]])) == 1
 
 
 def check_smith_form(entries, sf: SmithForm):

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajimage import nslattice
+from ajimage.configio import BUNDLED, bundled_config
 from ajimage.errors import InconsistentDataError, MissingIntersectionError, SchemaError
 from ajimage.fourlines import eminus_profile, eplus_profile, four_line_surface
-from ajimage.kodaira import AbelianGroup, FiberKind
+from ajimage.kodaira import AbelianGroup, FiberKind, dual_class_of, fiber_data
 from ajimage.nslattice import (
     DivisorProfile,
     FormalClass,
@@ -33,7 +34,7 @@ from ajimage.nslattice import (
     zero_section_profile,
 )
 
-from oracles import phi0
+from oracles import pair_class_reference, pair_reference, phi0
 
 
 def table_with(*divisors, variant=None):
@@ -115,6 +116,19 @@ def test_missing_pairings_raise():
         t.pair(d, section_sym("s_o"))
 
 
+def test_divisor_pairings_must_be_symmetric():
+    cfg = four_line_surface()
+    plus = replace(eplus_profile("noncollinear"), d_dot_divisor={"E-": 7})
+    minus = eminus_profile("noncollinear")  # registers E-.E+ = 5
+    with pytest.raises(InconsistentDataError, match="'E-' and 'E\\+' register different pairings 5 and 7"):
+        build_table(cfg, [plus, minus])
+    # a value given once, or equal on both sides, is accepted and read both ways
+    t = build_table(cfg, [plus, replace(minus, d_dot_divisor={})])
+    assert t.pair(divisor_sym("E+"), divisor_sym("E-")) == 7
+    assert t.pair(divisor_sym("E-"), divisor_sym("E+")) == 7
+    build_table(cfg, [plus, replace(minus, d_dot_divisor={"E+": 7})])
+
+
 def test_validation_errors():
     cfg = four_line_surface()
     with pytest.raises(SchemaError):
@@ -165,7 +179,11 @@ def test_size_cap_checked_from_kinds(monkeypatch):
 
 def test_torsion_table_validation():
     cfg = four_line_surface()
-    build_table(cfg)  # bundled table is consistent
+    # the bundled table is consistent, and its class tuples are kept
+    assert build_table(cfg).torsion_classes == tuple(
+        tuple(dual_class_of(fiber_data(kind), spec.components.get(fid, 0)) for fid, kind in cfg.fibers)
+        for spec in cfg.torsion_table
+    )
     # swapping one component assignment breaks closure
     bad = SurfaceConfig(
         chi=cfg.chi,
@@ -387,6 +405,76 @@ def test_phi0_orthogonality_property(prof):
     for sym in [SYM_O, SYM_F, theta("inf", 3), theta("2", 1), theta("inf", 0)]:
         assert t.pair_class(cls, FormalClass.of(sym)) == 0
     assert phi0_self(t, "D") == t.pair_class(cls, cls)
+
+
+O_PROFILE_7 = DivisorProfile("O", d=1, d_dot_o=-7, c={}, d_squared=-7)
+
+
+def _wide_table():
+    # I30 + I26* at chi = 7 with two sections, so distinct sections, a
+    # missing D.s, a missing D^2 and a missing D.D' all leave gaps
+    kinds = (("a", "I30"), ("b", "I26*"))
+    simple = fiber_data("I26*").simple
+    cfg = SurfaceConfig(
+        7, tuple((fid, FiberKind.parse(kind)) for fid, kind in kinds),
+        (SectionProfile("s1", 1, {"a": 3, "b": simple[0]}),
+         SectionProfile("s2", 2, {"a": 17, "b": simple[2]})), 2,
+    )
+    rng = random.Random(6)
+    c = lambda: {fid: tuple(rng.randint(-2, 2) for _ in range(fiber_data(k).m - 1))
+                 for fid, k in kinds}
+    return build_table(cfg, [
+        DivisorProfile("D1", 2, 1, c(), d_dot_section={"s1": 3}),
+        DivisorProfile("D2", 1, 0, c(), d_squared=-4, d_dot_section={"s1": 0, "s2": 1},
+                       d_dot_divisor={"D1": 4}),
+        DivisorProfile("D3", 0, 2, c(), d_squared=2),
+        O_PROFILE_7, F_PROFILE,
+    ])
+
+
+GRAM_TABLES = [
+    build_table(doc.surface, doc.divisors + (O_PROFILE, F_PROFILE))
+    for doc in map(bundled_config, BUNDLED)
+] + [_wide_table()]
+
+
+@st.composite
+def class_pairs(draw):
+    table = draw(st.sampled_from(GRAM_TABLES))
+    # sections and divisors carry the gaps and Theta_{v,0} the fiber relation,
+    # so each gets a third of the draws
+    named = [section_sym(s) for s in table.sections] + [divisor_sym(d) for d in table.divisors]
+    theta0 = [theta(fid, 0) for fid, _ in table.cfg.fibers]
+    syms = st.sampled_from(named) | st.sampled_from(theta0) | st.sampled_from(table.generators())
+    coeff = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    cls = st.dictionaries(syms, coeff, min_size=1, max_size=3).map(FormalClass)
+    return table, draw(cls), draw(cls)
+
+
+def _outcome(pairing, x, y):
+    try:
+        return pairing(x, y)
+    except MissingIntersectionError:
+        return "missing"
+
+
+def test_gram_matches_symbolic_reference_on_every_symbol_pair():
+    for table in GRAM_TABLES:
+        syms = table.generators() + [theta(fid, 0) for fid, _ in table.cfg.fibers]
+        syms += [divisor_sym(name) for name in table.divisors]
+        for a in syms:
+            for b in syms:
+                got = _outcome(table.pair, a, b)
+                assert got == _outcome(lambda x, y: pair_reference(table, x, y), a, b), (a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_pairs())
+def test_gram_pairing_matches_symbolic_reference(case):
+    table, x, y = case
+    got = _outcome(table.pair_class, x, y)
+    assert got == _outcome(lambda a, b: pair_class_reference(table, a, b), x, y)
+    assert got == _outcome(table.pair_class, y, x)
 
 
 def test_height_bilinear_in_random_combinations():
