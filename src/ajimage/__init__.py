@@ -72,8 +72,6 @@ from .kodaira import (
     AbelianGroup,
     FiberKind,
     ReducibleFiberData,
-    component_group,
-    dual_class,
     fiber_data,
 )
 from .mwgroup import (
@@ -146,13 +144,11 @@ __all__ = [
     "bundled_config",
     "classify_type",
     "collinear",
-    "component_group",
     "config_to_dict",
     "cubic_form",
     "d2n_cover_exists",
     "derive",
     "divisor_profile_for",
-    "dual_class",
     "dumps_config",
     "eminus_profile",
     "eplus_profile",

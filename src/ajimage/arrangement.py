@@ -310,18 +310,17 @@ def classify_type(arr: Arrangement) -> ArrangementType:
     return tag
 
 
-def divisor_profile_for(arr: Arrangement, smooth_cubic: bool = False) -> DivisorProfile:
+def divisor_profile_for(arr: Arrangement) -> DivisorProfile:
     """Intersection profile of the splitting-curve component E+ upstairs.
 
     The double cover branched along the four lines turns the cubic's
     preimage into E+ + E-; the arrangement type decides (E+)^2 through
-    E+.E- = 3 (collinear q's, and always for a smooth cubic) or 5.
+    E+.E- = 3 (collinear q's) or 5.
     """
-    variant = "smooth" if smooth_cubic else _TYPE_VARIANT[classify_type(arr)]
-    return eplus_profile(variant)
+    return eplus_profile(_TYPE_VARIANT[classify_type(arr)])
 
 
-def image_of(arr: Arrangement, smooth_cubic: bool = False) -> MWPoint:
+def image_of(arr: Arrangement) -> MWPoint:
     """Abel-Jacobi image of E+ for this arrangement, via the full pipeline."""
-    table = build_table(four_line_surface(), [divisor_profile_for(arr, smooth_cubic)])
+    table = build_table(four_line_surface(), [divisor_profile_for(arr)])
     return abel_jacobi_image(table, "E+", GENERATOR)

@@ -53,7 +53,7 @@ _BUNDLE_ALIASES = {
 
 
 def _matrix_json(m: QMatrix) -> list:
-    return [[render_number(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
+    return [[render_number(x) for x in row] for row in m.rows]
 
 
 def _matrix_lines(m: QMatrix, indent: str = "  ") -> list[str]:
@@ -244,6 +244,12 @@ def cmd_image(args) -> int:
 # cover
 
 
+# Most n values one --sweep may ask for.  Each costs a cover decision and a
+# few lines of output: a full --json sweep takes about 0.3 s, 50 MB max RSS
+# and 4 MB of stdout (CPython 3.11, x86_64); the work is linear in the range.
+MAX_SWEEP = 10_000
+
+
 def _parse_sweep(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -254,6 +260,10 @@ def _parse_sweep(text: str) -> tuple[int, int]:
         raise SchemaError(f"--sweep expects integer bounds, got {text!r}") from None
     if a > b:
         raise SchemaError(f"--sweep range is empty: {a} > {b}")
+    if b - a + 1 > MAX_SWEEP:
+        raise SchemaError(
+            f"--sweep {a}..{b} has {b - a + 1} values; at most MAX_SWEEP = {MAX_SWEEP}"
+        )
     return a, b
 
 
@@ -532,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, help="arrangement type, I or II")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--n", type=int, help="single n (cover order 2n), n >= 3")
-    which.add_argument("--sweep", metavar="A..B", help="inclusive range of n values")
+    which.add_argument("--sweep", metavar="A..B",
+                       help=f"inclusive range of at most {MAX_SWEEP} n values")
 
     p = add("arrangement", cmd_arrangement,
             "build a nodal-cubic + four-line arrangement and compute its image")

@@ -1,82 +1,85 @@
-"""Exact rational linear algebra: matrices over Fraction and Smith normal
-form with unimodular transforms.
+"""Exact rational linear algebra: rational matrices and Smith normal form
+with unimodular transforms.
 
-Everything here is exact; floats never appear.  The Smith form is the only
-elimination the library runs: kodaira reads the inverse A^{-1}, the
-component group and every dual class off one Smith reduction per fiber
-kind, and nslattice reads the rank of a table's generator Gram matrix off
-its nonzero invariant factors.
+Everything here is exact; floats never appear.  A QMatrix stores integer
+rows over one positive denominator, in lowest terms, and hands out
+Fractions only on read.  The Smith form is the only elimination the
+library runs: kodaira reads the inverse A^{-1}, the component group and
+every dual class off one Smith reduction per fiber kind, and nslattice
+reads the rank of a table's generator Gram matrix off its nonzero
+invariant factors.  The inverse comes out as integer numerators over the
+last invariant factor, which is the denominator of A^{-1} in lowest terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 
-def _as_fraction_rows(entries) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        if width == 0:
-            raise ValueError("empty rows")
-    return rows
+def _numerators(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    values = list(values)
+    if all(type(x) is int for x in values):
+        return values, 1
+    fracs = [Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs], den
 
 
 class QMatrix:
-    """Immutable matrix with Fraction entries."""
+    """Immutable rational matrix: integer rows ``num`` over one positive
+    denominator ``den``, in lowest terms.
 
-    __slots__ = ("rows",)
+    ``QMatrix(rows)`` takes rows of rationals (ints, Fractions, or anything
+    Fraction accepts); ``QMatrix(rows, den)`` reads the entries over ``den``,
+    so integer numerators build a matrix without one Fraction per entry.
+    """
 
-    def __init__(self, entries):
-        object.__setattr__(self, "rows", _as_fraction_rows(entries))
+    __slots__ = ("num", "den")
+
+    def __init__(self, rows, den: int = 1):
+        rows = [tuple(row) for row in rows]
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        if rows and width == 0:
+            raise ValueError("empty rows")
+        if den == 0:
+            raise ZeroDivisionError("QMatrix denominator is zero")
+        flat, scale = _numerators(x for row in rows for x in row)
+        den *= scale
+        g = gcd(den, *flat)
+        if den < 0:
+            g = -g
+        flat = [x // g for x in flat]
+        num = tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(len(rows)))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and self.rows == other.rows
+        return isinstance(other, QMatrix) and self.den == other.den and self.num == other.num
 
-    def __hash__(self):
-        return hash(self.rows)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self.rows)))
-
-    def __mul__(self, other):
-        if isinstance(other, QMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            cols = other.transpose().rows
-            return QMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-            )
-        # matrix * vector
-        vec = tuple(Fraction(x) for x in other)
-        if self.ncols != len(vec):
+    def __mul__(self, vector) -> tuple[Fraction, ...]:
+        """Matrix times a vector of rationals: integer dot products, then one
+        Fraction per entry of the result."""
+        ints, scale = _numerators(vector)
+        if self.num and len(self.num[0]) != len(ints):
             raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
+        den = self.den * scale
+        return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
 
     def __repr__(self):
         return f"QMatrix({[[str(x) for x in row] for row in self.rows]})"
@@ -104,21 +107,18 @@ class SmithForm:
 
     def inverse(self) -> QMatrix:
         """Inverse V S^{-1} U of the reduced matrix, which must be square and
-        nonsingular.  S^{-1} is scaled by the last invariant factor, so the
-        product stays integral until one final division."""
+        nonsingular.  S^{-1} is scaled by the last invariant factor top, so
+        the product is an integer matrix over top, already in lowest terms:
+        top is the exponent of the cokernel."""
         top = self.invariant_factors[-1] if self.invariant_factors else 0
         if len(self.u) != len(self.v) or top == 0:
             raise ValueError("only a nonsingular square matrix has an inverse")
         scaled = ([top // f * x for x in row] for row, f in zip(self.u, self.invariant_factors))
         cols = list(zip(*scaled))
-        return QMatrix([[Fraction(sum(map(mul, row, col)), top) for col in cols] for row in self.v])
+        return QMatrix([[sum(map(mul, row, col)) for col in cols] for row in self.v], top)
 
 
 def _int_rows(a) -> list[list[int]]:
-    if isinstance(a, QMatrix):
-        if not a.is_integral():
-            raise ValueError("smith_normal_form needs integer entries")
-        return [[int(x) for x in row] for row in a.rows]
     rows = [list(row) for row in a]
     for row in rows:
         for x in row:

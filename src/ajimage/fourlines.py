@@ -41,7 +41,7 @@ FIBER_IDS = ("inf", "1", "2", "3")
 
 GENERATOR = "s_o"
 
-VARIANTS = ("collinear", "noncollinear", "smooth")
+VARIANTS = ("collinear", "noncollinear")
 
 
 def four_line_surface() -> SurfaceConfig:
@@ -68,16 +68,13 @@ def four_line_surface() -> SurfaceConfig:
 def _variant_numbers(variant: str) -> tuple[int, int, int]:
     """(E+)^2, E+.E-, E+.s_o for a splitting shape.
 
-    degree-9 budget: (E+)^2 = 6 - E+.E- on the nodal model; the smooth-cubic
-    variant always splits with E+.E- = 3.  E+.s_o follows from the free
-    coefficient (0 resp. 2) through the linear formula.
+    degree-9 budget: (E+)^2 = 6 - E+.E- on the nodal model.  E+.s_o follows
+    from the free coefficient (0 resp. 2) through the linear formula.
     """
     if variant == "collinear":
         return 3, 3, 1
     if variant == "noncollinear":
         return 1, 5, 0
-    if variant == "smooth":
-        return 3, 3, 1
     raise SchemaError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
@@ -103,7 +100,7 @@ def eminus_profile(variant: str) -> DivisorProfile:
     by <P_{E-}, P_o> = -<P_{E+}, P_o>.
     """
     sq, cross, dot_gen = _variant_numbers(variant)
-    # <P_{E-}, P_o> = -n/2 forces E-.s_o = 1 (collinear/smooth) resp. 2
+    # <P_{E-}, P_o> = -n/2 forces E-.s_o = 1 (collinear) resp. 2
     dot_gen_minus = {1: 1, 0: 2}[dot_gen]
     return DivisorProfile(
         name="E-",
@@ -119,7 +116,7 @@ def eminus_profile(variant: str) -> DivisorProfile:
 def ns_relation(variant: str) -> tuple[FormalClass, FormalClass]:
     """The shipped Neron-Severi relation (lhs, rhs) for a splitting shape.
 
-    collinear/smooth:
+    collinear:
         E+  ~  3 O + 3 F - 2 Theta_inf_1 - 2 Theta_inf_2 - 2 Theta_inf_3
                - 3 Theta_inf_4
     noncollinear:
@@ -130,7 +127,7 @@ def ns_relation(variant: str) -> tuple[FormalClass, FormalClass]:
     from .nslattice import divisor_sym
 
     eplus = FormalClass.of(divisor_sym("E+"))
-    if variant in ("collinear", "smooth"):
+    if variant == "collinear":
         rhs = FormalClass(
             {
                 SYM_O: Fraction(3),

@@ -9,6 +9,12 @@ of S above 1), and the class of every dual vector -A^{-1} c, which is U c
 reduced mod those factors.  Only the rows of U that belong to a factor
 above 1 (the class rows) are kept.
 
+A and A^{-1} are QMatrix values: integer numerators over one denominator.
+A's is 1; A^{-1}'s is the last invariant factor of S, the exponent of the
+component group (1 for II*), so every solve A^{-1} c is integer dot
+products over that one number.  The full graph matrix of all m components
+is built only to check the fiber relation and to slice A out of it.
+
 Component labeling convention (fixed here, documented once):
 
 * I_n (n >= 2): the cycle Theta_0 - Theta_1 - ... - Theta_{n-1} - Theta_0
@@ -38,7 +44,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
@@ -203,9 +208,8 @@ class ReducibleFiberData:
     kind: FiberKind
     m: int  # number of components
     multiplicities: tuple[int, ...]  # indexed by component, Theta_0 first
-    full_matrix: QMatrix  # pairwise intersections of all m components
-    a: QMatrix  # non-identity block (rows/cols = Theta_1..)
-    a_inv: QMatrix
+    a: QMatrix  # intersections of Theta_1.. (denominator 1)
+    a_inv: QMatrix  # over the exponent of the component group
     simple: tuple[int, ...]  # indices i >= 1 with multiplicity 1
     group: AbelianGroup
     euler: int
@@ -215,7 +219,8 @@ class ReducibleFiberData:
     class_to_simple: dict
 
 
-def _full_matrix(mults, edges) -> QMatrix:
+def _full_matrix(mults, edges) -> list[list[int]]:
+    """Pairwise intersections of all m components, Theta_0 first."""
     m = len(mults)
     rows = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -223,12 +228,13 @@ def _full_matrix(mults, edges) -> QMatrix:
     for (i, j), w in edges.items():
         rows[i][j] = w
         rows[j][i] = w
-    return QMatrix(rows)
+    return rows
 
 
 # Largest fiber (and largest total over one surface's fibers) that gets a
-# catalog.  The build is cubic in m: I256 takes 2.4 s (CPython 3.11, x86_64),
-# where the I9997 that a chi = 1000 config could otherwise ask for takes hours.
+# catalog.  The build is cubic in m: I256 takes 1.5-1.9 s (CPython 3.11,
+# x86_64), where the I9997 that a chi = 1000 config could otherwise ask for
+# takes hours.
 MAX_COMPONENTS = 256
 
 
@@ -245,13 +251,12 @@ def _fiber_data_cached(kind: FiberKind) -> ReducibleFiberData:
     # fiber relation F . Theta_j = 0 pins the whole table; fail loudly if the
     # catalog graph is wrong
     for j in range(m):
-        total = sum(mults[i] * full[i, j] for i in range(m))
+        total = sum(mults[i] * full[i][j] for i in range(m))
         if total != 0:
             raise AssertionError(f"catalog graph for {kind} breaks the fiber relation at {j}")
-    a = QMatrix([[full[i, j] for j in range(1, m)] for i in range(1, m)])
-    gram = [[-int(full[i, j]) for j in range(1, m)] for i in range(1, m)]
-    sf = smith_normal_form(gram)
-    a_inv = QMatrix([[-x for x in row] for row in sf.inverse().rows])
+    a = [row[1:] for row in full[1:]]
+    sf = smith_normal_form([[-x for x in row] for row in a])
+    inv = sf.inverse()
     group = AbelianGroup(tuple(f for f in sf.invariant_factors if f > 1))
     simple = tuple(i for i in range(1, m) if mults[i] == 1)
 
@@ -259,9 +264,8 @@ def _fiber_data_cached(kind: FiberKind) -> ReducibleFiberData:
         kind=kind,
         m=m,
         multiplicities=tuple(mults),
-        full_matrix=full,
-        a=a,
-        a_inv=a_inv,
+        a=QMatrix(a),
+        a_inv=QMatrix([[-x for x in row] for row in inv.num], inv.den),
         simple=simple,
         group=group,
         euler=_euler(kind),
@@ -285,30 +289,6 @@ def fiber_data(kind: str | FiberKind) -> ReducibleFiberData:
     return _fiber_data_cached(FiberKind.parse(kind))
 
 
-def component_group(kind: str | FiberKind) -> AbelianGroup:
-    return fiber_data(kind).group
-
-
-def reduce_dual_vector(kind: str | FiberKind, x: Iterable) -> tuple[int, ...]:
-    """Class of a dual-lattice vector x in R^dual / R.
-
-    x is given in the Theta_1.. coordinate basis; membership in the dual
-    lattice means (-A) x is integral, and x = -A^{-1} c for c = (-A) x.
-    """
-    data = fiber_data(kind)
-    return dual_reduce(data, x)
-
-
-def dual_reduce(data: ReducibleFiberData, x: Iterable) -> tuple[int, ...]:
-    vec = tuple(Fraction(v) for v in x)
-    if len(vec) != data.m - 1:
-        raise ValueError(f"expected {data.m - 1} coordinates for {data.kind}")
-    c = [-sum(data.a[i, j] * vec[j] for j in range(data.m - 1)) for i in range(data.m - 1)]
-    if any(v.denominator != 1 for v in c):
-        raise ValueError(f"vector {tuple(map(str, vec))} is not in the dual lattice of {data.kind}")
-    return incidence_class(data, [int(v) for v in c])
-
-
 def incidence_class(data: ReducibleFiberData, c) -> tuple[int, ...]:
     """Class of the dual vector -A^{-1} c of an integral incidence vector c
     (c_i = D . Theta_i): the class rows times c, mod the invariant factors."""
@@ -319,14 +299,9 @@ def incidence_class(data: ReducibleFiberData, c) -> tuple[int, ...]:
     )
 
 
-def dual_class(kind: str | FiberKind, i: int) -> tuple[int, ...]:
+def dual_class_of(data: ReducibleFiberData, i: int) -> tuple[int, ...]:
     """Class of component Theta_i, i.e. of the dual vector -A^{-1} e_i
     (i = 0 gives the identity class)."""
-    data = fiber_data(kind)
-    return dual_class_of(data, i)
-
-
-def dual_class_of(data: ReducibleFiberData, i: int) -> tuple[int, ...]:
     if i == 0:
         return data.group.zero()
     if not 1 <= i < data.m:

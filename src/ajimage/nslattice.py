@@ -228,8 +228,8 @@ class IntersectionTable:
         put(SYM_O, SYM_F, 1)
         for fid, data in self.fibers.items():
             first = index[theta(fid, 1)]
-            for i, row in enumerate(data.a.rows, first):
-                g[i][first : first + len(row)] = map(int, row)
+            for i, row in enumerate(data.a.num, first):
+                g[i][first : first + len(row)] = row
         for s in self.sections.values():
             sym = section_sym(s.name)
             put(sym, SYM_O, s.s_dot_o)

@@ -1,10 +1,11 @@
 """Independent reference implementations used only by tests.
 
 These deliberately avoid the library's elimination/SNF code paths:
-determinants and inverses go through cofactor expansion, and quotient
-group structure is found by brute-force coset enumeration.  The formal
-phi0 expansion and Mordell-Weil scaling below check the library's closed
-forms and divisibility witnesses without sharing their formulas, and the
+determinants and inverses go through cofactor expansion, matrix products
+are plain Fraction sums over rows, and quotient group structure is found
+by brute-force coset enumeration.  The formal phi0 expansion and
+Mordell-Weil scaling below check the library's closed forms and
+divisibility witnesses without sharing their formulas, and the
 symbol-by-symbol pairing checks the intersection table's Gram matrix.
 """
 
@@ -50,6 +51,15 @@ def inverse_adjugate(rows):
             inv_row.append((-1) ** (i + j) * det_cofactor(minor) / d)
         inv.append(inv_row)
     return inv
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def mat_vec(rows, vec):

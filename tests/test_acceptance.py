@@ -24,9 +24,7 @@ from ajimage import (
     abel_jacobi_image,
     build_table,
     classify_type,
-    component_group,
     d2n_cover_exists,
-    dual_class,
     eminus_profile,
     eplus_profile,
     fiber_data,
@@ -44,6 +42,7 @@ from ajimage import (
     u_of,
     verify_ns_relation,
 )
+from ajimage.kodaira import dual_class_of
 from ajimage.nslattice import SYM_F, SYM_O, theta
 
 from oracles import abelian_order_multiset, coset_orders, det_cofactor, phi0
@@ -68,9 +67,10 @@ def test_star_fiber_intersection_matrices_entrywise():
 
 
 def test_component_groups_and_dual_classes():
-    g = component_group("I0*")
+    i0star = fiber_data("I0*")
+    g = i0star.group
     assert g == AbelianGroup((2, 2))
-    e1, e2, e3 = (dual_class("I0*", i) for i in (1, 2, 3))
+    e1, e2, e3 = (dual_class_of(i0star, i) for i in (1, 2, 3))
     assert len({e1, e2, e3}) == 3
     assert all(c != g.zero() for c in (e1, e2, e3))
     assert g.add(e1, e2) == e3 and g.add(e2, e3) == e1 and g.add(e1, e3) == e2

@@ -219,8 +219,6 @@ def test_divisor_profile_for():
     arr2 = generate_arrangement(2, 3, -1)
     assert divisor_profile_for(arr1).d_squared == 3
     assert divisor_profile_for(arr2).d_squared == 1
-    assert divisor_profile_for(arr2, smooth_cubic=True).d_squared == 3
-    assert image_of(arr2, smooth_cubic=True) == MWPoint(0, (0, 0), None)
 
 
 def test_classify_detects_tampered_tag():

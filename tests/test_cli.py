@@ -212,6 +212,21 @@ def test_cover_usage_errors(capsys):
     assert code == 2  # argparse: --n/--sweep required
 
 
+def test_cover_sweep_over_cap_is_usage_error(capsys, monkeypatch):
+    calls = []
+    decide = cli.d2n_cover_exists
+    monkeypatch.setattr(cli, "d2n_cover_exists", lambda *a: calls.append(a) or decide(*a))
+    code, out, err = run(capsys, "cover", "--type", "II", "--sweep", f"3..{10**12}")
+    assert code == 2 and out == "" and "MAX_SWEEP = 10000" in err
+    assert calls == []
+    # the boundary, on a cap lowered so the accepted sweep stays cheap
+    monkeypatch.setattr(cli, "MAX_SWEEP", 5)
+    code, _, err = run(capsys, "cover", "--type", "I", "--sweep", "3..8")
+    assert code == 2 and "has 6 values" in err and calls == []
+    code, out, _ = run(capsys, "cover", "--type", "I", "--sweep", "3..7", "--json")
+    assert code == 0 and len(calls) == 5 and json.loads(out)["sweep"] == [3, 7]
+
+
 # ---------------------------------------------------------------------------
 # arrangement
 

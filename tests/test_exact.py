@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,15 @@ from hypothesis import strategies as st
 
 from ajimage.exact import QMatrix, SmithForm, smith_normal_form
 
-from oracles import coset_orders, det_cofactor, inverse_adjugate, abelian_order_multiset
+from oracles import (
+    abelian_order_multiset,
+    coset_orders,
+    det_cofactor,
+    identity,
+    inverse_adjugate,
+    mat_vec,
+    matmul,
+)
 
 # The I0* fiber's intersection matrix and its known exact inverse; this pair
 # is the main golden value the rest of the library leans on.
@@ -17,6 +26,17 @@ I0STAR_INV = [
     [Fraction(-1, 2), Fraction(-1, 2), Fraction(-1), Fraction(-1)],
     [Fraction(-1), Fraction(-1), Fraction(-1), Fraction(-2)],
 ]
+
+
+def matrices(elements):
+    """Matrices of any shape up to 4 x 4 over `elements`."""
+    return st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda shape: st.lists(
+            st.lists(elements, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
 
 
 def square_int_matrices(n, lo=-5, hi=5):
@@ -30,7 +50,7 @@ def test_inverse_golden_i0star():
 
 
 def test_inverse_identity():
-    assert smith_normal_form(QMatrix.identity(4)).inverse() == QMatrix.identity(4)
+    assert smith_normal_form(identity(4)).inverse() == QMatrix(identity(4))
 
 
 def test_inverse_singular_raises():
@@ -48,24 +68,25 @@ def test_inverse_matches_adjugate_oracle(entries):
         with pytest.raises(ValueError):
             sf.inverse()
         return
-    m = QMatrix(entries)
     inv = sf.inverse()
     assert inv == QMatrix(inverse_adjugate(entries))
-    assert m * inv == QMatrix.identity(m.nrows)
-    assert inv * m == QMatrix.identity(m.nrows)
+    assert matmul(entries, inv.rows) == identity(len(entries))
+    assert matmul(inv.rows, entries) == identity(len(entries))
+    # the numerators come over the last invariant factor, in lowest terms
+    assert inv.den == sf.invariant_factors[-1]
 
 
 def check_smith_form(entries, sf: SmithForm):
     nr, nc = len(entries), len(entries[0])
-    u, s, v = QMatrix(sf.u), QMatrix(sf.s), QMatrix(sf.v)
-    assert u * QMatrix(entries) * v == s
+    s = sf.s
+    assert matmul(matmul(sf.u, entries), sf.v) == [list(row) for row in s]
     assert abs(det_cofactor(sf.u)) == 1
     assert abs(det_cofactor(sf.v)) == 1
     # diagonal, nonnegative, divisibility chain with zeros last
     for i in range(nr):
         for j in range(nc):
             if i != j:
-                assert s[i, j] == 0
+                assert s[i][j] == 0
     diag = list(sf.invariant_factors)
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
@@ -101,15 +122,43 @@ def test_smith_rejects_non_integer():
 
 
 @settings(max_examples=100)
-@given(
-    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
-        lambda shape: st.lists(
-            st.lists(st.integers(-6, 6), min_size=shape[1], max_size=shape[1]),
-            min_size=shape[0],
-            max_size=shape[0],
-        )
-    )
-)
+@given(matrices(st.integers(-6, 6)))
 def test_smith_unimodular_transforms(entries):
     sf = smith_normal_form(entries)
     check_smith_form(entries, sf)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@settings(max_examples=50)
+@given(matrices(rationals), st.data())
+def test_qmatrix_holds_rationals_as_numerators_over_one_denominator(rows, data):
+    rows = tuple(tuple(row) for row in rows)
+    m = QMatrix(rows)
+    assert m.rows == rows
+    assert all(type(x) is Fraction for row in m.rows for x in row)
+    assert all(m[i, j] == x and type(m[i, j]) is Fraction
+               for i, row in enumerate(rows) for j, x in enumerate(row))
+    assert m.den > 0 and gcd(m.den, *(x for row in m.num for x in row)) == 1
+    vec = data.draw(st.lists(st.one_of(st.integers(-9, 9), rationals),
+                             min_size=len(rows[0]), max_size=len(rows[0])))
+    product = m * vec
+    assert product == mat_vec(rows, vec)
+    assert all(type(x) is Fraction for x in product)
+    # the same matrix from integer numerators over a (not reduced, maybe
+    # negative) denominator
+    den = data.draw(st.sampled_from([1, -1])) * m.den * data.draw(st.integers(1, 6))
+    num = [[int(x * den) for x in row] for row in rows]
+    assert QMatrix(num, den) == m
+
+
+def test_qmatrix_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="ragged"):
+        QMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="empty"):
+        QMatrix([[]])
+    with pytest.raises(ZeroDivisionError):
+        QMatrix([[1]], 0)
+    with pytest.raises(ValueError, match="shape"):
+        QMatrix([[1, 2]]) * (1, 2, 3)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd
+from operator import mul
 
 import pytest
 
@@ -10,10 +11,9 @@ from ajimage.kodaira import (
     AbelianGroup,
     FiberKind,
     _components,
-    component_group,
-    dual_class,
+    dual_class_of,
     fiber_data,
-    reduce_dual_vector,
+    incidence_class,
 )
 
 from oracles import abelian_order_multiset, coset_orders, det_cofactor, inverse_adjugate
@@ -72,17 +72,26 @@ def test_inverse_matches_adjugate_oracle():
 
 @pytest.mark.parametrize("kind", ["I100", "I100*"])
 def test_inverse_times_matrix_is_identity_on_large_fibers(kind):
-    # in integers: scale A^{-1} by the common denominator of its entries
+    # in integers: A times the numerators of A^{-1} is den times the identity
     data = fiber_data(kind)
     k = data.m - 1
-    den = lcm(*(x.denominator for row in data.a_inv.rows for x in row))
-    scaled = [[int(x * den) for x in row] for row in data.a_inv.rows]
-    a = [[int(x) for x in row] for row in data.a.rows]
-    cols = list(zip(*scaled))
+    assert data.a.den == 1
+    den = data.a_inv.den
+    cols = list(zip(*data.a_inv.num))
     for i in range(k):
-        assert [sum(x * y for x, y in zip(a[i], col)) for col in cols] == [
+        assert [sum(x * y for x, y in zip(data.a.num[i], col)) for col in cols] == [
             den * (i == j) for j in range(k)
         ], (kind, i)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS + ["I40", "I100*"])
+def test_inverse_denominator_is_the_group_exponent(kind):
+    # the least d with d A^{-1} integral is the exponent of Z^k / A Z^k: the
+    # last invariant factor of the component group, 1 for the trivial II*
+    data = fiber_data(kind)
+    factors = data.group.invariant_factors
+    assert data.a_inv.den == (factors[-1] if factors else 1)
+    assert gcd(data.a_inv.den, *(x for row in data.a_inv.num for x in row)) == 1
 
 
 def test_inverse_diagonal_matches_shioda_closed_forms():
@@ -105,13 +114,16 @@ def test_multiplicity_one_on_cycle():
 
 
 def test_fiber_relation_all_kinds():
-    # F . Theta_j = 0 for every component, using the full stored matrix
-    for kind in ALL_KINDS:
+    # F . Theta_j = 0 with a_0 = 1 gives Theta_0 . Theta_j = -sum_{i>=1} a_i A_ij
+    # for j >= 1, which must be a nonnegative intersection of distinct
+    # components; F . Theta_0 = 0 with Theta_0^2 = -2 then reads
+    # sum_{j>=1} a_j (Theta_0 . Theta_j) = 2
+    for kind in ALL_KINDS + ["I100", "I100*"]:
         data = fiber_data(kind)
-        for j in range(data.m):
-            assert (
-                sum(data.multiplicities[i] * data.full_matrix[i, j] for i in range(data.m)) == 0
-            ), kind
+        mults = data.multiplicities[1:]
+        theta0 = [-sum(map(mul, mults, col)) for col in zip(*data.a.num)]
+        assert all(x >= 0 for x in theta0), kind
+        assert sum(map(mul, mults, theta0)) == 2, kind
 
 
 def test_group_order_is_det():
@@ -129,18 +141,18 @@ def test_group_matches_coset_oracle():
 
 def test_istar_group_parity():
     for n in range(5):
-        fac = component_group(f"I{n}*").invariant_factors
+        fac = fiber_data(f"I{n}*").group.invariant_factors
         assert fac == ((2, 2) if n % 2 == 0 else (4,)), n
 
 
 def test_known_groups():
-    assert component_group("I5").invariant_factors == (5,)
-    assert component_group("III").invariant_factors == (2,)
-    assert component_group("IV").invariant_factors == (3,)
-    assert component_group("III*").invariant_factors == (2,)
-    assert component_group("IV*").invariant_factors == (3,)
-    assert component_group("II*").invariant_factors == ()
-    assert component_group("II*").describe() == "trivial"
+    assert fiber_data("I5").group.invariant_factors == (5,)
+    assert fiber_data("III").group.invariant_factors == (2,)
+    assert fiber_data("IV").group.invariant_factors == (3,)
+    assert fiber_data("III*").group.invariant_factors == (2,)
+    assert fiber_data("IV*").group.invariant_factors == (3,)
+    assert fiber_data("II*").group.invariant_factors == ()
+    assert fiber_data("II*").group.describe() == "trivial"
 
 
 def test_euler_numbers():
@@ -163,10 +175,11 @@ def test_catalog_size_cap():
 
 
 def test_dual_classes_i0star():
-    e1, e2, e3 = (dual_class("I0*", i) for i in (1, 2, 3))
-    g = component_group("I0*")
-    assert dual_class("I0*", 0) == g.zero()
-    assert dual_class("I0*", 4) == g.zero()  # the central component is in R
+    data = fiber_data("I0*")
+    e1, e2, e3 = (dual_class_of(data, i) for i in (1, 2, 3))
+    g = data.group
+    assert dual_class_of(data, 0) == g.zero()
+    assert dual_class_of(data, 4) == g.zero()  # the central component is in R
     nonzero = {e1, e2, e3}
     assert len(nonzero) == 3 and g.zero() not in nonzero
     # pairwise sums give the third class
@@ -176,8 +189,9 @@ def test_dual_classes_i0star():
 
 
 def test_dual_classes_cycle():
-    g = component_group("I5")
-    classes = [dual_class("I5", i) for i in range(5)]
+    data = fiber_data("I5")
+    g = data.group
+    classes = [dual_class_of(data, i) for i in range(5)]
     assert classes[0] == g.zero()
     assert len(set(classes)) == 5
     # the cycle components form the full cyclic group, consecutive steps equal
@@ -189,29 +203,36 @@ def test_dual_classes_cycle():
 
 
 def test_reduce_golden():
-    assert reduce_dual_vector("I0*", (-2, -2, -2, -3)) == (0, 0)
-    assert reduce_dual_vector("I2", (Fraction(3, 2),)) != (0,)
-    assert reduce_dual_vector("I2", (Fraction(3, 2),)) == dual_class("I2", 1)
+    # c = (-A) x for x = (-2, -2, -2, -3), a vector of R itself: class zero
+    i0star = fiber_data("I0*")
+    assert incidence_class(i0star, (-1, -1, -1, 0)) == (0, 0)
+    # c = 3 is x = 3/2 on I2: the class of Theta_1
+    i2 = fiber_data("I2")
+    assert incidence_class(i2, (3,)) != (0,)
+    assert incidence_class(i2, (3,)) == dual_class_of(i2, 1)
+    for i in range(1, i0star.m):
+        unit = tuple(int(i == j) for j in range(1, i0star.m))
+        assert incidence_class(i0star, unit) == dual_class_of(i0star, i)
 
 
-def test_reduce_rejects_non_dual():
+def test_incidence_class_rejects_wrong_length():
     with pytest.raises(ValueError):
-        reduce_dual_vector("I2", (Fraction(1, 3),))
+        incidence_class(fiber_data("I0*"), (1, 2, 3))
     with pytest.raises(ValueError):
-        reduce_dual_vector("I0*", (1, 2, 3))  # wrong length
+        incidence_class(fiber_data("I2"), (1, 0))
 
 
 def test_reduce_shift_invariance():
+    # shifting x = -A^{-1} c by a lattice vector y moves c to c - A y
     rng = random.Random(7)
     for kind in ("I0*", "I4", "IV*", "I3*"):
         data = fiber_data(kind)
         k = data.m - 1
         for _ in range(25):
-            ints = [rng.randint(-4, 4) for _ in range(k)]
-            x = [-sum(data.a_inv[i, j] * ints[j] for j in range(k)) for i in range(k)]
-            shift = [rng.randint(-3, 3) for _ in range(k)]
-            shifted = [a + b for a, b in zip(x, shift)]
-            assert reduce_dual_vector(kind, x) == reduce_dual_vector(kind, shifted)
+            c = [rng.randint(-4, 4) for _ in range(k)]
+            y = [rng.randint(-3, 3) for _ in range(k)]
+            shifted = [ci - sum(map(mul, row, y)) for ci, row in zip(c, data.a.num)]
+            assert incidence_class(data, c) == incidence_class(data, shifted)
 
 
 def test_reduce_is_additive():
@@ -221,20 +242,18 @@ def test_reduce_is_additive():
         g = data.group
         k = data.m - 1
         for _ in range(25):
-            xi = [rng.randint(-4, 4) for _ in range(k)]
-            yi = [rng.randint(-4, 4) for _ in range(k)]
-            x = [-sum(data.a_inv[i, j] * xi[j] for j in range(k)) for i in range(k)]
-            y = [-sum(data.a_inv[i, j] * yi[j] for j in range(k)) for i in range(k)]
-            both = [a + b for a, b in zip(x, y)]
-            assert reduce_dual_vector(kind, both) == g.add(
-                reduce_dual_vector(kind, x), reduce_dual_vector(kind, y)
+            c = [rng.randint(-4, 4) for _ in range(k)]
+            d = [rng.randint(-4, 4) for _ in range(k)]
+            both = [a + b for a, b in zip(c, d)]
+            assert incidence_class(data, both) == g.add(
+                incidence_class(data, c), incidence_class(data, d)
             )
 
 
 def test_simple_components_biject_with_group():
     for kind in ALL_KINDS:
         data = fiber_data(kind)
-        classes = {data.group.zero()} | {dual_class(kind, i) for i in data.simple}
+        classes = {data.group.zero()} | {dual_class_of(data, i) for i in data.simple}
         assert len(classes) == 1 + len(data.simple) == data.group.order, kind
 
 

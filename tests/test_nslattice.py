@@ -317,8 +317,6 @@ def test_n_of_goldens():
     assert (res.n, res.n_squared, res.sign_determined) == (2, 4, True)
     res0 = n_of(table_with(variant="collinear"), "E+", "s_o")
     assert (res0.n, res0.n_squared, res0.sign_determined) == (0, 0, True)
-    res_smooth = n_of(table_with(variant="smooth"), "E+", "s_o")
-    assert res_smooth.n == 0
 
 
 def test_n_of_generator_multiples():
