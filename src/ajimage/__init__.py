@@ -99,9 +99,6 @@ from .nslattice import (
     phi0_cross,
     phi0_self,
     profile_from_class,
-    section_as_divisor,
-    torsion_profile,
-    zero_section_profile,
 )
 
 __version__ = "0.1.0"
@@ -172,12 +169,9 @@ __all__ = [
     "phi0_self",
     "profile_from_class",
     "resolve_torsion",
-    "section_as_divisor",
     "shioda_tate_check",
     "smith_normal_form",
     "tangent_line_at",
-    "torsion_profile",
     "u_of",
     "verify_ns_relation",
-    "zero_section_profile",
 ]

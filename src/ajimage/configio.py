@@ -41,10 +41,10 @@ with the collinear resp. non-collinear splitting-curve profiles.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping
 
 from .errors import SchemaError
 from .kodaira import AbelianGroup, FiberKind
@@ -73,6 +73,8 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def parse_int(value, where: str) -> int:
+    if type(value) is int:  # not a bool, which parse_rational rejects
+        return value
     q = parse_rational(value, where)
     if q.denominator != 1:
         raise SchemaError(f"{where}: expected an integer, got {q}")
@@ -87,18 +89,27 @@ def render_number(value) -> "int | str":
 def _check_keys(doc: Mapping, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
     if not isinstance(doc, Mapping):
         raise SchemaError(f"{where}: expected an object")
-    unknown = sorted(set(doc) - set(required) - set(optional))
+    unknown = set(doc).difference(required, optional)
     if unknown:
-        raise SchemaError(f"{where}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(doc))
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = set(required).difference(doc)
     if missing:
-        raise SchemaError(f"{where}: missing required keys {missing}")
+        raise SchemaError(f"{where}: missing required keys {sorted(missing)}")
 
 
 def _int_map(doc, where: str) -> dict[str, int]:
     if not isinstance(doc, Mapping):
         raise SchemaError(f"{where}: expected an object of integers")
-    return {str(k): parse_int(v, f"{where}[{k!r}]") for k, v in doc.items()}
+    return {
+        str(k): v if type(v) is int else parse_int(v, f"{where}[{k!r}]") for k, v in doc.items()
+    }
+
+
+def _int_tuple(values: list, where: str) -> tuple[int, ...]:
+    # the location of an entry is formatted only when the entry is not an int
+    return tuple(
+        v if type(v) is int else parse_int(v, f"{where}[{j}]") for j, v in enumerate(values)
+    )
 
 
 def _list(value, where: str) -> list:
@@ -137,9 +148,8 @@ def surface_from_dict(doc: Mapping) -> SurfaceConfig:
                 _int_map(s["components"], f"{where}.components"),
             )
         )
-    factors = tuple(
-        parse_int(v, f"surface.torsion_group[{i}]")
-        for i, v in enumerate(_list(doc.get("torsion_group", []), "surface.torsion_group"))
+    factors = _int_tuple(
+        _list(doc.get("torsion_group", []), "surface.torsion_group"), "surface.torsion_group"
     )
     try:
         group = AbelianGroup(factors)
@@ -153,10 +163,7 @@ def surface_from_dict(doc: Mapping) -> SurfaceConfig:
             TorsionSectionSpec(
                 _str_field(t, "name", where),
                 _int_map(t["components"], f"{where}.components"),
-                tuple(
-                    parse_int(v, f"{where}.coords[{j}]")
-                    for j, v in enumerate(_list(t["coords"], f"{where}.coords"))
-                ),
+                _int_tuple(_list(t["coords"], f"{where}.coords"), f"{where}.coords"),
             )
         )
     rank = parse_int(doc["mw_free_rank"], "surface.mw_free_rank")
@@ -203,7 +210,7 @@ def divisor_from_dict(doc: Mapping) -> DivisorProfile:
     for fid, vec in doc["c"].items():
         if not isinstance(vec, list):
             raise SchemaError(f"{where}.c[{fid!r}]: expected a list of integers")
-        c[str(fid)] = tuple(parse_int(v, f"{where}.c[{fid!r}][{j}]") for j, v in enumerate(vec))
+        c[str(fid)] = _int_tuple(vec, f"{where}.c[{fid!r}]")
     d_squared = doc.get("D_squared")
     return DivisorProfile(
         name=name,

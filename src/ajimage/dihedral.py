@@ -105,15 +105,21 @@ class CoverVerdict:
 
 
 @cache
-def _cover_points(atype: ArrangementType) -> tuple[MWPoint, MWPoint, MWPoint, AbelianGroup]:
-    """P_{E+}, P_{E-}, their difference and the torsion group of the type's
-    bundled surface."""
+def _cover_points(atype: ArrangementType) -> tuple[MWPoint, str, str, AbelianGroup]:
+    """P_{E+} - P_{E-} on the type's bundled surface, its rendering, the
+    first reason of every verdict (it does not depend on n), and the
+    surface's torsion group."""
     variant = _TYPE_VARIANT[atype]
     table = build_table(four_line_surface(), [eplus_profile(variant), eminus_profile(variant)])
     plus, minus = (abel_jacobi_image(table, name, GENERATOR) for name in ("E+", "E-"))
     group = table.cfg.torsion_group
     torsion = group.add(plus.torsion, group.neg(minus.torsion))
-    return plus, minus, MWPoint(plus.free_coeff - minus.free_coeff, torsion), group
+    diff = MWPoint(plus.free_coeff - minus.free_coeff, torsion)
+    points = (
+        f"on the bundled {variant} surface P_{{E+}} = {plus} and P_{{E-}} = {minus},"
+        f" so P_{{E+}} - P_{{E-}} = {diff}"
+    )
+    return diff, str(diff), points, group
 
 
 def d2n_cover_exists(arrangement_type: "str | ArrangementType", n: int) -> CoverVerdict:
@@ -124,19 +130,17 @@ def d2n_cover_exists(arrangement_type: "str | ArrangementType", n: int) -> Cover
     atype = ArrangementType.parse(arrangement_type)
     if n < 3:
         raise SchemaError(f"dihedral covers need n >= 3, got {n}")
-    plus, minus, diff, group = _cover_points(atype)
+    diff, diff_text, points, group = _cover_points(atype)
     verdict = is_divisible(diff, n, group)
-    reasons = [
-        f"on the bundled {_TYPE_VARIANT[atype]} surface P_{{E+}} = {plus} and"
-        f" P_{{E-}} = {minus}, so P_{{E+}} - P_{{E-}} = {diff}",
+    rule = (
         f"a cover of order {2 * n} exists exactly when P_{{E+}} - P_{{E-}} is"
-        f" {n}-divisible in the Mordell-Weil group",
-    ]
+        f" {n}-divisible in the Mordell-Weil group"
+    )
     if verdict.divisible:
-        reasons.append(f"{diff} = {n}*({verdict.witness}), so the cover exists")
+        last = f"{diff_text} = {n}*({verdict.witness}), so the cover exists"
     else:
-        reasons.append(f"no point X satisfies {n}*X = {diff}, so no cover exists")
-    return CoverVerdict(atype, n, verdict.divisible, tuple(reasons), verdict.witness)
+        last = f"no point X satisfies {n}*X = {diff_text}, so no cover exists"
+    return CoverVerdict(atype, n, verdict.divisible, (points, rule, last), verdict.witness)
 
 
 class RelationStatus(Enum):

@@ -101,7 +101,10 @@ class FiberKind:
 @dataclass(frozen=True)
 class AbelianGroup:
     """Finite abelian group as a product of cyclic factors (all > 1, each
-    dividing the next); elements are residue tuples of the same length."""
+    dividing the next); elements are residue tuples of the same length.
+
+    `add`, `neg` and `scale` take any integer tuples of that length, reduced
+    or not, and return the reduced residues."""
 
     invariant_factors: tuple[int, ...]
 
@@ -125,18 +128,25 @@ class AbelianGroup:
 
     def reduce(self, coords: Iterable[int]) -> tuple[int, ...]:
         coords = tuple(coords)
-        if len(coords) != len(self.invariant_factors):
-            raise ValueError("coordinate length mismatch")
+        self._check(coords)
         return tuple(c % f for c, f in zip(coords, self.invariant_factors))
 
+    def _check(self, *elements) -> None:
+        for a in elements:
+            if len(a) != len(self.invariant_factors):
+                raise ValueError("coordinate length mismatch")
+
     def add(self, a, b) -> tuple[int, ...]:
-        return self.reduce(x + y for x, y in zip(self.reduce(a), self.reduce(b)))
+        self._check(a, b)
+        return tuple((x + y) % f for x, y, f in zip(a, b, self.invariant_factors))
 
     def neg(self, a) -> tuple[int, ...]:
-        return self.reduce(-x for x in self.reduce(a))
+        self._check(a)
+        return tuple(-x % f for x, f in zip(a, self.invariant_factors))
 
     def scale(self, k: int, a) -> tuple[int, ...]:
-        return self.reduce(k * x for x in self.reduce(a))
+        self._check(a)
+        return tuple(k * x % f for x, f in zip(a, self.invariant_factors))
 
     def elements(self):
         return product(*(range(f) for f in self.invariant_factors))

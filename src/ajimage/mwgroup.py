@@ -30,6 +30,7 @@ from .nslattice import (
     SurfaceConfig,
     _free_coefficient,
     _gamma_tuple,
+    _inverse_sum,
     _solves,
 )
 
@@ -198,13 +199,14 @@ def _bookkeeping(table: IntersectionTable, d: DivisorProfile, free: FreeCoeffici
     # contr is read off the dual classes of P_D (one simple component each);
     # s(D).O must come out a nonnegative integer, or -chi when P_D = O.
     chi = table.cfg.chi
-    contrib = Fraction(0)
+    entries = []
     for (fid, _), part in zip(table.cfg.fibers, classes.parts):
         data = table.fiber_of(fid)
         k = data.class_to_simple[part]
         if k:
-            contrib += data.a_inv[k - 1, k - 1]
-    s_dot_o = (free.n_squared * free.height - 2 * chi - contrib) / 2
+            entries.append((data.a_inv, k - 1, k - 1))
+    num, den = _inverse_sum(entries)
+    s_dot_o = (free.n_squared * free.height - 2 * chi - Fraction(num, den)) / 2
     ok = s_dot_o.denominator == 1 and (
         s_dot_o >= 0 or (s_dot_o == -chi and free.n == 0 and tors.is_zero())
     )

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import isqrt
 from operator import mul
 from typing import Iterable, Mapping
@@ -318,27 +319,28 @@ class IntersectionTable:
         return self.divisors[name]
 
 
+def _inverse_sum(entries) -> tuple[int, int]:
+    """Sum of the entries (A_v^{-1})[i, j] over (a_inv, i, j), as one integer
+    numerator over one denominator, read off each matrix's numerators."""
+    num, den = 0, 1
+    for a_inv, i, j in entries:
+        num, den = num * a_inv.den + a_inv.num[i][j] * den, den * a_inv.den
+    return num, den
+
+
 def _torsion_s_dot_o(chi: int, fibers: dict[str, ReducibleFiberData],
                      components: Mapping[str, int], name: str) -> int:
     # height 0 forces  2 chi + 2 s.O + sum (A^{-1})_kk = 0
-    contrib = Fraction(0)
-    for fid, k in components.items():
-        if k:
-            contrib += fibers[fid].a_inv[k - 1, k - 1]
-    val = (-2 * chi - contrib) / 2
-    if val.denominator != 1 or val < 0:
+    num, den = _inverse_sum(
+        (fibers[fid].a_inv, k - 1, k - 1) for fid, k in components.items() if k
+    )
+    s_dot_o, rest = divmod(-2 * chi * den - num, 2 * den)
+    if rest or s_dot_o < 0:
         raise InconsistentDataError(
-            f"torsion section {name!r}: height-zero condition gives s.O = {val}, not a"
-            " nonnegative integer"
+            f"torsion section {name!r}: height-zero condition gives s.O ="
+            f" {Fraction(-2 * chi * den - num, 2 * den)}, not a nonnegative integer"
         )
-    return int(val)
-
-
-def torsion_profile(cfg: SurfaceConfig, spec: TorsionSectionSpec) -> SectionProfile:
-    """Materialize a torsion-table entry as a full section profile."""
-    fibers = {fid: fiber_data(kind) for fid, kind in cfg.fibers}
-    s_dot_o = _torsion_s_dot_o(cfg.chi, fibers, spec.components, spec.name)
-    return SectionProfile(spec.name, s_dot_o, dict(spec.components))
+    return s_dot_o
 
 
 def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> IntersectionTable:
@@ -349,7 +351,9 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     sum e_v <= 12 chi, the rank bound 2 + sum(m_v - 1) + mw rank <= 10 chi,
     the size cap sum m_v <= MAX_COMPONENTS (these three from the kinds alone,
     before any catalog is built), and full consistency of the torsion table
-    (closure, distinct classes, coordinate additivity, height zero).
+    (every nonzero element listed once, distinct classes, height zero, and
+    coordinate addition mirroring class addition, checked on the generators
+    of the torsion group).
     """
     if cfg.chi <= 0:
         raise SchemaError("chi must be positive")
@@ -457,46 +461,47 @@ def _check_reserved_divisor(cfg: SurfaceConfig, d: DivisorProfile) -> DivisorPro
 
 
 def _validate_torsion_table(cfg, fibers, check_components) -> tuple:
-    """Check the torsion table; return the dual class tuple of every entry."""
+    """Check the torsion table; return the dual class tuple of every entry.
+
+    Once every nonzero element is listed exactly once, closure is checked on
+    the generators: class(a + e_i) = class(a) + class(e_i) for every element
+    a and unit vector e_i, r |T| comparisons of flat class vectors.  Every
+    element is a sum of unit vectors, so this gives additivity for all sums.
+    """
     group = cfg.torsion_group
     seen_tuples = {}
-    seen_coords = {}
+    flat = {}  # reduced coordinates -> class tuple flattened over the fibers
     for t in cfg.torsion_table:
         check_components(t.components, f"torsion section {t.name!r}")
         if len(t.coords) != len(group.invariant_factors):
             raise SchemaError(f"torsion section {t.name!r}: coords do not match torsion_group")
         _torsion_s_dot_o(cfg.chi, fibers, t.components, t.name)
         tup = _gamma_tuple(cfg, fibers, t.components)
-        if all(c == 0 for c in group.reduce(t.coords)):
+        coords = group.reduce(t.coords)
+        if not any(coords):
             raise SchemaError(f"torsion section {t.name!r}: zero coords are implicit, not listed")
         if tup in seen_tuples:
             raise InconsistentDataError(
                 f"torsion sections {seen_tuples[tup]!r} and {t.name!r} share a dual class tuple"
             )
-        if group.reduce(t.coords) in seen_coords:
+        if coords in flat:
             raise InconsistentDataError(f"torsion section {t.name!r}: duplicate coordinates")
         seen_tuples[tup] = t.name
-        seen_coords[group.reduce(t.coords)] = tup
-    if len(seen_coords) != group.order - 1:
+        flat[coords] = tuple(chain.from_iterable(tup))
+    if len(flat) != group.order - 1:
         raise InconsistentDataError(
             "torsion table must list exactly the nonzero elements of torsion_group"
         )
     if not cfg.torsion_table:
         return ()
     # coordinate addition must mirror dual-class addition (gamma-bar injectivity)
-    zero_tup = tuple(fibers[fid].group.zero() for fid, _ in cfg.fibers)
-    table = dict(seen_coords)
-    table[group.zero()] = zero_tup
-
-    def tup_add(x, y):
-        return tuple(
-            fibers[fid].group.add(a, b) for (fid, _), a, b in zip(cfg.fibers, x, y)
-        )
-
-    for ca, ta in table.items():
-        for cb, tb in table.items():
-            combined = tup_add(ta, tb)
-            if table.get(group.add(ca, cb)) != combined:
+    moduli = tuple(f for fid, _ in cfg.fibers for f in fibers[fid].group.invariant_factors)
+    flat[group.zero()] = (0,) * len(moduli)
+    for i, f in enumerate(group.invariant_factors):
+        step = flat[tuple(int(j == i) for j in range(len(group.invariant_factors)))]
+        for coords, cls in flat.items():
+            shifted = coords[:i] + ((coords[i] + 1) % f,) + coords[i + 1 :]
+            if flat[shifted] != tuple((x + y) % m for x, y, m in zip(cls, step, moduli)):
                 raise InconsistentDataError(
                     "torsion table is not closed under addition of dual class tuples"
                 )
@@ -568,45 +573,23 @@ def height_pairing(table: IntersectionTable, s1: SectionProfile | str,
     b = table.section(s2) if isinstance(s2, str) else s2
     chi = table.cfg.chi
     if a.name == b.name:
-        s1_dot_s2 = Fraction(-chi)
+        s1_dot_s2 = -chi
     elif a.name == "O":
-        s1_dot_s2 = Fraction(b.s_dot_o)
+        s1_dot_s2 = b.s_dot_o
     elif b.name == "O":
-        s1_dot_s2 = Fraction(a.s_dot_o)
+        s1_dot_s2 = a.s_dot_o
     else:
         raise MissingIntersectionError(
             f"pairing of distinct sections {a.name!r}.{b.name!r} is not registered"
         )
-    total = chi + a.s_dot_o + b.s_dot_o - s1_dot_s2
+    entries = []
     for fid, _ in table.cfg.fibers:
         ka = a.components.get(fid, 0)
         kb = b.components.get(fid, 0)
         if ka and kb:
-            total += table.fiber_of(fid).a_inv[ka - 1, kb - 1]
-    return Fraction(total)
-
-
-def zero_section_profile(chi: int) -> SectionProfile:
-    """O itself as a section profile (s.O = O^2 = -chi, identity components)."""
-    return SectionProfile("O", -chi, {})
-
-
-def section_as_divisor(table: IntersectionTable, section: SectionProfile | str,
-                       name: str | None = None) -> DivisorProfile:
-    """A section's own divisor profile (d = 1, D^2 = -chi, indicator c's)."""
-    s = table.section(section) if isinstance(section, str) else section
-    chi = table.cfg.chi
-    c = {}
-    for fid, _ in table.cfg.fibers:
-        k = s.components.get(fid, 0)
-        vec = [0] * (table.fiber_of(fid).m - 1)
-        if k:
-            vec[k - 1] = 1
-        c[fid] = tuple(vec)
-    return DivisorProfile(
-        name or s.name, d=1, d_dot_o=s.s_dot_o, c=c, d_squared=-chi,
-        d_dot_section={s.name: -chi},
-    )
+            entries.append((table.fiber_of(fid).a_inv, ka - 1, kb - 1))
+    num, den = _inverse_sum(entries)
+    return chi + a.s_dot_o + b.s_dot_o - s1_dot_s2 + Fraction(num, den)
 
 
 def profile_from_class(table: IntersectionTable, cls: FormalClass, name: str) -> DivisorProfile:

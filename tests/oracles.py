@@ -7,14 +7,26 @@ by brute-force coset enumeration.  The formal phi0 expansion and
 Mordell-Weil scaling below check the library's closed forms and
 divisibility witnesses without sharing their formulas, and the
 symbol-by-symbol pairing checks the intersection table's Gram matrix.
+The torsion closure check adds every pair of elements, where the library
+adds only the generators.  The section and torsion profiles at the end
+build test inputs that no library path needs.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from ajimage.errors import MissingIntersectionError
+from ajimage.kodaira import fiber_data
 from ajimage.mwgroup import MWPoint
-from ajimage.nslattice import SYM_F, SYM_O, FormalClass, divisor_sym, theta
+from ajimage.nslattice import (
+    SYM_F,
+    SYM_O,
+    DivisorProfile,
+    FormalClass,
+    SectionProfile,
+    divisor_sym,
+    theta,
+)
 
 
 def det_cofactor(rows):
@@ -236,3 +248,50 @@ def mw_scale(n, point, group):
     """n * point in Z x T arithmetic (the name tag does not survive)."""
     coords = group.reduce(point.torsion) if point.torsion else group.zero()
     return MWPoint(n * point.free_coeff, group.scale(n, coords))
+
+
+def torsion_closed_reference(factors, moduli, classes):
+    """Is coords -> class additive on all |T|^2 pairs?  classes maps every
+    element of prod Z/f (f in factors) to a class vector mod moduli."""
+    for a, ca in classes.items():
+        for b, cb in classes.items():
+            total = tuple((x + y) % f for x, y, f in zip(a, b, factors))
+            if classes[total] != tuple((x + y) % m for x, y, m in zip(ca, cb, moduli)):
+                return False
+    return True
+
+
+def zero_section_profile(chi):
+    """O itself as a section profile (s.O = O^2 = -chi, identity components)."""
+    return SectionProfile("O", -chi, {})
+
+
+def section_as_divisor(table, section, name=None):
+    """A section's own divisor profile (d = 1, D^2 = -chi, indicator c's)."""
+    s = table.section(section) if isinstance(section, str) else section
+    chi = table.cfg.chi
+    c = {}
+    for fid, _ in table.cfg.fibers:
+        k = s.components.get(fid, 0)
+        vec = [0] * (table.fiber_of(fid).m - 1)
+        if k:
+            vec[k - 1] = 1
+        c[fid] = tuple(vec)
+    return DivisorProfile(
+        name or s.name, d=1, d_dot_o=s.s_dot_o, c=c, d_squared=-chi,
+        d_dot_section={s.name: -chi},
+    )
+
+
+def torsion_profile(cfg, spec):
+    """A torsion-table entry as a section profile.  Height zero forces
+    2 chi + 2 s.O + sum_v (A_v^{-1})_kk = 0; A_v^{-1} comes from the adjugate."""
+    kinds = dict(cfg.fibers)
+    contrib = sum(
+        (inverse_adjugate(fiber_data(kinds[fid]).a.num)[k - 1][k - 1]
+         for fid, k in spec.components.items() if k),
+        Fraction(0),
+    )
+    s_dot_o = (-2 * cfg.chi - contrib) / 2
+    assert s_dot_o.denominator == 1 and s_dot_o >= 0, "oracle: not a torsion section"
+    return SectionProfile(spec.name, int(s_dot_o), dict(spec.components))

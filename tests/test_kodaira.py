@@ -4,6 +4,8 @@ from math import gcd
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ajimage.exact import QMatrix
 from ajimage.kodaira import (
@@ -267,3 +269,49 @@ def test_abelian_group_validation():
     assert g.scale(3, (1, 3)) == (1, 1)
     assert g.neg((1, 1)) == (1, 3)
     assert len(list(g.elements())) == 8
+
+
+TORSION_GROUPS = ((2, 2), (4,), (2, 4), (3,))
+
+
+@st.composite
+def group_operands(draw):
+    factors = draw(st.sampled_from(TORSION_GROUPS))
+    coords = st.tuples(*(st.integers(-50, 50) for _ in factors))
+    return factors, draw(coords), draw(coords), draw(st.integers(-20, 20))
+
+
+@settings(max_examples=200)
+@given(group_operands())
+def test_group_operations_match_reduce_everything_oracle(case):
+    # any integer tuples, negative and unreduced too: one % per coordinate
+    # must equal reducing both operands and then the result
+    factors, a, b, k = case
+    g = AbelianGroup(factors)
+
+    def red(values):
+        return tuple(x % f for x, f in zip(values, factors))
+
+    assert g.add(a, b) == red([x + y for x, y in zip(red(a), red(b))])
+    assert g.neg(a) == red([-x for x in red(a)])
+    assert g.scale(k, a) == red([k * x for x in red(a)])
+    for bad in (a[:-1], a + (0,)):
+        with pytest.raises(ValueError):
+            g.add(bad, b)
+        with pytest.raises(ValueError):
+            g.add(b, bad)
+        with pytest.raises(ValueError):
+            g.neg(bad)
+        with pytest.raises(ValueError):
+            g.scale(k, bad)
+
+
+def test_group_operations_do_not_reduce(monkeypatch):
+    def refuse(self, coords):
+        raise AssertionError("reduce called")
+
+    monkeypatch.setattr(AbelianGroup, "reduce", refuse)
+    g = AbelianGroup((2, 4))
+    assert g.add((3, -1), (1, 9)) == (0, 0)
+    assert g.neg((5, 6)) == (1, 2)
+    assert g.scale(-3, (1, 7)) == (1, 3)

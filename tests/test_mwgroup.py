@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ajimage.configio import bundled_config
 from ajimage.errors import InconsistentDataError
-from ajimage.fourlines import eminus_profile, eplus_profile, four_line_surface
+from ajimage.exact import QMatrix
+from ajimage.fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface
 from ajimage.kodaira import dual_class_of, fiber_data
 from ajimage.mwgroup import (
     MWPoint,
@@ -29,11 +31,11 @@ from ajimage.nslattice import (
     build_table,
     height_pairing,
     profile_from_class,
-    section_as_divisor,
     section_sym,
     theta,
-    torsion_profile,
 )
+
+from oracles import section_as_divisor, torsion_profile
 
 
 def table_with(*divisors, variant=None):
@@ -337,3 +339,22 @@ def test_mwpoint_str():
     assert str(MWPoint(0, (1, 0), "t1")) == "t1"
     assert str(MWPoint(3, (1, 1), "t3")) == "3*P_o + t3"
     assert str(MWPoint(-2, (0, 0), None)) == "-2*P_o + 0"
+
+
+def test_build_and_derive_read_no_qmatrix_entry(monkeypatch):
+    # A^{-1} entries are read as integer numerators; QMatrix.__getitem__
+    # builds a Fraction on every read
+    reads = []
+    getitem = QMatrix.__getitem__
+
+    def counting(self, ij):
+        reads.append(ij)
+        return getitem(self, ij)
+
+    monkeypatch.setattr(QMatrix, "__getitem__", counting)
+    for name in ("fourlines_type1", "fourlines_type2"):
+        doc = bundled_config(name)
+        table = build_table(doc.surface, doc.divisors)
+        for d in doc.divisors:
+            derive(table, d.name, GENERATOR)
+    assert reads == []

@@ -2,9 +2,11 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ajimage import nslattice
@@ -27,14 +29,19 @@ from ajimage.nslattice import (
     phi0_cross,
     phi0_self,
     profile_from_class,
-    section_as_divisor,
     section_sym,
     theta,
+)
+
+from oracles import (
+    pair_class_reference,
+    pair_reference,
+    phi0,
+    section_as_divisor,
+    torsion_closed_reference,
     torsion_profile,
     zero_section_profile,
 )
-
-from oracles import pair_class_reference, pair_reference, phi0
 
 
 def table_with(*divisors, variant=None):
@@ -197,7 +204,7 @@ def test_torsion_table_validation():
             cfg.torsion_table[2],
         ),
     )
-    with pytest.raises(InconsistentDataError):
+    with pytest.raises(InconsistentDataError, match="not closed under addition"):
         build_table(bad)
     # incomplete table
     partial = SurfaceConfig(
@@ -210,6 +217,85 @@ def test_torsion_table_validation():
     )
     with pytest.raises(InconsistentDataError):
         build_table(partial)
+
+
+# fibers I0* (Z/2 x Z/2), I4 (Z/4) and I3 (Z/3): their flat class vectors
+# live mod CLOSURE_MODULI, which holds every group of TORSION_GROUPS
+CLOSURE_FIBERS = (("a", FiberKind("I*", 0)), ("b", FiberKind("I", 4)), ("c", FiberKind("I", 3)))
+CLOSURE_MODULI = (2, 2, 4, 3)
+FLAT_CLASSES = list(product(*(range(m) for m in CLOSURE_MODULI)))
+TORSION_GROUPS = ((2, 2), (4,), (2, 4), (3,))
+
+
+def _flat_sum(vectors):
+    return tuple(sum(xs) % m for xs, m in zip(zip(*vectors), CLOSURE_MODULI))
+
+
+@st.composite
+def torsion_maps(draw):
+    """A torsion group and an injective map from its nonzero elements to
+    nonzero flat classes, as a sum of one map per coordinate.  "closed":
+    each is k -> k g with f g = 0; "perturbed": the same with one entry moved
+    to an unused class; "linear": k -> k g for any g, so only the wrap
+    f - 1 -> 0 can break closure; "twisted": one coordinate map is random;
+    "random": the whole map is."""
+    factors = draw(st.sampled_from(TORSION_GROUPS))
+    nonzero = list(product(*(range(f) for f in factors)))[1:]
+    mode = draw(st.sampled_from(("closed", "perturbed", "linear", "twisted", "random")))
+    if mode == "random":
+        return factors, dict(zip(nonzero, draw(st.permutations(FLAT_CLASSES[1:])))), mode
+    twisted = draw(st.integers(0, len(factors) - 1)) if mode == "twisted" else None
+    columns = []
+    for j, f in enumerate(factors):
+        if j == twisted:
+            columns.append([FLAT_CLASSES[0], *draw(st.permutations(FLAT_CLASSES[1:]))[: f - 1]])
+            continue
+        pool = FLAT_CLASSES if mode == "linear" else [
+            v for v in FLAT_CLASSES if not any(f * x % m for x, m in zip(v, CLOSURE_MODULI))
+        ]
+        g = draw(st.sampled_from(pool))
+        columns.append([tuple(k * x % m for x, m in zip(g, CLOSURE_MODULI)) for k in range(f)])
+    flat = {e: _flat_sum([column[k] for column, k in zip(columns, e)]) for e in nonzero}
+    values = set(flat.values())
+    assume(len(values) == len(flat) and FLAT_CLASSES[0] not in values)
+    if mode == "perturbed":
+        moved = draw(st.sampled_from(nonzero))
+        flat[moved] = draw(st.sampled_from([v for v in FLAT_CLASSES[1:] if v not in values]))
+    return factors, flat, mode
+
+
+@settings(max_examples=200, deadline=None)
+@given(torsion_maps(), st.data())
+def test_torsion_closure_matches_all_pairs_oracle(case, data):
+    factors, flat, mode = case
+    fibers = {fid: fiber_data(kind) for fid, kind in CLOSURE_FIBERS}
+    widths = [len(fibers[fid].group.invariant_factors) for fid, _ in CLOSURE_FIBERS]
+    entries = []
+    for j, (coords, cls) in enumerate(flat.items()):
+        parts, start = {}, 0
+        for (fid, _), w in zip(CLOSURE_FIBERS, widths):
+            parts[fid] = fibers[fid].class_to_simple[cls[start : start + w]]
+            start += w
+        # listed coordinates need not be reduced
+        shift = data.draw(st.tuples(*(st.integers(-2, 2) for _ in factors)))
+        coords = tuple(c + k * f for c, k, f in zip(coords, shift, factors))
+        entries.append(TorsionSectionSpec(f"t{j}", parts, coords))
+    cfg = SurfaceConfig(1, CLOSURE_FIBERS, (), 0, AbelianGroup(factors),
+                        tuple(data.draw(st.permutations(entries))))
+    closed = torsion_closed_reference(
+        factors, CLOSURE_MODULI, {**flat, (0,) * len(factors): FLAT_CLASSES[0]}
+    )
+    # the height-zero condition has its own check; only closure is under test
+    with patch.object(nslattice, "_torsion_s_dot_o", lambda *args: 0):
+        try:
+            nslattice._validate_torsion_table(cfg, fibers, lambda components, who: None)
+            accepted = True
+        except InconsistentDataError as exc:
+            assert "not closed under addition" in str(exc)
+            accepted = False
+    assert accepted == closed
+    if mode in ("closed", "perturbed"):
+        assert accepted == (mode == "closed")
 
 
 def test_torsion_profile_heights():
