@@ -19,7 +19,6 @@ from .arrangement import (
     classify_type,
     collinear,
     cubic_form,
-    divisor_profile_for,
     generate_arrangement,
     image_of,
     on_cubic,
@@ -76,14 +75,9 @@ from .kodaira import (
 )
 from .mwgroup import (
     Derivation,
-    DualClassTuple,
     MWPoint,
     abel_jacobi_image,
     derive,
-    gamma_bar,
-    gamma_bar_section,
-    resolve_torsion,
-    shioda_tate_check,
 )
 from .nslattice import (
     DivisorProfile,
@@ -94,11 +88,6 @@ from .nslattice import (
     SurfaceConfig,
     TorsionSectionSpec,
     build_table,
-    height_pairing,
-    n_of,
-    phi0_cross,
-    phi0_self,
-    profile_from_class,
 )
 
 __version__ = "0.1.0"
@@ -114,7 +103,6 @@ __all__ = [
     "Derivation",
     "DivisibilityVerdict",
     "DivisorProfile",
-    "DualClassTuple",
     "FiberKind",
     "FormalClass",
     "FreeCoefficient",
@@ -145,31 +133,21 @@ __all__ = [
     "cubic_form",
     "d2n_cover_exists",
     "derive",
-    "divisor_profile_for",
     "dumps_config",
     "eminus_profile",
     "eplus_profile",
     "fiber_data",
     "four_line_surface",
-    "gamma_bar",
-    "gamma_bar_section",
     "generate_arrangement",
-    "height_pairing",
     "image_of",
     "is_divisible",
     "load_config",
     "loads_config",
-    "n_of",
     "ns_relation",
     "on_cubic",
     "param_of_u",
     "param_point",
     "parse_config",
-    "phi0_cross",
-    "phi0_self",
-    "profile_from_class",
-    "resolve_torsion",
-    "shioda_tate_check",
     "smith_normal_form",
     "tangent_line_at",
     "u_of",

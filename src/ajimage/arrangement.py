@@ -35,7 +35,7 @@ from .dihedral import _TYPE_VARIANT, ArrangementType
 from .errors import DegenerateArrangementError, InconsistentDataError, SchemaError
 from .fourlines import GENERATOR, eplus_profile, four_line_surface
 from .mwgroup import MWPoint, abel_jacobi_image
-from .nslattice import DivisorProfile, build_table
+from .nslattice import build_table
 
 Rat = Union[int, Fraction, str]
 
@@ -310,17 +310,13 @@ def classify_type(arr: Arrangement) -> ArrangementType:
     return tag
 
 
-def divisor_profile_for(arr: Arrangement) -> DivisorProfile:
-    """Intersection profile of the splitting-curve component E+ upstairs.
+def image_of(arr: Arrangement) -> MWPoint:
+    """Abel-Jacobi image of E+ for this arrangement, via the full pipeline.
 
     The double cover branched along the four lines turns the cubic's
-    preimage into E+ + E-; the arrangement type decides (E+)^2 through
-    E+.E- = 3 (collinear q's) or 5.
+    preimage into E+ + E-; the arrangement type picks E+'s profile, since
+    it decides (E+)^2 through E+.E- = 3 (collinear q's) or 5.
     """
-    return eplus_profile(_TYPE_VARIANT[classify_type(arr)])
-
-
-def image_of(arr: Arrangement) -> MWPoint:
-    """Abel-Jacobi image of E+ for this arrangement, via the full pipeline."""
-    table = build_table(four_line_surface(), [divisor_profile_for(arr)])
+    profile = eplus_profile(_TYPE_VARIANT[classify_type(arr)])
+    table = build_table(four_line_surface(), [profile])
     return abel_jacobi_image(table, "E+", GENERATOR)

@@ -26,7 +26,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .arrangement import classify_type, collinear, generate_arrangement, image_of
-from .configio import BUNDLED, bundled_config, load_config, render_number
+from .configio import (
+    BUNDLED,
+    bundled_config,
+    load_config,
+    parse_int,
+    parse_rational,
+    render_number,
+)
 from .dihedral import RelationStatus, d2n_cover_exists, verify_ns_relation
 from .errors import (
     DegenerateArrangementError,
@@ -37,7 +44,7 @@ from .errors import (
 from .exact import QMatrix
 from .fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface, ns_relation
 from .kodaira import dual_class_of, fiber_data
-from .mwgroup import MWPoint, abel_jacobi_image, derive, shioda_tate_check
+from .mwgroup import MWPoint, abel_jacobi_image, classes_str, derive
 from .nslattice import build_table
 
 _BUNDLE_ALIASES = {
@@ -67,13 +74,6 @@ def _point_json(p: MWPoint) -> dict:
         "torsion_name": p.torsion_name,
         "str": str(p),
     }
-
-
-def _rat(text: str, flag: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{flag} expects an exact rational like 3 or -7/5: {exc}") from None
 
 
 def _sign(text: str) -> int:
@@ -166,26 +166,27 @@ def cmd_image(args) -> int:
         names = ", ".join(s.name for s in doc.surface.sections) or "none registered"
         raise SchemaError(f"pass --generator to pick a section (candidates: {names})")
     try:
-        gen = table.section(gen_name)
+        gen = table.sections[gen_name]
     except KeyError:
         raise SchemaError(
             f"unknown generator section {gen_name!r}; registered:"
             f" {', '.join(sorted(table.sections)) or 'none'}"
         ) from None
     try:
-        divisor = table.divisor(args.divisor)
+        divisor = table.divisors[args.divisor]
     except KeyError:
         raise SchemaError(
             f"unknown divisor {args.divisor!r}; registered:"
             f" {', '.join(sorted(table.divisors)) or 'none'}"
         ) from None
 
-    der = derive(table, divisor, gen)
-    free, point, tors = der.free, der.point, der.torsion
+    der = derive(table, divisor.name, gen.name)
+    free, point = der.free, der.point
+    torsion_name = point.torsion_name or "0"
 
     gamma_report = {}
     gamma_lines = []
-    gammas = zip(doc.surface.fibers, der.gamma_vectors, der.gamma_classes.parts)
+    gammas = zip(doc.surface.fibers, der.gamma_vectors, der.gamma_classes)
     for (fid, kind), vec, cls in gammas:
         gamma_report[fid] = {
             "kind": str(kind),
@@ -208,9 +209,9 @@ def cmd_image(args) -> int:
         "sign_determined": free.sign_determined,
         "gamma": gamma_report,
         "torsion_residual": {
-            "classes": [list(p) for p in der.torsion_residual.parts],
-            "name": tors.name or "0",
-            "coords": list(tors.coords),
+            "classes": [list(p) for p in der.torsion_residual],
+            "name": torsion_name,
+            "coords": list(point.torsion),
         },
         "point": _point_json(point),
     }
@@ -233,8 +234,8 @@ def cmd_image(args) -> int:
         f"n = {point.free_coeff}  {sign_note}",
         "gamma trace  (-A_v^{-1} c(v, D) per fiber, then its component-group class):",
         *gamma_lines,
-        f"torsion residual gamma(D) - n gamma({gen.name}) = {der.torsion_residual}"
-        f"  ->  {tors.name or '0'}, coords ({', '.join(map(str, tors.coords))})",
+        f"torsion residual gamma(D) - n gamma({gen.name}) = {classes_str(der.torsion_residual)}"
+        f"  ->  {torsion_name}, coords ({', '.join(map(str, point.torsion))})",
         f"P_D = {point}",
     ]
     return _emit(args, report, lines)
@@ -254,10 +255,7 @@ def _parse_sweep(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise SchemaError(f"--sweep expects a range like 3..12, got {text!r}")
-    try:
-        a, b = int(lo), int(hi)
-    except ValueError:
-        raise SchemaError(f"--sweep expects integer bounds, got {text!r}") from None
+    a, b = parse_int(lo, "--sweep"), parse_int(hi, "--sweep")
     if a > b:
         raise SchemaError(f"--sweep range is empty: {a} > {b}")
     if b - a + 1 > MAX_SWEEP:
@@ -269,7 +267,7 @@ def _parse_sweep(text: str) -> tuple[int, int]:
 
 def cmd_cover(args) -> int:
     if args.n is not None:
-        values = [args.n]
+        values = [parse_int(args.n, "--n")]
         sweep = None
     else:
         a, b = _parse_sweep(args.sweep)
@@ -324,12 +322,14 @@ def cmd_arrangement(args) -> int:
     if args.random is not None:
         if args.s1 is not None or args.s2 is not None or args.sign is not None:
             raise SchemaError("--random replaces --s1/--s2/--sign; pass one or the other")
-        arr, s1, s2, sign = _random_arrangement(args.random)
+        seed = parse_int(args.random, "--random")
+        arr, s1, s2, sign = _random_arrangement(seed)
     else:
         if args.s1 is None or args.s2 is None:
             raise SchemaError("pass both --s1 and --s2 (or --random SEED)")
-        s1 = _rat(args.s1, "--s1")
-        s2 = _rat(args.s2, "--s2")
+        seed = None
+        s1 = parse_rational(args.s1, "--s1")
+        s2 = parse_rational(args.s2, "--s2")
         sign = _sign(args.sign) if args.sign is not None else 1
         arr = generate_arrangement(s1, s2, sign)
     point = image_of(arr)
@@ -338,7 +338,7 @@ def cmd_arrangement(args) -> int:
             "s1": render_number(s1),
             "s2": render_number(s2),
             "sign": sign,
-            "seed": args.random,
+            "seed": seed,
         },
         "arrangement": arr.as_dict(),
         "type": classify_type(arr).value,
@@ -348,7 +348,7 @@ def cmd_arrangement(args) -> int:
     fmt = lambda t: "oo" if t is None else str(t)
     lines = [
         f"arrangement: sign {'+1' if sign > 0 else '-1'}, s1 = {s1}, s2 = {s2}"
-        + (f"  (drawn from seed {args.random})" if args.random is not None else ""),
+        + (f"  (drawn from seed {seed})" if seed is not None else ""),
         f"tangency parameters t(q_i): {', '.join(fmt(t) for t in arr.q_params)}",
         f"residual parameters t(p_i): {', '.join(fmt(t) for t in arr.p_params)}",
         f"type: {arr.type_tag}  (tangency points"
@@ -455,8 +455,8 @@ def _demo_arrangements() -> str:
 
 
 def _demo_rank_accounting() -> str:
-    rep = shioda_tate_check(four_line_surface(), 10)
-    _require(rep.ok and rep.expected == 10, f"rank accounting gives {rep.expected}, declared 10")
+    rank = four_line_surface().ns_rank
+    _require(rank == 10, f"rank accounting gives {rank}, declared 10")
     return "NS rank 10 = 2 + 7 + 1"
 
 
@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cover", cmd_cover, "dihedral-cover existence decisions")
     p.add_argument("--type", required=True, help="arrangement type, I or II")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--n", type=int, help="single n (cover order 2n), n >= 3")
+    which.add_argument("--n", help="single n (cover order 2n), n >= 3")
     which.add_argument("--sweep", metavar="A..B",
                        help=f"inclusive range of at most {MAX_SWEEP} n values")
 
@@ -550,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1", help="first tangency parameter (exact rational; use --s1=-7/5 style)")
     p.add_argument("--s2", help="second tangency parameter")
     p.add_argument("--sign", help="+ for collinear tangencies, - for the twisted triple")
-    p.add_argument("--random", type=int, metavar="SEED",
+    p.add_argument("--random", metavar="SEED",
                    help="draw s1, s2, sign reproducibly from SEED instead")
 
     add("demo", cmd_demo, "reproduce every golden value end to end")

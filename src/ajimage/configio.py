@@ -30,8 +30,10 @@ Schema, version 1::
       ]
     }
 
-Numbers are JSON integers or exact strings "p/q"; floats are rejected
-outright so no value ever passes through binary floating point.  Unknown
+Numbers are JSON integers or exact strings "p" / "p/q" (optional sign,
+decimal digits only); floats are rejected outright so no value ever passes
+through binary floating point, and no integer, numerator or denominator may
+have more than MAX_DIGITS digits.  Unknown
 keys are rejected at every level: a typo fails loudly instead of being
 ignored.  Two documents ship with the package (data/fourlines_type1.json
 and data/fourlines_type2.json), carrying the bundled four-line surface
@@ -41,6 +43,8 @@ with the collinear resp. non-collinear splitting-curve profiles.
 from __future__ import annotations
 
 import json
+import re
+import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,17 +58,37 @@ SCHEMA_VERSION = 1
 
 BUNDLED = ("fourlines_type1", "fourlines_type2")
 
+# Most decimal digits an input integer, numerator or denominator may have.
+# The largest outputs (an arrangement's residual points) have up to about
+# nine times as many digits as their inputs, which keeps every rendered
+# number under CPython's int-to-str limit even at its lowest setting, 640
+# digits (the default is 4300); longer inputs are rejected before any
+# arithmetic.
+MAX_DIGITS = 60
+_INT_BOUND = 10**MAX_DIGITS
+_RATIONAL = re.compile(r"([+-]?)0*([0-9]+)(?:/0*([0-9]+))?")
+
 
 def parse_rational(value, where: str) -> Fraction:
+    """An integer or an exact string "p" or "p/q", within MAX_DIGITS digits."""
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected a number, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
+        if -_INT_BOUND < value < _INT_BOUND:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"{where}: {value!r} is not an exact rational 'p/q'") from None
+        raise SchemaError(f"{where}: integer has more than MAX_DIGITS = {MAX_DIGITS} digits")
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise SchemaError(f"{where}: {reprlib.repr(value)} is not an exact rational 'p/q'")
+        sign, num, den = match.groups()
+        if len(num) > MAX_DIGITS or len(den or "") > MAX_DIGITS:
+            raise SchemaError(
+                f"{where}: {reprlib.repr(value)} has more than MAX_DIGITS = {MAX_DIGITS} digits"
+            )
+        if den == "0":
+            raise SchemaError(f"{where}: {reprlib.repr(value)} has a zero denominator")
+        return Fraction(int(sign + num), int(den or 1))
     if isinstance(value, float):
         raise SchemaError(
             f"{where}: floats are not accepted; write the exact rational as a string 'p/q'"
@@ -73,7 +97,7 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def parse_int(value, where: str) -> int:
-    if type(value) is int:  # not a bool, which parse_rational rejects
+    if type(value) is int and -_INT_BOUND < value < _INT_BOUND:  # not a bool
         return value
     q = parse_rational(value, where)
     if q.denominator != 1:
@@ -101,14 +125,18 @@ def _int_map(doc, where: str) -> dict[str, int]:
     if not isinstance(doc, Mapping):
         raise SchemaError(f"{where}: expected an object of integers")
     return {
-        str(k): v if type(v) is int else parse_int(v, f"{where}[{k!r}]") for k, v in doc.items()
+        str(k): v if type(v) is int and -_INT_BOUND < v < _INT_BOUND
+        else parse_int(v, f"{where}[{k!r}]")
+        for k, v in doc.items()
     }
 
 
 def _int_tuple(values: list, where: str) -> tuple[int, ...]:
-    # the location of an entry is formatted only when the entry is not an int
+    # the location of an entry is formatted only when the entry is not an
+    # int within MAX_DIGITS digits
     return tuple(
-        v if type(v) is int else parse_int(v, f"{where}[{j}]") for j, v in enumerate(values)
+        v if type(v) is int and -_INT_BOUND < v < _INT_BOUND else parse_int(v, f"{where}[{j}]")
+        for j, v in enumerate(values)
     )
 
 

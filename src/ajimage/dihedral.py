@@ -166,7 +166,7 @@ def verify_ns_relation(table: IntersectionTable, lhs: FormalClass, rhs: FormalCl
     Any disagreement of pairings (against a generator, or of the two
     self-intersections) disproves the relation outright.  Full agreement
     proves it only if the table generators span the declared Neron-Severi
-    rank (default: 2 + sum(m_v - 1) + free rank); otherwise the difference
+    rank (default: the Shioda-Tate rank `SurfaceConfig.ns_rank`); otherwise the difference
     could hide in the unseen part of the lattice and the verdict is
     "inconclusive", never a silent pass.
     """
@@ -186,8 +186,8 @@ def verify_ns_relation(table: IntersectionTable, lhs: FormalClass, rhs: FormalCl
         return RelationVerdict(
             RelationStatus.FAILS, "intersection profiles disagree", tuple(mismatches)
         )
-    if ns_rank is None:  # 2 + sum(m_v - 1) + free rank
-        ns_rank = len(gens) - len(table.sections) + table.cfg.mw_free_rank
+    if ns_rank is None:
+        ns_rank = table.cfg.ns_rank
     rank = table.generator_rank
     if rank < ns_rank:
         return RelationVerdict(

@@ -23,21 +23,25 @@ and divisors named O or F (with the canonical data) are the O and F basis
 vectors.  So x.y = x^T G y, and the pairings of x with the generators are
 G x (`IntersectionTable.profile`).  G is built on first use.
 
-On top of it sit the projection phi0 away from the trivial lattice
-<O, F, Theta_{v, i>=1}>, its self/cross intersection numbers in closed
-form, the height pairing of sections, and the free coefficient n of a
-divisor class along a rank-one Mordell-Weil generator:
+`build_table` validates every profile once; `mwgroup.derive` then reads
+registered names only.  The private closed forms it uses live here: the
+projection phi0 away from the trivial lattice <O, F, Theta_{v, i>=1}>, its
+self/cross intersection numbers, the height of a registered section, and
+the free coefficient n of a divisor class along a rank-one generator:
 
     phi0(D) = D - d O - (d chi + O.D) F - sum_v Theta_v A_v^{-1} c(v, D)
     phi0(D).phi0(D) = D^2 - 2 d (D.O) - d^2 chi - sum_v c^T A_v^{-1} c
-    phi0(D).phi0(s) = (D - d O).s - d chi - O.D - sum_v c(v,s)^T A_v^{-1} c(v,D)
-    <P, Q> = chi + s_P.O + s_Q.O - s_P.s_Q + sum_v c(v,s_P)^T A_v^{-1} c(v,s_Q)
+    phi0(D).phi0(s) = D.s - d (s.O) - d chi - O.D - sum_v c(v,s)^T A_v^{-1} c(v,D)
+    <P, P> = 2 chi + 2 s_P.O + sum_v (A_v^{-1})_kk   (s_P meets Theta_{v,k})
     n^2 = -phi0(D).phi0(D) / <P_o, P_o>,   n = -phi0(D).phi0(s_o) / <P_o, P_o>.
+
+The reserved divisors O and F get their pairing with every section filled
+in by `build_table` (O.s = s.O, F.s = 1), so no formula branches on names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -180,18 +184,25 @@ class SurfaceConfig:
     torsion_group: AbelianGroup = AbelianGroup(())
     torsion_table: tuple[TorsionSectionSpec, ...] = ()
 
+    @property
+    def ns_rank(self) -> int:
+        """Shioda-Tate rank 2 + sum_v (m_v - 1) + free rank, from the kinds alone."""
+        return 2 + sum(_components(kind) - 1 for _, kind in self.fibers) + self.mw_free_rank
+
 
 class IntersectionTable:
     """The intersection form of one configured surface as one Gram matrix."""
 
     def __init__(self, cfg: SurfaceConfig, fibers: dict[str, ReducibleFiberData],
                  sections: dict[str, SectionProfile], divisors: dict[str, DivisorProfile],
-                 torsion_classes: tuple):
+                 torsion: dict[tuple, tuple]):
         self.cfg = cfg
         self.fibers = fibers
         self.sections = sections
         self.divisors = divisors
-        self.torsion_classes = torsion_classes  # dual class tuples, torsion-table order
+        # dual class tuple (one class per fiber, config order) -> (name, reduced
+        # coords) for every torsion element, zero included as (None, zero)
+        self.torsion = torsion
 
     def generators(self) -> list[tuple]:
         """Spanning symbols: O, F, all Theta_{v, i>=1}, all named sections."""
@@ -309,31 +320,29 @@ class IntersectionTable:
         block = [self._times(FormalClass.of(sym), range(n)) for sym in self._basis[:n]]
         return sum(1 for f in smith_normal_form(block).invariant_factors if f)
 
-    def fiber_of(self, fid: str) -> ReducibleFiberData:
-        return self.fibers[fid]
 
-    def section(self, name: str) -> SectionProfile:
-        return self.sections[name]
-
-    def divisor(self, name: str) -> DivisorProfile:
-        return self.divisors[name]
-
-
-def _inverse_sum(entries) -> tuple[int, int]:
-    """Sum of the entries (A_v^{-1})[i, j] over (a_inv, i, j), as one integer
-    numerator over one denominator, read off each matrix's numerators."""
+def _local_sum(fibers: dict[str, ReducibleFiberData],
+               components: Mapping[str, int]) -> tuple[int, int]:
+    """sum_v (A_v^{-1})_kk over the fibers where a section meets Theta_{v,k},
+    k >= 1 (the local terms of its height), as one integer numerator over
+    one denominator, read off each matrix's numerators."""
     num, den = 0, 1
-    for a_inv, i, j in entries:
-        num, den = num * a_inv.den + a_inv.num[i][j] * den, den * a_inv.den
+    for fid, k in components.items():
+        if k:
+            a_inv = fibers[fid].a_inv
+            num, den = num * a_inv.den + a_inv.num[k - 1][k - 1] * den, den * a_inv.den
     return num, den
+
+
+def _height(table: IntersectionTable, s: SectionProfile) -> Fraction:
+    """<P, P> = 2 chi + 2 s.O + sum_v (A_v^{-1})_kk of a registered section."""
+    return 2 * table.cfg.chi + 2 * s.s_dot_o + Fraction(*_local_sum(table.fibers, s.components))
 
 
 def _torsion_s_dot_o(chi: int, fibers: dict[str, ReducibleFiberData],
                      components: Mapping[str, int], name: str) -> int:
     # height 0 forces  2 chi + 2 s.O + sum (A^{-1})_kk = 0
-    num, den = _inverse_sum(
-        (fibers[fid].a_inv, k - 1, k - 1) for fid, k in components.items() if k
-    )
+    num, den = _local_sum(fibers, components)
     s_dot_o, rest = divmod(-2 * chi * den - num, 2 * den)
     if rest or s_dot_o < 0:
         raise InconsistentDataError(
@@ -368,12 +377,11 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
         raise InconsistentDataError(
             f"fiber Euler numbers sum to {euler_total} > 12 chi = {12 * cfg.chi}"
         )
-    m_total = sum(_components(kind) for _, kind in cfg.fibers)
-    lattice_rank = 2 + m_total - len(cfg.fibers) + cfg.mw_free_rank
-    if lattice_rank > 10 * cfg.chi:
+    if cfg.ns_rank > 10 * cfg.chi:
         raise InconsistentDataError(
-            f"trivial lattice plus Mordell-Weil rank {lattice_rank} exceeds 10 chi"
+            f"trivial lattice plus Mordell-Weil rank {cfg.ns_rank} exceeds 10 chi"
         )
+    m_total = sum(_components(kind) for _, kind in cfg.fibers)
     if m_total > MAX_COMPONENTS:
         raise SchemaError(
             f"fibers have {m_total} components in all; catalogs are capped at"
@@ -405,14 +413,14 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
         check_components(s.components, f"section {s.name!r}")
         sections[s.name] = s
 
-    torsion_classes = _validate_torsion_table(cfg, fibers, check_components)
+    torsion = _validate_torsion_table(cfg, fibers, check_components)
 
     divisors_map: dict[str, DivisorProfile] = {}
     for d in divisors:
         if d.name in divisors_map:
             raise SchemaError(f"duplicate divisor name {d.name!r}")
         if d.name in _RESERVED:
-            d = _check_reserved_divisor(cfg, d)
+            d = _check_reserved_divisor(cfg, d, sections)
         for fid, cvec in d.c.items():
             if fid not in fibers:
                 raise SchemaError(f"divisor {d.name!r}: unknown fiber id {fid!r}")
@@ -446,10 +454,13 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
             d.name, d.d, d.d_dot_o, cmap, d.d_squared, dict(d.d_dot_section), dict(d.d_dot_divisor)
         )
 
-    return IntersectionTable(cfg, fibers, sections, normalized, torsion_classes)
+    return IntersectionTable(cfg, fibers, sections, normalized, torsion)
 
 
-def _check_reserved_divisor(cfg: SurfaceConfig, d: DivisorProfile) -> DivisorProfile:
+def _check_reserved_divisor(cfg: SurfaceConfig, d: DivisorProfile,
+                            sections: dict[str, SectionProfile]) -> DivisorProfile:
+    """Check a divisor named O or F against the canonical class and fill in
+    its pairing with every section (O.s = s.O, F.s = 1)."""
     chi = cfg.chi
     want = {"O": (1, -chi, -chi), "F": (0, 1, 0)}[d.name]
     if (d.d, d.d_dot_o, d.d_squared) != want or any(v and any(v) for v in d.c.values()):
@@ -457,11 +468,18 @@ def _check_reserved_divisor(cfg: SurfaceConfig, d: DivisorProfile) -> DivisorPro
             f"divisor name {d.name!r} is reserved for the canonical class with"
             f" (d, D.O, D^2) = {want} and trivial component incidences"
         )
-    return d
+    pairing = {name: s.s_dot_o if d.name == "O" else 1 for name, s in sections.items()}
+    if {**pairing, **d.d_dot_section} != pairing:
+        raise SchemaError(
+            f"divisor {d.name!r}: registered section pairings {dict(d.d_dot_section)} differ"
+            f" from the canonical {pairing}"
+        )
+    return replace(d, d_dot_section=pairing)
 
 
-def _validate_torsion_table(cfg, fibers, check_components) -> tuple:
-    """Check the torsion table; return the dual class tuple of every entry.
+def _validate_torsion_table(cfg, fibers, check_components) -> dict[tuple, tuple]:
+    """Check the torsion table; return {dual class tuple: (name, reduced
+    coords)} over every element of the torsion group, zero as (None, zero).
 
     Once every nonzero element is listed exactly once, closure is checked on
     the generators: class(a + e_i) = class(a) + class(e_i) for every element
@@ -469,7 +487,8 @@ def _validate_torsion_table(cfg, fibers, check_components) -> tuple:
     element is a sum of unit vectors, so this gives additivity for all sums.
     """
     group = cfg.torsion_group
-    seen_tuples = {}
+    zero = _gamma_tuple(cfg, fibers, {})
+    seen_tuples = {zero: (None, group.zero())}
     flat = {}  # reduced coordinates -> class tuple flattened over the fibers
     for t in cfg.torsion_table:
         check_components(t.components, f"torsion section {t.name!r}")
@@ -482,18 +501,18 @@ def _validate_torsion_table(cfg, fibers, check_components) -> tuple:
             raise SchemaError(f"torsion section {t.name!r}: zero coords are implicit, not listed")
         if tup in seen_tuples:
             raise InconsistentDataError(
-                f"torsion sections {seen_tuples[tup]!r} and {t.name!r} share a dual class tuple"
+                f"torsion sections {seen_tuples[tup][0]!r} and {t.name!r} share a dual class tuple"
             )
         if coords in flat:
             raise InconsistentDataError(f"torsion section {t.name!r}: duplicate coordinates")
-        seen_tuples[tup] = t.name
+        seen_tuples[tup] = (t.name, coords)
         flat[coords] = tuple(chain.from_iterable(tup))
     if len(flat) != group.order - 1:
         raise InconsistentDataError(
             "torsion table must list exactly the nonzero elements of torsion_group"
         )
     if not cfg.torsion_table:
-        return ()
+        return seen_tuples
     # coordinate addition must mirror dual-class addition (gamma-bar injectivity)
     moduli = tuple(f for fid, _ in cfg.fibers for f in fibers[fid].group.invariant_factors)
     flat[group.zero()] = (0,) * len(moduli)
@@ -505,7 +524,7 @@ def _validate_torsion_table(cfg, fibers, check_components) -> tuple:
                 raise InconsistentDataError(
                     "torsion table is not closed under addition of dual class tuples"
                 )
-    return tuple(seen_tuples)
+    return seen_tuples
 
 
 def _gamma_tuple(cfg, fibers, components: Mapping[str, int]):
@@ -516,12 +535,8 @@ def _gamma_tuple(cfg, fibers, components: Mapping[str, int]):
 
 def _solves(table: IntersectionTable, d: DivisorProfile) -> dict[str, tuple[Fraction, ...]]:
     """x_v = A_v^{-1} c(v, D) for every fiber with c(v, D) != 0: the one solve
-    per fiber that phi0_self, phi0_cross and the gamma vectors all read."""
-    return {
-        fid: table.fiber_of(fid).a_inv * d.c[fid]
-        for fid, _ in table.cfg.fibers
-        if any(d.c.get(fid) or ())
-    }
+    per fiber that _phi0_self, _phi0_cross and the gamma vectors all read."""
+    return {fid: table.fibers[fid].a_inv * c for fid, c in d.c.items() if any(c)}
 
 
 def _phi0_self(table: IntersectionTable, d: DivisorProfile, xs) -> Fraction:
@@ -534,12 +549,7 @@ def _phi0_self(table: IntersectionTable, d: DivisorProfile, xs) -> Fraction:
 
 
 def _phi0_cross(table: IntersectionTable, d: DivisorProfile, s: SectionProfile, xs) -> Fraction:
-    if d.name == "O":
-        d_dot_s = s.s_dot_o
-    elif d.name == "F":
-        d_dot_s = 1
-    else:
-        d_dot_s = d.d_dot_section.get(s.name)
+    d_dot_s = d.d_dot_section.get(s.name)
     if d_dot_s is None:
         raise MissingIntersectionError(
             f"divisor {d.name!r}: D.{s.name} required for phi0_cross"
@@ -550,67 +560,6 @@ def _phi0_cross(table: IntersectionTable, d: DivisorProfile, s: SectionProfile, 
         if k:
             total -= x[k - 1]
     return total
-
-
-def phi0_self(table: IntersectionTable, divisor: DivisorProfile | str) -> Fraction:
-    """phi0(D).phi0(D) in closed form; needs D^2."""
-    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
-    return _phi0_self(table, d, _solves(table, d))
-
-
-def phi0_cross(table: IntersectionTable, divisor: DivisorProfile | str,
-               section: SectionProfile | str) -> Fraction:
-    """phi0(D).phi0(s) in closed form; needs D.s."""
-    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
-    s = table.section(section) if isinstance(section, str) else section
-    return _phi0_cross(table, d, s, _solves(table, d))
-
-
-def height_pairing(table: IntersectionTable, s1: SectionProfile | str,
-                   s2: SectionProfile | str) -> Fraction:
-    """Mordell-Weil height pairing <P1, P2> = -phi0(s1).phi0(s2)."""
-    a = table.section(s1) if isinstance(s1, str) else s1
-    b = table.section(s2) if isinstance(s2, str) else s2
-    chi = table.cfg.chi
-    if a.name == b.name:
-        s1_dot_s2 = -chi
-    elif a.name == "O":
-        s1_dot_s2 = b.s_dot_o
-    elif b.name == "O":
-        s1_dot_s2 = a.s_dot_o
-    else:
-        raise MissingIntersectionError(
-            f"pairing of distinct sections {a.name!r}.{b.name!r} is not registered"
-        )
-    entries = []
-    for fid, _ in table.cfg.fibers:
-        ka = a.components.get(fid, 0)
-        kb = b.components.get(fid, 0)
-        if ka and kb:
-            entries.append((table.fiber_of(fid).a_inv, ka - 1, kb - 1))
-    num, den = _inverse_sum(entries)
-    return chi + a.s_dot_o + b.s_dot_o - s1_dot_s2 + Fraction(num, den)
-
-
-def profile_from_class(table: IntersectionTable, cls: FormalClass, name: str) -> DivisorProfile:
-    """Derive the divisor profile of a formal class from its pairings with
-    the generators (table.profile)."""
-    gens = table.generators()
-    values = table.profile(cls)
-    for sym, value in zip(gens, values):
-        if value.denominator != 1:
-            raise InconsistentDataError(
-                f"class {name!r}: non-integral pairing with {_sym_str(sym)}"
-            )
-    pairing = dict(zip(gens, map(int, values)))
-    c = {
-        fid: tuple(pairing[theta(fid, i)] for i in range(1, table.fiber_of(fid).m))
-        for fid, _ in table.cfg.fibers
-    }
-    d_dot_section = {s.name: pairing[section_sym(s.name)] for s in table.cfg.sections}
-    return DivisorProfile(
-        name, pairing[SYM_F], pairing[SYM_O], c, table.pair_class(cls, cls), d_dot_section
-    )
 
 
 @dataclass(frozen=True)
@@ -624,26 +573,19 @@ class FreeCoefficient:
     phi0_self: Fraction  # phi0(D).phi0(D)
 
 
-def n_of(table: IntersectionTable, divisor: DivisorProfile | str,
-         generator: SectionProfile | str) -> FreeCoefficient:
-    """Free coefficient of D along a rank-one generator.
-
-    Quadratic route always runs: n^2 = -phi0_self(D) / <P_o, P_o> must be a
-    perfect square.  When D.s_o is registered, the linear route fixes the
-    sign and must agree.
-    """
-    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
-    gen = table.section(generator) if isinstance(generator, str) else generator
-    return _free_coefficient(table, d, gen, _solves(table, d))
-
-
 def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionProfile,
                       xs) -> FreeCoefficient:
+    """Free coefficient of D along a rank-one generator.
+
+    Quadratic route always runs: n^2 = -phi0(D).phi0(D) / <P_o, P_o> must be
+    a perfect square.  When D.s_o is registered, the linear route fixes the
+    sign and must agree.
+    """
     if table.cfg.mw_free_rank != 1:
         raise InconsistentDataError(
             f"free coefficient needs Mordell-Weil free rank 1, not {table.cfg.mw_free_rank}"
         )
-    h = height_pairing(table, gen, gen)
+    h = _height(table, gen)
     if h <= 0:
         raise InconsistentDataError(
             f"generator {gen.name!r} has height {h}; a free generator needs positive height"

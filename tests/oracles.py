@@ -8,14 +8,14 @@ Mordell-Weil scaling below check the library's closed forms and
 divisibility witnesses without sharing their formulas, and the
 symbol-by-symbol pairing checks the intersection table's Gram matrix.
 The torsion closure check adds every pair of elements, where the library
-adds only the generators.  The section and torsion profiles at the end
-build test inputs that no library path needs.
+adds only the generators.  The section, torsion and class profiles at the
+end build test inputs that no library path needs.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from ajimage.errors import MissingIntersectionError
+from ajimage.errors import InconsistentDataError, MissingIntersectionError
 from ajimage.kodaira import fiber_data
 from ajimage.mwgroup import MWPoint
 from ajimage.nslattice import (
@@ -25,6 +25,7 @@ from ajimage.nslattice import (
     FormalClass,
     SectionProfile,
     divisor_sym,
+    section_sym,
     theta,
 )
 
@@ -136,9 +137,10 @@ def abelian_order_multiset(factors):
 
 def phi0(table, divisor):
     """phi0(D) = D - d O - (d chi + O.D) F - sum_v Theta_v A_v^{-1} c(v, D) as a
-    formal class, so that pairing it through the table's generic pairing
-    code can be compared with the closed forms phi0_self / phi0_cross."""
-    d = table.divisor(divisor) if isinstance(divisor, str) else divisor
+    formal class of a registered divisor, so that pairing it through the
+    table's generic pairing code can be compared with the closed forms
+    nslattice._phi0_self / _phi0_cross."""
+    d = table.divisors[divisor]
     chi = table.cfg.chi
     sym = {"O": SYM_O, "F": SYM_F}.get(d.name, divisor_sym(d.name))
     out = {sym: Fraction(1)}
@@ -148,7 +150,7 @@ def phi0(table, divisor):
         cvec = d.c.get(fid)
         if not cvec or not any(cvec):
             continue
-        for i, x in enumerate(table.fiber_of(fid).a_inv * cvec, start=1):
+        for i, x in enumerate(table.fibers[fid].a_inv * cvec, start=1):
             out[theta(fid, i)] = out.get(theta(fid, i), Fraction(0)) - x
     return FormalClass(out)
 
@@ -268,12 +270,12 @@ def zero_section_profile(chi):
 
 def section_as_divisor(table, section, name=None):
     """A section's own divisor profile (d = 1, D^2 = -chi, indicator c's)."""
-    s = table.section(section) if isinstance(section, str) else section
+    s = table.sections[section] if isinstance(section, str) else section
     chi = table.cfg.chi
     c = {}
     for fid, _ in table.cfg.fibers:
         k = s.components.get(fid, 0)
-        vec = [0] * (table.fiber_of(fid).m - 1)
+        vec = [0] * (table.fibers[fid].m - 1)
         if k:
             vec[k - 1] = 1
         c[fid] = tuple(vec)
@@ -295,3 +297,22 @@ def torsion_profile(cfg, spec):
     s_dot_o = (-2 * cfg.chi - contrib) / 2
     assert s_dot_o.denominator == 1 and s_dot_o >= 0, "oracle: not a torsion section"
     return SectionProfile(spec.name, int(s_dot_o), dict(spec.components))
+
+
+def profile_from_class(table, cls, name):
+    """The divisor profile of a formal class, from its pairings with the
+    generators (table.profile) and its self-pairing."""
+    gens = table.generators()
+    values = table.profile(cls)
+    for sym, value in zip(gens, values):
+        if value.denominator != 1:
+            raise InconsistentDataError(f"class {name!r}: non-integral pairing with {sym}")
+    pairing = dict(zip(gens, map(int, values)))
+    c = {
+        fid: tuple(pairing[theta(fid, i)] for i in range(1, table.fibers[fid].m))
+        for fid, _ in table.cfg.fibers
+    }
+    d_dot_section = {s.name: pairing[section_sym(s.name)] for s in table.cfg.sections}
+    return DivisorProfile(
+        name, pairing[SYM_F], pairing[SYM_O], c, table.pair_class(cls, cls), d_dot_section
+    )

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ajimage import arrangement
 from ajimage.arrangement import (
     Arrangement,
     Line,
@@ -13,7 +14,6 @@ from ajimage.arrangement import (
     classify_type,
     collinear,
     cubic_form,
-    divisor_profile_for,
     generate_arrangement,
     image_of,
     on_cubic,
@@ -214,11 +214,15 @@ def test_generated_pipeline_seeded():
         done += 1
 
 
-def test_divisor_profile_for():
-    arr1 = generate_arrangement(2, 3, +1)
-    arr2 = generate_arrangement(2, 3, -1)
-    assert divisor_profile_for(arr1).d_squared == 3
-    assert divisor_profile_for(arr2).d_squared == 1
+def test_divisor_profile_for(monkeypatch):
+    # image_of registers the E+ profile of the arrangement's type
+    profiles = []
+    build = arrangement.build_table
+    monkeypatch.setattr(arrangement, "build_table",
+                        lambda cfg, divisors: profiles.extend(divisors) or build(cfg, divisors))
+    image_of(generate_arrangement(2, 3, +1))
+    image_of(generate_arrangement(2, 3, -1))
+    assert [(p.name, p.d_squared) for p in profiles] == [("E+", 3), ("E+", 1)]
 
 
 def test_classify_detects_tampered_tag():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from ajimage import cli
-from ajimage.configio import bundled_config, dumps_config, loads_config
+from ajimage.configio import MAX_DIGITS, bundled_config, dumps_config, loads_config
 from ajimage.exact import QMatrix
 
 from test_configio import SCHEMA_CASES, with_value
@@ -274,6 +274,56 @@ def test_arrangement_rational_args(capsys):
     code, out, _ = run(capsys, "arrangement", "--s1=-10/3", "--s2=-5/11", "--json")
     assert code == 0
     assert json.loads(out)["requested"]["s1"] == "-10/3"
+
+
+def test_huge_rationals_are_usage_errors(capsys):
+    # these used to end in a ValueError traceback from int-to-str conversion
+    for s1 in ("1e800", "7" * 500 + "/" + "3" * 500, "3/0"):
+        code, out, err = run(capsys, "arrangement", f"--s1={s1}", "--s2=3")
+        assert code == 2 and out == "" and "--s1" in err and "Traceback" not in err
+    for argv in (("cover", "--type", "I", "--n", "9" * 4300),
+                 ("cover", "--type", "I", f"--sweep=-5..{'9' * 4300}"),
+                 ("arrangement", "--random", "9" * 4300)):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "MAX_DIGITS" in err
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+def test_inputs_at_the_digit_bound_reach_the_mathematics(tmp_path, capsys, limit):
+    # also under the lowest int-to-str limit CPython accepts (PYTHONINTMAXSTRDIGITS=640)
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit or default)
+    try:
+        check_inputs_at_the_digit_bound(tmp_path, capsys)
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+def check_inputs_at_the_digit_bound(tmp_path, capsys):
+    big = "9" * MAX_DIGITS
+    near = big[:-1] + "8"
+    for s1, s2 in ((f"-{big}/{near}", f"{big}/7"), (f"-{big}/7", f"{near}/{big}"),
+                   (big, f"-{near}/{big}")):
+        for sign, kind in (("+", "I"), ("-", "II")):
+            code, out, _ = run(capsys, "arrangement", f"--s1={s1}", f"--s2={s2}",
+                               f"--sign={sign}", "--json")
+            assert code == 0 and json.loads(out)["type"] == kind
+    fields = [("surface", "chi"), ("surface", "sections", 0, "s_dot_O")] + [
+        ("divisors", 0, key) for key in ("d", "D_dot_O", "D_squared")
+    ] + [("divisors", 0, "D_dot_section", "s_o"), ("divisors", 0, "D_dot_divisor", "E-"),
+         ("divisors", 0, "c", "inf", 0), ("divisors", 0, "c", "1", 0)]
+    raw = json.loads(dumps_config(bundled_config("fourlines_type2")))
+    # each field alone at the bound, then all of them at once
+    for chosen in [[path] for path in fields] + [fields]:
+        doc = json.loads(json.dumps(raw))
+        for path in chosen:
+            with_value(doc, path, int(big))
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["image", "--config", str(config)], ["image", "--config", str(config),
+                                                          "--json"]):
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1) and "Traceback" not in err, (chosen, err)
 
 
 def test_arrangement_usage_errors(capsys):

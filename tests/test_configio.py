@@ -1,10 +1,13 @@
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from ajimage.configio import (
     BUNDLED,
+    MAX_DIGITS,
     ConfigDocument,
     bundled_config,
     config_to_dict,
@@ -13,6 +16,7 @@ from ajimage.configio import (
     load_config,
     loads_config,
     parse_config,
+    parse_int,
     parse_rational,
 )
 from ajimage.errors import SchemaError
@@ -133,6 +137,28 @@ def test_rational_parsing():
         parse_rational(True, "x")
     with pytest.raises(SchemaError, match="not an exact rational"):
         parse_rational("3.14.15", "x")
+    # only optional sign, digits and one slash: no exponents, decimals,
+    # underscores or whitespace
+    for text in ("1e5", "1.5", "1_000", " 3", "3/-4", "", "/2"):
+        with pytest.raises(SchemaError, match="not an exact rational"):
+            parse_rational(text, "x")
+    assert parse_rational("+7", "x") == 7 and parse_rational("-10/4", "x") == Fraction(-5, 2)
+    with pytest.raises(SchemaError, match="zero denominator"):
+        parse_rational("3/000", "x")
+    # MAX_DIGITS bounds each digit run (leading zeros aside) and JSON integers
+    bound = "9" * MAX_DIGITS
+    assert parse_rational(f"-{bound}/{bound}", "x") == -1
+    assert parse_rational("0" * 400 + "7", "x") == 7
+    assert parse_int(-int(bound), "x") == -int(bound)
+    for value in (bound + "9", f"1/{bound}9", 10**MAX_DIGITS, -(10**MAX_DIGITS)):
+        with pytest.raises(SchemaError, match="MAX_DIGITS"):
+            parse_rational(value, "x")
+    with pytest.raises(SchemaError, match="MAX_DIGITS"):
+        parse_int(10**MAX_DIGITS, "x")
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="not an exact rational"):
+        parse_rational("1e10000000", "x")  # Fraction alone spends seconds on it
+    assert time.perf_counter() - start < 0.5
     doc = base_doc()
     doc["divisors"][0]["D_squared"] = "6/2"  # exact strings are fine when integral
     assert parse_config(doc).divisors[0].d_squared == 3
@@ -159,6 +185,18 @@ SCHEMA_CASES = [
     (("surface", "torsion_table"), None, "surface.torsion_table: expected a list"),
     (("surface", "torsion_table", 0, "coords"), 1, r"torsion_table\[0\].coords: expected a list"),
     (("surface", "mw_free_rank"), -3, "surface.mw_free_rank: must be >= 0"),
+] + [
+    # an exponent string used to cost seconds in Fraction and crash the
+    # rendering of the result; now only "p" and "p/q" parse
+    pytest.param(path, "1e5000", "is not an exact rational", id=f"exponent-{path[-1]}")
+    for path in (("divisors", 0, "d"), ("divisors", 0, "D_dot_O"), ("divisors", 0, "D_squared"),
+                 ("divisors", 0, "D_dot_section", "s_o"), ("divisors", 0, "c", "inf", 0),
+                 ("surface", "chi"), ("surface", "sections", 0, "s_dot_O"))
+] + [
+    pytest.param(("divisors", 0, "d"), int("9" * 3000), "integer has more than MAX_DIGITS",
+                 id="3000-digit-json-integer"),
+    pytest.param(("divisors", 0, "d"), "9" * 500 + "/7", "more than MAX_DIGITS",
+                 id="500-digit-numerator"),
 ]
 
 

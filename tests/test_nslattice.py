@@ -14,6 +14,7 @@ from ajimage.configio import BUNDLED, bundled_config
 from ajimage.errors import InconsistentDataError, MissingIntersectionError, SchemaError
 from ajimage.fourlines import eminus_profile, eplus_profile, four_line_surface
 from ajimage.kodaira import AbelianGroup, FiberKind, dual_class_of, fiber_data
+from ajimage.mwgroup import derive
 from ajimage.nslattice import (
     DivisorProfile,
     FormalClass,
@@ -24,23 +25,19 @@ from ajimage.nslattice import (
     TorsionSectionSpec,
     build_table,
     divisor_sym,
-    height_pairing,
-    n_of,
-    phi0_cross,
-    phi0_self,
-    profile_from_class,
     section_sym,
     theta,
 )
 
 from oracles import (
+    inverse_adjugate,
     pair_class_reference,
     pair_reference,
     phi0,
+    profile_from_class,
     section_as_divisor,
     torsion_closed_reference,
     torsion_profile,
-    zero_section_profile,
 )
 
 
@@ -54,6 +51,18 @@ def table_with(*divisors, variant=None):
 
 O_PROFILE = DivisorProfile("O", d=1, d_dot_o=-1, c={}, d_squared=-1)
 F_PROFILE = DivisorProfile("F", d=0, d_dot_o=1, c={}, d_squared=0)
+
+
+def phi0_self(table, name):
+    """The closed form phi0(D).phi0(D) of a registered divisor, which derive
+    reads only when n^2 comes out a perfect square."""
+    d = table.divisors[name]
+    return nslattice._phi0_self(table, d, nslattice._solves(table, d))
+
+
+def phi0_cross(table, name, section):
+    d = table.divisors[name]
+    return nslattice._phi0_cross(table, d, table.sections[section], nslattice._solves(table, d))
 
 
 # --- table construction and base pairings ---
@@ -155,6 +164,11 @@ def test_validation_errors():
     with pytest.raises(SchemaError):
         build_table(cfg, [DivisorProfile("O", 1, 0, {}, 5)])  # reserved name, wrong data
     build_table(cfg, [O_PROFILE, F_PROFILE])  # canonical aliases pass
+    # their section pairings are filled in, and may only repeat the canonical ones
+    build_table(cfg, [replace(O_PROFILE, d_dot_section={"s_o": 0})])
+    for bad in ({"s_o": 5}, {"nope": 0}):
+        with pytest.raises(SchemaError, match="differ from the canonical"):
+            build_table(cfg, [replace(F_PROFILE, d_dot_section=bad)])
 
 
 @pytest.mark.parametrize("chi, bound", [(1, "Euler"), (170, "exceeds 10 chi")])
@@ -186,11 +200,18 @@ def test_size_cap_checked_from_kinds(monkeypatch):
 
 def test_torsion_table_validation():
     cfg = four_line_surface()
-    # the bundled table is consistent, and its class tuples are kept
-    assert build_table(cfg).torsion_classes == tuple(
-        tuple(dual_class_of(fiber_data(kind), spec.components.get(fid, 0)) for fid, kind in cfg.fibers)
-        for spec in cfg.torsion_table
-    )
+
+    def classes(components):
+        return tuple(
+            dual_class_of(fiber_data(kind), components.get(fid, 0)) for fid, kind in cfg.fibers
+        )
+
+    # the bundled table is consistent, and each class tuple names its element
+
+    assert build_table(cfg).torsion == {
+        classes({}): (None, (0, 0)),
+        **{classes(spec.components): (spec.name, spec.coords) for spec in cfg.torsion_table},
+    }
     # swapping one component assignment breaks closure
     bad = SurfaceConfig(
         chi=cfg.chi,
@@ -300,11 +321,13 @@ def test_torsion_closure_matches_all_pairs_oracle(case, data):
 
 def test_torsion_profile_heights():
     cfg = four_line_surface()
-    t = build_table(cfg)
     for spec in cfg.torsion_table:
         prof = torsion_profile(cfg, spec)
         assert prof.s_dot_o == 0
-        assert height_pairing(t, prof, prof) == 0
+        # registered as the generator of a table of its own, its height is 0
+        t = build_table(replace(cfg, sections=(prof,)), [section_as_divisor(table_with(), prof)])
+        with pytest.raises(InconsistentDataError, match=f"generator {spec.name!r} has height 0"):
+            derive(t, spec.name, spec.name)
 
 
 # --- phi0 and friends ---
@@ -342,11 +365,11 @@ def test_phi0_orthogonal_to_trivial_lattice():
 
 
 def test_phi0_self_goldens():
-    assert phi0_self(table_with(variant="collinear"), "E+") == 0
-    assert phi0_self(table_with(variant="noncollinear"), "E+") == -2
-    assert phi0_self(table_with(F_PROFILE), "F") == 0
-    with pytest.raises(MissingIntersectionError):
-        phi0_self(table_with(DivisorProfile("D", 1, 0, {})), "D")
+    assert derive(table_with(variant="collinear"), "E+", "s_o").free.phi0_self == 0
+    assert derive(table_with(variant="noncollinear"), "E+", "s_o").free.phi0_self == -2
+    assert derive(table_with(F_PROFILE), "F", "s_o").free.phi0_self == 0
+    with pytest.raises(MissingIntersectionError, match="D\\^2 required"):
+        derive(table_with(DivisorProfile("D", 1, 0, {})), "D", "s_o")
 
 
 def test_phi0_self_matches_formal_expansion():
@@ -357,52 +380,69 @@ def test_phi0_self_matches_formal_expansion():
 
 
 def test_phi0_cross_goldens():
-    t = table_with(variant="noncollinear")
-    assert phi0_cross(t, "E+", "s_o") == -1
-    t2 = table_with(variant="collinear")
-    assert phi0_cross(t2, "E+", "s_o") == 0
+    # the linear route n = -phi0(D).phi0(s_o) / <P_o, P_o> fixes the sign
+    for variant, n in (("noncollinear", 2), ("collinear", 0)):
+        t = table_with(variant=variant)
+        assert phi0_cross(t, "E+", "s_o") == -n * derive(t, "E+", "s_o").free.height
+    # build_table fills in O.s_o = s_o.O and F.s_o = 1, so their signs are fixed too
+    for prof in (O_PROFILE, F_PROFILE):
+        t = table_with(prof)
+        assert t.divisors[prof.name].d_dot_section == {"s_o": 0 if prof is O_PROFILE else 1}
+        free = derive(t, prof.name, "s_o").free
+        assert (free.n, free.sign_determined) == (0, True)
     assert phi0_cross(table_with(F_PROFILE), "F", "s_o") == 0
     with pytest.raises(MissingIntersectionError):
         phi0_cross(table_with(DivisorProfile("D", 1, 0, {}, 0)), "D", "s_o")
 
 
 def test_phi0_cross_on_section_profile_gives_minus_height():
-    t = table_with()
-    prof = section_as_divisor(t, "s_o")
-    tt = table_with(prof)
-    assert phi0_cross(tt, "s_o", "s_o") == -height_pairing(t, "s_o", "s_o")
-    assert phi0_self(tt, "s_o") == -height_pairing(t, "s_o", "s_o")
+    tt = table_with(section_as_divisor(table_with(), "s_o"))
+    height = derive(tt, "s_o", "s_o").free.height
+    assert phi0_cross(tt, "s_o", "s_o") == -height
+    assert phi0_self(tt, "s_o") == -height
 
 
 # --- heights ---
 
 
 def test_height_goldens():
-    t = table_with()
-    assert height_pairing(t, "s_o", "s_o") == Fraction(1, 2)
-    o = zero_section_profile(1)
-    assert height_pairing(t, o, o) == 0
-    assert height_pairing(t, "s_o", o) == 0
-    assert height_pairing(t, o, "s_o") == 0
+    t = table_with(section_as_divisor(table_with(), "s_o"))
+    assert derive(t, "s_o", "s_o").free.height == Fraction(1, 2)
     # a section through identity components everywhere with s.O = 0 has height 2 chi
     s_id = SectionProfile("two_gen", 0, {})
-    assert height_pairing(t, s_id, s_id) == 2
+    cfg = replace(four_line_surface(), sections=(s_id,))
+    t_id = build_table(cfg, [section_as_divisor(build_table(cfg), "two_gen")])
+    assert derive(t_id, "two_gen", "two_gen").free.height == 2
+    # the height is the closed form 2 chi + 2 s.O + sum_v (A_v^{-1})_kk,
+    # with A_v^{-1} from the adjugate
+    local = sum(inverse_adjugate(t.fibers[fid].a.num)[k - 1][k - 1]
+                for fid, k in t.sections["s_o"].components.items() if k)
+    assert 2 + 2 * t.sections["s_o"].s_dot_o + local == Fraction(1, 2)
 
 
 def test_height_distinct_sections_need_data():
-    t = table_with()
-    with pytest.raises(MissingIntersectionError):
-        height_pairing(t, "s_o", SectionProfile("other", 0, {}))
+    # no field registers s.s' for distinct sections: the pairing is a gap
+    s_other = SectionProfile("other", 0, {})
+    cfg = four_line_surface()
+    t = build_table(replace(cfg, sections=cfg.sections + (s_other,)))
+    with pytest.raises(MissingIntersectionError, match="s_o.other"):
+        t.pair(section_sym("s_o"), section_sym("other"))
 
 
 # --- free coefficient ---
 
 
+def n_of(table, name, generator):
+    return derive(table, name, generator).free
+
+
 def test_n_of_goldens():
     res = n_of(table_with(variant="noncollinear"), "E+", "s_o")
     assert (res.n, res.n_squared, res.sign_determined) == (2, 4, True)
+    assert res.phi0_self == -2 and res.height == Fraction(1, 2)
     res0 = n_of(table_with(variant="collinear"), "E+", "s_o")
     assert (res0.n, res0.n_squared, res0.sign_determined) == (0, 0, True)
+    assert res0.phi0_self == 0
 
 
 def test_n_of_generator_multiples():
