@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
-from .dihedral import _TYPE_VARIANT, ArrangementType
+from .dihedral import ArrangementType
 from .errors import DegenerateArrangementError, InconsistentDataError, SchemaError
-from .fourlines import GENERATOR, eplus_profile, four_line_surface
+from .fourlines import GENERATOR, bundled_table
 from .mwgroup import MWPoint, abel_jacobi_image
-from .nslattice import build_table
 
 Rat = Union[int, Fraction, str]
 
@@ -314,9 +314,14 @@ def image_of(arr: Arrangement) -> MWPoint:
     """Abel-Jacobi image of E+ for this arrangement, via the full pipeline.
 
     The double cover branched along the four lines turns the cubic's
-    preimage into E+ + E-; the arrangement type picks E+'s profile, since
-    it decides (E+)^2 through E+.E- = 3 (collinear q's) or 5.
+    preimage into E+ + E-; the arrangement type, classified afresh on the
+    raw coordinates, picks E+'s bundled table, since it decides (E+)^2
+    through E+.E- = 3 (collinear q's) or 5.  The image depends on the type
+    alone, so it is derived once per type.
     """
-    profile = eplus_profile(_TYPE_VARIANT[classify_type(arr)])
-    table = build_table(four_line_surface(), [profile])
-    return abel_jacobi_image(table, "E+", GENERATOR)
+    return _eplus_image(classify_type(arr))
+
+
+@cache
+def _eplus_image(atype: ArrangementType) -> MWPoint:
+    return abel_jacobi_image(bundled_table(atype.variant), "E+", GENERATOR)

@@ -25,7 +25,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .arrangement import classify_type, collinear, generate_arrangement, image_of
+from .arrangement import classify_type, generate_arrangement, image_of
 from .configio import (
     BUNDLED,
     bundled_config,
@@ -34,7 +34,7 @@ from .configio import (
     parse_rational,
     render_number,
 )
-from .dihedral import RelationStatus, d2n_cover_exists, verify_ns_relation
+from .dihedral import ArrangementType, RelationStatus, d2n_cover_exists, verify_ns_relation
 from .errors import (
     DegenerateArrangementError,
     InconsistentDataError,
@@ -42,7 +42,7 @@ from .errors import (
     SchemaError,
 )
 from .exact import QMatrix
-from .fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface, ns_relation
+from .fourlines import GENERATOR, bundled_table, eplus_profile, four_line_surface, ns_relation
 from .kodaira import dual_class_of, fiber_data
 from .mwgroup import MWPoint, abel_jacobi_image, classes_str, derive
 from .nslattice import build_table
@@ -332,6 +332,7 @@ def cmd_arrangement(args) -> int:
         s2 = parse_rational(args.s2, "--s2")
         sign = _sign(args.sign) if args.sign is not None else 1
         arr = generate_arrangement(s1, s2, sign)
+    atype = classify_type(arr)
     point = image_of(arr)
     report = {
         "requested": {
@@ -341,8 +342,8 @@ def cmd_arrangement(args) -> int:
             "seed": seed,
         },
         "arrangement": arr.as_dict(),
-        "type": classify_type(arr).value,
-        "collinear_tangencies": collinear(*arr.q_points),
+        "type": atype.value,
+        "collinear_tangencies": atype is ArrangementType.TYPE_I,
         "image": _point_json(point),
     }
     fmt = lambda t: "oo" if t is None else str(t)
@@ -401,24 +402,21 @@ def _demo_component_group() -> str:
     return "component group (Z/2)^2 with e1 + e2 = e3"
 
 
-def _demo_bundled_image(name: str, expected: MWPoint, shown: str) -> str:
-    doc = bundled_config(name)
-    table = build_table(doc.surface, doc.divisors)
-    point = abel_jacobi_image(table, "E+", GENERATOR)
+def _demo_bundled_image(variant: str, name: str, expected: MWPoint, shown: str) -> str:
+    point = abel_jacobi_image(bundled_table(variant), "E+", GENERATOR)
     _require(point == expected and str(point) == shown,
              f"{name}: image of E+ is {point}, expected {shown}")
     return f"{name}: P_(E+) = {point}"
 
 
 def _demo_height() -> str:
-    table = build_table(four_line_surface(), [eplus_profile("collinear")])
-    h = derive(table, "E+", GENERATOR).free.height
+    h = derive(bundled_table("collinear"), "E+", GENERATOR).free.height
     _require(h == Fraction(1, 2), f"<P_o, P_o> = {h}, expected 1/2")
     return "<P_o, P_o> = 1/2"
 
 
 def _demo_ns_relation(variant: str) -> str:
-    table = build_table(four_line_surface(), [eplus_profile(variant), eminus_profile(variant)])
+    table = bundled_table(variant)
     lhs, rhs = ns_relation(variant)
     verdict = verify_ns_relation(table, lhs, rhs)
     _require(verdict.status is RelationStatus.HOLDS,
@@ -477,9 +475,9 @@ def cmd_demo(args) -> int:
         ("fiber catalog goldens", _demo_fiber_catalog),
         ("component group (Z/2)^2", _demo_component_group),
         ("bundled type2 image", lambda: _demo_bundled_image(
-            "fourlines_type2", MWPoint(2, (0, 0)), "2*P_o + 0")),
+            "noncollinear", "fourlines_type2", MWPoint(2, (0, 0)), "2*P_o + 0")),
         ("bundled type1 image", lambda: _demo_bundled_image(
-            "fourlines_type1", MWPoint(0, (0, 0)), "O")),
+            "collinear", "fourlines_type1", MWPoint(0, (0, 0)), "O")),
         ("generator height", _demo_height),
         ("class relation, collinear", lambda: _demo_ns_relation("collinear")),
         ("class relation, noncollinear", lambda: _demo_ns_relation("noncollinear")),

@@ -37,7 +37,8 @@ have more than MAX_DIGITS digits.  Unknown
 keys are rejected at every level: a typo fails loudly instead of being
 ignored.  Two documents ship with the package (data/fourlines_type1.json
 and data/fourlines_type2.json), carrying the bundled four-line surface
-with the collinear resp. non-collinear splitting-curve profiles.
+with the collinear resp. non-collinear splitting-curve profiles; they are
+the one source of that surface (see fourlines).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 from .errors import SchemaError
@@ -318,8 +320,10 @@ def load_config(path) -> ConfigDocument:
     return loads_config(text)
 
 
+@cache
 def bundled_config(name: str) -> ConfigDocument:
-    """One of the shipped documents, by stem name (see BUNDLED)."""
+    """One of the shipped documents, by stem name (see BUNDLED), parsed once
+    per process; callers share the result and must not mutate it."""
     if name not in BUNDLED:
         raise SchemaError(f"no bundled config {name!r}; available: {', '.join(BUNDLED)}")
     text = (resources.files(__package__) / "data" / f"{name}.json").read_text("utf-8")

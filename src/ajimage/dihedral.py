@@ -6,10 +6,11 @@ returning an explicit witness.  `d2n_cover_exists` decides whether a
 dihedral cover of order 2n branched along a four-line-plus-cubic
 arrangement exists with one rule for every type and every n: exactly when
 P_{E+} - P_{E-} is n-divisible in Z x (Z/2)^2.  Both points are computed by
-`abel_jacobi_image` on the type's bundled surface (collinear shape for
-Type I, non-collinear for Type II), once per type on first use, and every
-reason in the verdict is rendered from them.  For odd n this is the same as
-n-divisibility of P_{E+} alone, since 2 is invertible on the odd part.
+`abel_jacobi_image` on the type's bundled table (`fourlines.bundled_table`
+of `ArrangementType.variant`: collinear shape for Type I, non-collinear for
+Type II), once per type on first use, and every reason in the verdict is
+rendered from them.  For odd n this is the same as n-divisibility of
+P_{E+} alone, since 2 is invertible on the odd part.
 
 `verify_ns_relation` is the supporting check that two formal divisor
 classes really are equal in the Neron-Severi group: it compares their
@@ -27,10 +28,10 @@ from functools import cache
 from math import gcd
 
 from .errors import SchemaError
-from .fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface
+from .fourlines import GENERATOR, bundled_table
 from .kodaira import AbelianGroup
 from .mwgroup import MWPoint, abel_jacobi_image
-from .nslattice import FormalClass, IntersectionTable, _sym_str, build_table
+from .nslattice import FormalClass, IntersectionTable, _sym_str
 
 
 class ArrangementType(Enum):
@@ -54,9 +55,10 @@ class ArrangementType(Enum):
     def __str__(self):
         return f"Type {self.value}"
 
-
-# the bundled splitting shape (fourlines.VARIANTS) of each arrangement type
-_TYPE_VARIANT = {ArrangementType.TYPE_I: "collinear", ArrangementType.TYPE_II: "noncollinear"}
+    @property
+    def variant(self) -> str:
+        """The splitting shape (fourlines.VARIANTS) of the type's bundled surface."""
+        return "collinear" if self is ArrangementType.TYPE_I else "noncollinear"
 
 
 @dataclass(frozen=True)
@@ -109,14 +111,13 @@ def _cover_points(atype: ArrangementType) -> tuple[MWPoint, str, str, AbelianGro
     """P_{E+} - P_{E-} on the type's bundled surface, its rendering, the
     first reason of every verdict (it does not depend on n), and the
     surface's torsion group."""
-    variant = _TYPE_VARIANT[atype]
-    table = build_table(four_line_surface(), [eplus_profile(variant), eminus_profile(variant)])
+    table = bundled_table(atype.variant)
     plus, minus = (abel_jacobi_image(table, name, GENERATOR) for name in ("E+", "E-"))
     group = table.cfg.torsion_group
     torsion = group.add(plus.torsion, group.neg(minus.torsion))
     diff = MWPoint(plus.free_coeff - minus.free_coeff, torsion)
     points = (
-        f"on the bundled {variant} surface P_{{E+}} = {plus} and P_{{E-}} = {minus},"
+        f"on the bundled {atype.variant} surface P_{{E+}} = {plus} and P_{{E-}} = {minus},"
         f" so P_{{E+}} - P_{{E-}} = {diff}"
     )
     return diff, str(diff), points, group
@@ -159,16 +160,16 @@ class RelationVerdict:
         return self.status is RelationStatus.HOLDS
 
 
-def verify_ns_relation(table: IntersectionTable, lhs: FormalClass, rhs: FormalClass,
-                       ns_rank: int | None = None) -> RelationVerdict:
+def verify_ns_relation(table: IntersectionTable, lhs: FormalClass,
+                       rhs: FormalClass) -> RelationVerdict:
     """Are two formal classes equal in the Neron-Severi group?
 
     Any disagreement of pairings (against a generator, or of the two
     self-intersections) disproves the relation outright.  Full agreement
-    proves it only if the table generators span the declared Neron-Severi
-    rank (default: the Shioda-Tate rank `SurfaceConfig.ns_rank`); otherwise the difference
-    could hide in the unseen part of the lattice and the verdict is
-    "inconclusive", never a silent pass.
+    proves it only if the table generators span the Shioda-Tate rank
+    `SurfaceConfig.ns_rank`; otherwise the difference could hide in the
+    unseen part of the lattice and the verdict is "inconclusive", never a
+    silent pass.
     """
     if lhs == rhs:
         return RelationVerdict(RelationStatus.HOLDS, "sides are syntactically identical")
@@ -186,9 +187,7 @@ def verify_ns_relation(table: IntersectionTable, lhs: FormalClass, rhs: FormalCl
         return RelationVerdict(
             RelationStatus.FAILS, "intersection profiles disagree", tuple(mismatches)
         )
-    if ns_rank is None:
-        ns_rank = table.cfg.ns_rank
-    rank = table.generator_rank
+    ns_rank, rank = table.cfg.ns_rank, table.generator_rank
     if rank < ns_rank:
         return RelationVerdict(
             RelationStatus.INCONCLUSIVE,

@@ -2,7 +2,12 @@
 nodal-cubic double cover with four branch lines (three of them tangent to
 the cubic, one transversal).
 
-Numerical facts shipped here:
+The one source of its numbers is the pair of shipped documents
+data/fourlines_type1.json (collinear splitting shape) and
+data/fourlines_type2.json (non-collinear); both carry the same surface.
+`four_line_surface`, `eplus_profile` and `eminus_profile` return objects
+of the parsed documents, which `configio.bundled_config` parses once per
+process; no caller mutates them.  What the documents say:
 
 * chi = 1, reducible fibers I0* (over the transversal line's direction,
   id "inf") + three I2 (ids "1", "2", "3"), Euler numbers 6 + 3*2 = 12.
@@ -11,154 +16,120 @@ Numerical facts shipped here:
   (Z/2)^2 realized by three height-zero sections t1, t2, t3.
 * The preimage of the cubic splits into two components E+ and E- with
   degree 3 over the base, meeting the I0* fiber in its three outer simple
-  components once each, disjoint from O and from the I2 fibers' non-identity
-  components.  Two shapes occur: the "collinear" one ((E+)^2 = 3, E+.E- = 3,
-  E+ ~ E-) and the "non-collinear" one ((E+)^2 = 1, E+.E- = 5).
-* Two Neron-Severi relations tying E+/E- to the generator, one per shape.
+  components once each (c(inf) = (1, 1, 1, 0)), disjoint from O and from
+  the I2 fibers' non-identity components.
 
-Everything else the library computes from these profiles.
+Where the splitting numbers come from.  The degree-9 budget on the nodal
+model gives (E+)^2 = 6 - E+.E-, and E+.E- is 3 when the tangency points
+are collinear, 5 when they are not: (E+)^2 = 3 resp. 1.  Since
+A_inf^{-1} c(inf) = (-2, -2, -2, -3), the quadratic route reads
+n^2 = 2 (3 - (E+)^2) = 0 resp. 4, and the linear route n = 2 (1 - E+.s_o),
+so E+.s_o = 1 resp. 0 fixes n = 0 resp. 2.  E- is the involution image of
+E+: the involution fixes O, F and all fiber components, so degree, D.O, D^2
+and the c-vectors match, and <P_{E-}, P_o> = -<P_{E+}, P_o> gives n = 0
+resp. -2, so E-.s_o = 1 resp. 2.
+
+`bundled_table` builds each shape's table once per process; the cover
+decisions, the arrangement images and the demo all read it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cache
+from typing import Mapping
 
+from .configio import ConfigDocument, bundled_config
 from .errors import SchemaError
-from .kodaira import AbelianGroup, FiberKind
+from .mwgroup import abel_jacobi_image
 from .nslattice import (
-    DivisorProfile,
-    FormalClass,
-    SectionProfile,
-    SurfaceConfig,
     SYM_F,
     SYM_O,
-    TorsionSectionSpec,
+    DivisorProfile,
+    FormalClass,
+    IntersectionTable,
+    SurfaceConfig,
+    build_table,
+    divisor_sym,
     section_sym,
     theta,
 )
 
-FIBER_IDS = ("inf", "1", "2", "3")
-
 GENERATOR = "s_o"
 
-VARIANTS = ("collinear", "noncollinear")
+# the shipped document of each splitting shape
+_DOCUMENTS = {"collinear": "fourlines_type1", "noncollinear": "fourlines_type2"}
+
+VARIANTS = tuple(_DOCUMENTS)
+
+
+def _document(variant: str) -> ConfigDocument:
+    if variant not in _DOCUMENTS:
+        raise SchemaError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return bundled_config(_DOCUMENTS[variant])
+
+
+def _divisor(variant: str, name: str) -> DivisorProfile:
+    return next(d for d in _document(variant).divisors if d.name == name)
 
 
 def four_line_surface() -> SurfaceConfig:
     """Surface configuration with the generator section and torsion table."""
-    return SurfaceConfig(
-        chi=1,
-        fibers=(
-            ("inf", FiberKind.parse("I0*")),
-            ("1", FiberKind.parse("I2")),
-            ("2", FiberKind.parse("I2")),
-            ("3", FiberKind.parse("I2")),
-        ),
-        sections=(SectionProfile(GENERATOR, 0, {"inf": 1, "1": 1, "2": 0, "3": 0}),),
-        mw_free_rank=1,
-        torsion_group=AbelianGroup((2, 2)),
-        torsion_table=(
-            TorsionSectionSpec("t1", {"inf": 1, "1": 0, "2": 1, "3": 1}, (1, 0)),
-            TorsionSectionSpec("t2", {"inf": 2, "1": 1, "2": 0, "3": 1}, (0, 1)),
-            TorsionSectionSpec("t3", {"inf": 3, "1": 1, "2": 1, "3": 0}, (1, 1)),
-        ),
-    )
+    return _document(VARIANTS[0]).surface
 
 
-def _variant_numbers(variant: str) -> tuple[int, int, int]:
-    """(E+)^2, E+.E-, E+.s_o for a splitting shape.
-
-    degree-9 budget: (E+)^2 = 6 - E+.E- on the nodal model.  E+.s_o follows
-    from the free coefficient (0 resp. 2) through the linear formula.
-    """
-    if variant == "collinear":
-        return 3, 3, 1
-    if variant == "noncollinear":
-        return 1, 5, 0
-    raise SchemaError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
-def eplus_profile(variant: str, include_sections: bool = True) -> DivisorProfile:
+def eplus_profile(variant: str) -> DivisorProfile:
     """Profile of the cubic-preimage component E+ for a splitting shape."""
-    sq, cross, dot_gen = _variant_numbers(variant)
-    return DivisorProfile(
-        name="E+",
-        d=3,
-        d_dot_o=0,
-        c={"inf": (1, 1, 1, 0), "1": (0,), "2": (0,), "3": (0,)},
-        d_squared=sq,
-        d_dot_section={GENERATOR: dot_gen} if include_sections else {},
-        d_dot_divisor={"E-": cross},
-    )
+    return _divisor(variant, "E+")
 
 
 def eminus_profile(variant: str) -> DivisorProfile:
-    """Profile of E-, the involution image of E+.
-
-    The involution fixes O, F and all fiber components, so degree, D.O and
-    the c-vectors match E+; the pairing with s_o flips to the value forced
-    by <P_{E-}, P_o> = -<P_{E+}, P_o>.
-    """
-    sq, cross, dot_gen = _variant_numbers(variant)
-    # <P_{E-}, P_o> = -n/2 forces E-.s_o = 1 (collinear) resp. 2
-    dot_gen_minus = {1: 1, 0: 2}[dot_gen]
-    return DivisorProfile(
-        name="E-",
-        d=3,
-        d_dot_o=0,
-        c={"inf": (1, 1, 1, 0), "1": (0,), "2": (0,), "3": (0,)},
-        d_squared=sq,
-        d_dot_section={GENERATOR: dot_gen_minus},
-        d_dot_divisor={"E+": cross},
-    )
+    """Profile of E-, the involution image of E+."""
+    return _divisor(variant, "E-")
 
 
+@cache
+def bundled_table(variant: str) -> IntersectionTable:
+    """The table of a splitting shape's document, E+ and E- registered."""
+    doc = _document(variant)
+    return build_table(doc.surface, doc.divisors)
+
+
+def _trivial_part(table: IntersectionTable, d: int, d_dot_o: int,
+                  c: Mapping[str, tuple[int, ...]]) -> FormalClass:
+    """d O + (d chi + D.O) F + sum_v sum_i (A_v^{-1} c(v, D))_i Theta_{v,i}:
+    the class in the trivial lattice that pairs with O, F and every Theta
+    like D does."""
+    coeffs = {SYM_O: d, SYM_F: d * table.cfg.chi + d_dot_o}
+    for fid, vec in c.items():
+        for i, x in enumerate(table.fibers[fid].a_inv * vec, 1):
+            coeffs[theta(fid, i)] = x
+    return FormalClass(coeffs)
+
+
+@cache
 def ns_relation(variant: str) -> tuple[FormalClass, FormalClass]:
-    """The shipped Neron-Severi relation (lhs, rhs) for a splitting shape.
+    """The Neron-Severi relation (lhs, rhs) of E+ on a splitting shape.
 
-    collinear:
+    E+ ~ T(E+) + n phi0(s_o), with T the trivial-lattice part above,
+    phi0(s_o) = s_o - T(s_o) and n the free coefficient of P_{E+}: phi0
+    kills torsion, so phi0(E+) = n phi0(s_o).  On the shipped documents:
+
+    collinear (n = 0):
         E+  ~  3 O + 3 F - 2 Theta_inf_1 - 2 Theta_inf_2 - 2 Theta_inf_3
                - 3 Theta_inf_4
-    noncollinear:
-        E+ + 2 (Theta_inf_2 + Theta_inf_3 + Theta_1_1) - E-
-            ~  4 (s_o - O - F + Theta_inf_1 + Theta_inf_2 + Theta_inf_3
-                  + Theta_inf_4 + Theta_1_1)
+    noncollinear (n = 2):
+        E+  ~  2 s_o + O + F - Theta_inf_2 - Theta_inf_3 - Theta_inf_4
+               + Theta_1_1
     """
-    from .nslattice import divisor_sym
-
-    eplus = FormalClass.of(divisor_sym("E+"))
-    if variant == "collinear":
-        rhs = FormalClass(
-            {
-                SYM_O: Fraction(3),
-                SYM_F: Fraction(3),
-                theta("inf", 1): Fraction(-2),
-                theta("inf", 2): Fraction(-2),
-                theta("inf", 3): Fraction(-2),
-                theta("inf", 4): Fraction(-3),
-            }
-        )
-        return eplus, rhs
-    if variant == "noncollinear":
-        eminus = FormalClass.of(divisor_sym("E-"))
-        lhs = (
-            eplus
-            + 2 * FormalClass.of(theta("inf", 2))
-            + 2 * FormalClass.of(theta("inf", 3))
-            + 2 * FormalClass.of(theta("1", 1))
-            - eminus
-        )
-        rhs = 4 * FormalClass(
-            {
-                section_sym(GENERATOR): Fraction(1),
-                SYM_O: Fraction(-1),
-                SYM_F: Fraction(-1),
-                theta("inf", 1): Fraction(1),
-                theta("inf", 2): Fraction(1),
-                theta("inf", 3): Fraction(1),
-                theta("inf", 4): Fraction(1),
-                theta("1", 1): Fraction(1),
-            }
-        )
-        return lhs, rhs
-    raise SchemaError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    table = bundled_table(variant)
+    eplus, gen = table.divisors["E+"], table.sections[GENERATOR]
+    units = {
+        fid: tuple(int(i == k) for i in range(1, table.fibers[fid].m))
+        for fid, k in gen.components.items() if k
+    }
+    phi0_gen = FormalClass.of(section_sym(GENERATOR)) - _trivial_part(
+        table, 1, gen.s_dot_o, units
+    )
+    n = abel_jacobi_image(table, "E+", GENERATOR).free_coeff
+    rhs = _trivial_part(table, eplus.d, eplus.d_dot_o, eplus.c) + n * phi0_gen
+    return FormalClass.of(divisor_sym("E+")), rhs

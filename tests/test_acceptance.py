@@ -213,3 +213,44 @@ def test_impossible_self_intersection_is_rejected():
         derive(table, "E+", GENERATOR)
     with pytest.raises(InconsistentDataError, match="not a perfect square"):
         abel_jacobi_image(table, "E+", GENERATOR)
+
+
+def test_bundled_tables_built_once_per_shape(monkeypatch, capsys):
+    # every cover decision, arrangement image and demo check reads one table
+    # per splitting shape; the demo guardrail's broken profile is the only
+    # other table on the bundled surface
+    from ajimage import arrangement, cli, dihedral, fourlines
+
+    caches = (fourlines.bundled_table, fourlines.ns_relation, dihedral._cover_points,
+              arrangement._eplus_image)
+    built = []
+
+    class CountingTable(nslattice.IntersectionTable):
+        def __init__(self, cfg, fibers, sections, divisors, torsion):
+            if cfg == four_line_surface():
+                built.append(tuple((d.name, d.d_squared) for d in divisors.values()))
+            super().__init__(cfg, fibers, sections, divisors, torsion)
+
+    monkeypatch.setattr(nslattice, "IntersectionTable", CountingTable)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        rng = random.Random(17)
+        for sign in (1, -1) * 20:
+            while True:
+                s1, s2 = (Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in "12")
+                try:
+                    arr = generate_arrangement(s1, s2, sign)
+                    break
+                except DegenerateArrangementError:
+                    continue
+            assert image_of(arr) == MWPoint(0 if sign == 1 else 2, (0, 0))
+        for atype in ("I", "II"):
+            for n in range(3, 51):
+                d2n_cover_exists(atype, n)
+        assert cli.main(["demo"]) == 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    capsys.readouterr()
+    assert sorted(built) == [(("E+", 1), ("E-", 1)), (("E+", 2),), (("E+", 3), ("E-", 3))]

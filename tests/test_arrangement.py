@@ -215,14 +215,17 @@ def test_generated_pipeline_seeded():
 
 
 def test_divisor_profile_for(monkeypatch):
-    # image_of registers the E+ profile of the arrangement's type
-    profiles = []
-    build = arrangement.build_table
-    monkeypatch.setattr(arrangement, "build_table",
-                        lambda cfg, divisors: profiles.extend(divisors) or build(cfg, divisors))
-    image_of(generate_arrangement(2, 3, +1))
-    image_of(generate_arrangement(2, 3, -1))
-    assert [(p.name, p.d_squared) for p in profiles] == [("E+", 3), ("E+", 1)]
+    # image_of reads the bundled table of the arrangement's splitting shape,
+    # once per type
+    variants = []
+    table = arrangement.bundled_table
+    monkeypatch.setattr(arrangement, "bundled_table", lambda v: variants.append(v) or table(v))
+    arrangement._eplus_image.cache_clear()
+    plus, minus = generate_arrangement(2, 3, +1), generate_arrangement(2, 3, -1)
+    assert [image_of(arr) for arr in (plus, minus, plus, minus)] == [
+        MWPoint(0, (0, 0)), MWPoint(2, (0, 0))] * 2
+    assert variants == ["collinear", "noncollinear"]
+    assert [table(v).divisors["E+"].d_squared for v in variants] == [3, 1]
 
 
 def test_classify_detects_tampered_tag():

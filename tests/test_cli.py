@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ajimage import cli
+from ajimage import cli, fourlines
 from ajimage.configio import MAX_DIGITS, bundled_config, dumps_config, loads_config
 from ajimage.exact import QMatrix
 
@@ -361,9 +361,18 @@ def test_demo_json(capsys):
 
 
 def test_demo_flags_corrupted_bundle(capsys, monkeypatch):
-    # every bundle lookup yields the type1 data, so the type2 golden must fail
-    monkeypatch.setattr(cli, "bundled_config", lambda name: bundled_config("fourlines_type1"))
-    code, out, _ = run(capsys, "demo")
+    # every bundled table the demo and the relations read yields the type1
+    # data, so the type2 golden must fail.  The noncollinear relation is
+    # then derived on the same data and holds; the cover decisions and the
+    # arrangement images read the tables through their own modules.
+    type1 = fourlines.bundled_table("collinear")
+    for module in (cli, fourlines):
+        monkeypatch.setattr(module, "bundled_table", lambda variant: type1)
+    fourlines.ns_relation.cache_clear()
+    try:
+        code, out, _ = run(capsys, "demo")
+    finally:
+        fourlines.ns_relation.cache_clear()
     assert code == 1
     assert "9/11 checks passed" not in out  # exactly one failure below
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]

@@ -2,9 +2,11 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ajimage import configio
 from ajimage.configio import (
     BUNDLED,
     MAX_DIGITS,
@@ -26,11 +28,31 @@ from ajimage.mwgroup import MWPoint, abel_jacobi_image
 from ajimage.nslattice import DivisorProfile, SectionProfile, SurfaceConfig, build_table
 
 
-def test_bundled_match_constructors():
-    for name, variant in (("fourlines_type1", "collinear"), ("fourlines_type2", "noncollinear")):
-        doc = bundled_config(name)
-        assert doc.surface == four_line_surface()
-        assert doc.divisors == (eplus_profile(variant), eminus_profile(variant))
+DATA = Path(configio.__file__).parent / "data"
+
+
+def test_bundled_documents_are_canonical_dumps():
+    assert sorted(p.stem for p in DATA.glob("*.json")) == sorted(BUNDLED)
+    for name in BUNDLED:
+        assert (DATA / f"{name}.json").read_bytes() == dumps_config(bundled_config(name)).encode()
+
+
+def test_bundled_documents_share_one_surface():
+    type1, type2 = (bundled_config(name) for name in BUNDLED)
+    assert type1.surface == type2.surface == four_line_surface()
+    assert bundled_config("fourlines_type1") is type1  # parsed once per process
+
+
+def test_bundled_splitting_numbers():
+    # the fourlines docstring's numbers, read off the shipped profiles:
+    # (E+)^2, E+.E-, E+.s_o, E-.s_o for the collinear resp. non-collinear shape
+    for variant, numbers in (("collinear", (3, 3, 1, 1)), ("noncollinear", (1, 5, 0, 2))):
+        plus, minus = eplus_profile(variant), eminus_profile(variant)
+        assert (plus.d_squared, plus.d_dot_divisor["E-"], plus.d_dot_section["s_o"],
+                minus.d_dot_section["s_o"]) == numbers
+        assert minus.d_squared == plus.d_squared and minus.d_dot_divisor == {"E+": numbers[1]}
+        assert (minus.d, minus.d_dot_o, minus.c) == (plus.d, plus.d_dot_o, plus.c)
+        assert plus.c["inf"] == (1, 1, 1, 0) and (plus.d, plus.d_dot_o) == (3, 0)
 
 
 def test_bundled_round_trip():

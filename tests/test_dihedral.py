@@ -159,6 +159,24 @@ def test_ns_relations_hold():
         assert verdict.status is RelationStatus.HOLDS and verdict
 
 
+def test_ns_relation_goldens():
+    # the shipped relations, written out: E+ ~ T(E+) + n phi0(s_o)
+    o, f, s_o = nslattice.SYM_O, SYM_F, nslattice.section_sym("s_o")
+    inf = [theta("inf", i) for i in range(5)]
+    t11 = theta("1", 1)
+    eplus = FormalClass.of(nslattice.divisor_sym("E+"))
+    assert ns_relation("collinear") == (
+        eplus, FormalClass({o: 3, f: 3, inf[1]: -2, inf[2]: -2, inf[3]: -2, inf[4]: -3}))
+    assert ns_relation("noncollinear") == (
+        eplus, FormalClass({s_o: 2, o: 1, f: 1, inf[2]: -1, inf[3]: -1, inf[4]: -1, t11: 1}))
+    # the paper's form of the noncollinear relation, tying E+ to E-
+    lhs = (eplus - FormalClass.of(nslattice.divisor_sym("E-"))
+           + FormalClass({inf[2]: 2, inf[3]: 2, t11: 2}))
+    rhs = 4 * FormalClass({s_o: 1, o: -1, f: -1, inf[1]: 1, inf[2]: 1, inf[3]: 1, inf[4]: 1,
+                           t11: 1})
+    assert verify_ns_relation(relation_table("noncollinear"), lhs, rhs)
+
+
 def test_type1_relation_squares():
     t = relation_table("collinear")
     lhs, rhs = ns_relation("collinear")
@@ -178,7 +196,7 @@ def test_relation_fails_on_perturbation():
 
 def test_relation_inconclusive_without_generator():
     cfg = replace(four_line_surface(), sections=())
-    t = build_table(cfg, [eplus_profile("collinear", include_sections=False)])
+    t = build_table(cfg, [replace(eplus_profile("collinear"), d_dot_section={})])
     lhs, rhs = ns_relation("collinear")
     verdict = verify_ns_relation(t, lhs, rhs)
     assert verdict.status is RelationStatus.INCONCLUSIVE
@@ -230,13 +248,6 @@ def test_relation_on_two_sections_needs_their_pairing():
     fiber = FormalClass.of(theta("1", 0)) + FormalClass.of(theta("1", 1))
     with pytest.raises(MissingIntersectionError, match="s_o.s2"):
         verify_ns_relation(t, FormalClass.of(SYM_F), fiber)
-
-
-def test_relation_respects_declared_rank_override():
-    t = relation_table("collinear")
-    lhs, rhs = ns_relation("collinear")
-    # demanding more rank than the generators can give is inconclusive
-    assert verify_ns_relation(t, lhs, rhs, ns_rank=11).status is RelationStatus.INCONCLUSIVE
 
 
 def test_mw_scale():

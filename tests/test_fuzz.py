@@ -102,3 +102,78 @@ def test_any_mutated_config_exits_0_1_or_2(mutations):
         config.write_text(json.dumps(doc), encoding="utf-8")
         code, err = run_main(["image", "--config", str(config)])
     assert code in (0, 1, 2) and "Traceback" not in err, (mutations, err[-300:])
+
+
+# Schema-shaped documents drawn from scratch.  The kinds are mostly small
+# reducible ones (with the width of their c-vectors), sometimes irreducible
+# or past the size cap; sections, torsion tables and divisors refer to the
+# drawn fibers, so many documents reach the mathematics.  Then up to two
+# edits drop a key, add an unknown one or plant an odd value.
+WIDTHS = {"I2": 1, "I3": 2, "I4": 3, "III": 1, "IV": 2, "I0*": 4, "I1*": 5, "IV*": 6,
+          "III*": 7, "II*": 8}
+KINDS = sorted(WIDTHS) * 3 + ["I0", "II", "I300", "I260*"]
+
+
+@st.composite
+def documents(draw):
+    small = st.integers(-1, 3)
+    ids = ["inf", "1", "2", "3"][: draw(st.integers(0, 4))]
+    kinds = [draw(st.sampled_from(KINDS)) for _ in ids]
+
+    def components():
+        return {fid: draw(st.integers(0, 1)) for fid in ids if draw(st.booleans())}
+
+    surface = {
+        "chi": draw(st.sampled_from([1, 1, 2, 0, 26])),
+        "fibers": [{"id": fid, "kind": kind} for fid, kind in zip(ids, kinds)],
+        "mw_free_rank": draw(st.integers(0, 2)),
+        "sections": [{"name": "s_o", "s_dot_O": draw(small), "components": components()}],
+    }
+    if draw(st.booleans()):
+        group = draw(st.lists(st.sampled_from([2, 2, 3, 4, 1]), max_size=2))
+        surface["torsion_group"] = group
+        surface["torsion_table"] = [
+            {"name": f"t{j}", "components": components(),
+             "coords": draw(st.lists(st.integers(0, 3), min_size=len(group), max_size=len(group)))}
+            for j in range(draw(st.integers(0, 3)))
+        ]
+    divisors = []
+    for name in draw(st.lists(st.sampled_from(["E+", "E-", "O"]), max_size=2, unique=True)):
+        width = dict(zip(ids, (WIDTHS.get(kind, 1) for kind in kinds)))
+        divisor = {"name": name, "d": draw(small), "D_dot_O": draw(small),
+                   "c": {fid: draw(st.lists(small, min_size=width[fid], max_size=width[fid]))
+                         for fid in ids if draw(st.booleans())}}
+        if draw(st.booleans()):
+            divisor["D_squared"] = draw(st.integers(-4, 4))
+        if draw(st.booleans()):
+            divisor["D_dot_section"] = {"s_o": draw(small)}
+        divisors.append(divisor)
+    return {"schema_version": 1, "surface": surface, "divisors": divisors}
+
+
+EDITS = st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["drop", "extra", "odd"]),
+                           st.sampled_from(["1/2", "2/0", "1e9", True, 1.5, None, [], {}, -7])),
+                 max_size=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents(), EDITS, st.sampled_from(["E+", "E-"]), st.booleans())
+def test_any_drawn_config_exits_0_1_or_2(doc, edits, divisor, as_json):
+    for where, action, value in edits:
+        paths = list(document_paths(doc))
+        path = paths[where % len(paths)]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "extra" and isinstance(parent, dict):
+            parent["extra"] = value
+        elif action == "drop" and path and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif action == "odd" and path:
+            parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "drawn.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = run_main(["image", "--config", str(config), "--divisor", divisor]
+                             + ["--json"] * as_json)
+    assert code in (0, 1, 2) and "Traceback" not in err, (doc, err[-300:])

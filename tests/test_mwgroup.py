@@ -116,7 +116,7 @@ def test_resolve_torsion_goldens():
     assert is_zero(der.torsion_residual)
     assert der.point.torsion == (0, 0) and der.point.torsion_name is None
     # without D.s_o, derive resolves torsion at n = 2 and at n = -2 and they agree
-    t = table_with(eplus_profile("noncollinear", include_sections=False))
+    t = table_with(replace(eplus_profile("noncollinear"), d_dot_section={}))
     assert derive(t, "E+", "s_o").point == MWPoint(2, (0, 0))
     der_o = derive(table_with(O_PROFILE), "O", "s_o")
     assert is_zero(der_o.torsion_residual) and der_o.point.torsion_is_zero()
@@ -214,7 +214,7 @@ def test_image_ignores_trivial_lattice_noise(k, noise):
 
 def test_abel_jacobi_sign_undetermined_ok():
     # without D.s_o the sign is open, but exponent-2 torsion makes both agree
-    t = table_with(eplus_profile("noncollinear", include_sections=False))
+    t = table_with(replace(eplus_profile("noncollinear"), d_dot_section={}))
     img = abel_jacobi_image(t, "E+", "s_o")
     assert img.free_coeff == 2 and img.torsion_is_zero()
 
@@ -340,16 +340,21 @@ def test_mwpoint_str():
 
 
 def test_build_and_derive_read_no_qmatrix_entry(monkeypatch):
-    # A^{-1} entries are read as integer numerators; QMatrix.__getitem__
-    # builds a Fraction on every read
+    # A^{-1} entries are read as integer numerators; QMatrix.__getitem__ and
+    # QMatrix.rows build a Fraction on every read
     reads = []
-    getitem = QMatrix.__getitem__
+    getitem, rows = QMatrix.__getitem__, QMatrix.rows
 
-    def counting(self, ij):
+    def counting_getitem(self, ij):
         reads.append(ij)
         return getitem(self, ij)
 
-    monkeypatch.setattr(QMatrix, "__getitem__", counting)
+    def counting_rows(self):
+        reads.append("rows")
+        return rows.fget(self)
+
+    monkeypatch.setattr(QMatrix, "__getitem__", counting_getitem)
+    monkeypatch.setattr(QMatrix, "rows", property(counting_rows))
     for name in ("fourlines_type1", "fourlines_type2"):
         doc = bundled_config(name)
         table = build_table(doc.surface, doc.divisors)

@@ -461,7 +461,7 @@ def test_n_of_generator_multiples():
 
 
 def test_n_of_sign_undetermined():
-    t = table_with(eplus_profile("noncollinear", include_sections=False))
+    t = table_with(replace(eplus_profile("noncollinear"), d_dot_section={}))
     res = n_of(t, "E+", "s_o")
     assert (res.n, res.sign_determined) == (2, False)
 
