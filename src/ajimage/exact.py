@@ -28,6 +28,19 @@ def _numerators(values) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in fracs], den
 
 
+def _cell(x: int, den: int) -> "int | str":
+    g = gcd(x, den)
+    return x // g if g == den else f"{x // g}/{den // g}"
+
+
+def matrix_lines(cells) -> list[str]:
+    """Text rows of a matrix's printed entries (``QMatrix.cells``): each
+    right-aligned to the widest, two spaces apart, in brackets."""
+    strs = [[str(c) for c in row] for row in cells]
+    width = max((len(c) for row in strs for c in row), default=1)
+    return ["[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in strs]
+
+
 class QMatrix:
     """Immutable rational matrix: integer rows ``num`` over one positive
     denominator ``den``, in lowest terms.
@@ -81,13 +94,18 @@ class QMatrix:
         den = self.den * scale
         return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
 
+    def cells(self) -> list[list["int | str"]]:
+        """Entries as they are printed: an int when integral, else "p/q" in
+        lowest terms.  One gcd per entry, read off the numerators; the JSON
+        and text renderings both come from here."""
+        den = self.den
+        return [[_cell(x, den) for x in row] for row in self.num]
+
     def __repr__(self):
-        return f"QMatrix({[[str(x) for x in row] for row in self.rows]})"
+        return f"QMatrix({[[str(c) for c in row] for row in self.cells()]})"
 
     def __str__(self):
-        cells = [[str(x) for x in row] for row in self.rows]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
+        return "\n".join(matrix_lines(self.cells()))
 
 
 class SmithForm:

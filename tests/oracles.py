@@ -8,7 +8,8 @@ Mordell-Weil scaling below check the library's closed forms and
 divisibility witnesses without sharing their formulas, and the
 symbol-by-symbol pairing checks the intersection table's Gram matrix.
 The torsion closure check adds every pair of elements, where the library
-adds only the generators.  The section, torsion and class profiles at the
+adds only the generators, and the matrix layout prints a matrix's Fraction
+entries, where the library reads its integer numerators.  The section, torsion and class profiles at the
 end build test inputs that no library path needs.
 """
 
@@ -81,6 +82,14 @@ def mat_vec(rows, vec):
 
 def solve_via_adjugate(rows, b):
     return mat_vec(inverse_adjugate(rows), b)
+
+
+def matrix_layout(rows):
+    """Text lines of a rational matrix, from its entries as Fractions: each
+    entry right-aligned to the widest, two spaces apart, in brackets."""
+    cells = [[str(Fraction(x)) for x in row] for row in rows]
+    width = max(len(c) for row in cells for c in row)
+    return ["[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells]
 
 
 def coset_orders(gram):

@@ -216,9 +216,9 @@ def test_impossible_self_intersection_is_rejected():
 
 
 def test_bundled_tables_built_once_per_shape(monkeypatch, capsys):
-    # every cover decision, arrangement image and demo check reads one table
-    # per splitting shape; the demo guardrail's broken profile is the only
-    # other table on the bundled surface
+    # every cover decision, arrangement image, demo check and bundled image
+    # request reads one table per splitting shape; the demo guardrail's
+    # broken profile is the only other table on the bundled surface
     from ajimage import arrangement, cli, dihedral, fourlines
 
     caches = (fourlines.bundled_table, fourlines.ns_relation, dihedral._cover_points,
@@ -249,6 +249,9 @@ def test_bundled_tables_built_once_per_shape(monkeypatch, capsys):
             for n in range(3, 51):
                 d2n_cover_exists(atype, n)
         assert cli.main(["demo"]) == 0
+        for bundle in ("type1", "type2"):
+            for divisor in ("E+", "E-"):
+                assert cli.main(["image", "--bundled", bundle, "--divisor", divisor]) == 0
     finally:
         for cache in caches:
             cache.cache_clear()

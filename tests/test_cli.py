@@ -5,19 +5,24 @@ and printed text are tested exactly as a shell user would see them; one
 subprocess test exercises the ``python -m ajimage`` entry point for real.
 """
 
+import argparse
 import json
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ajimage import cli, fourlines
-from ajimage.configio import MAX_DIGITS, bundled_config, dumps_config, loads_config
+from ajimage.configio import MAX_DIGITS, bundled_config, dumps_config, loads_config, render_number
+from ajimage.errors import DegenerateArrangementError
 from ajimage.exact import QMatrix
+from ajimage.kodaira import fiber_data
 
+from oracles import matrix_layout
 from test_configio import SCHEMA_CASES, with_value
 
 
@@ -54,6 +59,29 @@ def test_fiber_json(capsys):
     }
     assert doc["multiplicities"] == [1, 1, 1, 1, 2]
     assert doc["simple_components"] == [0, 1, 2, 3]
+
+
+RENDER_KINDS = ([f"I{n}" for n in range(2, 41)] + [f"I{n}*" for n in range(31)]
+                + ["III", "IV", "IV*", "III*", "II*"])
+
+
+def test_fiber_matrices_render_like_the_fraction_oracle(capsys):
+    # the integer renderer against the Fraction-per-entry layout it replaced
+    for kind in RENDER_KINDS:
+        data = fiber_data(kind)
+        code, out, _ = run(capsys, "fiber", kind, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        blocks = []
+        for key in ("a", "a_inv"):
+            m = getattr(data, key)
+            assert doc[key] == [[render_number(Fraction(x, m.den)) for x in row] for row in m.num]
+            lines = matrix_layout(m.rows)
+            assert str(m).splitlines() == lines
+            blocks.append("\n".join("  " + line for line in lines))
+        code, text, _ = run(capsys, "fiber", kind)
+        assert code == 0
+        assert f"):\n{blocks[0]}\ninverse A^-1:\n{blocks[1]}\ncomponent group:" in text
 
 
 def test_fiber_rejects_irreducible_and_unknown(capsys):
@@ -270,6 +298,20 @@ def test_arrangement_random_reproducible(capsys):
     assert (doc["image"]["str"] == "O") == (doc["type"] == "I")
 
 
+def test_arrangement_random_gives_up_after_max_draws(capsys, monkeypatch):
+    draws = []
+
+    def degenerate(s1, s2, sign):
+        draws.append((s1, s2, sign))
+        raise DegenerateArrangementError("t = 1 hits the node of the cubic")
+
+    monkeypatch.setattr(cli, "generate_arrangement", degenerate)
+    code, out, err = run(capsys, "arrangement", "--random", "5")
+    assert code == 1 and out == ""
+    assert "--random 5" in err and f"MAX_DRAWS = {cli.MAX_DRAWS}" in err
+    assert len(draws) == cli.MAX_DRAWS
+
+
 def test_arrangement_rational_args(capsys):
     code, out, _ = run(capsys, "arrangement", "--s1=-10/3", "--s2=-5/11", "--json")
     assert code == 0
@@ -406,6 +448,49 @@ def test_help_exits_zero(capsys):
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 2 and "invalid choice" in err
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    raw = json.loads(dumps_config(bundled_config("fourlines_type1")))
+    for div in raw["divisors"]:
+        if div["name"] == "E+":
+            div["D_squared"] = 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    argvs = [
+        ["fiber", "I0*"],
+        ["image", "--config", str(bad)],                              # exit 1
+        ["cover", "--type", "I", "--n", "4", "--sweep", "3..5"],      # exit 2
+        ["--help"],
+        ["image", "--bundled", "type2", "--json"],
+        ["cover", "--n", "4"],                                        # exit 2
+        ["fiber", "I1"],                                              # exit 2
+        ["cover", "--help"],
+        ["cover", "--type", "II", "--sweep", "3..12"],
+        ["arrangement", "--random", "11", "--json"],
+        ["frobnicate"],                                               # exit 2
+    ]
+    first = {}
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        first[tuple(argv)] = run(capsys, *argv)
+    assert {res[0] for res in first.values()} == {0, 1, 2}
+
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for argv in argvs:
+        assert run(capsys, *argv) == first[tuple(argv)], argv
+    # one top-level parser and one per subcommand, all from a single build
+    assert sorted(progs) == sorted(
+        ["ajimage"] + [f"ajimage {c}" for c in ("fiber", "image", "cover", "arrangement", "demo")]
+    )
 
 
 def test_module_entry_point():
