@@ -41,7 +41,7 @@ from .errors import (
     MissingIntersectionError,
     SchemaError,
 )
-from .exact import QMatrix, matrix_lines
+from .exact import matrix_lines
 from .fourlines import GENERATOR, bundled_table, eplus_profile, four_line_surface, ns_relation
 from .kodaira import dual_class_of, fiber_data
 from .mwgroup import MWPoint, abel_jacobi_image, classes_str, derive
@@ -78,12 +78,23 @@ def _sign(text: str) -> int:
     raise SchemaError(f"--sign expects one of '+', '-', '+1', '-1', got {token!r}")
 
 
-def _emit(args, report: dict, lines: list[str]) -> int:
+def _emit(args, report: dict, lines) -> int:
+    """Print the report as JSON, or else the text lines that lines() returns:
+    a --json request never lays out the text."""
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print("\n".join(lines()))
     return 0
+
+
+def _lookup(registry: dict, name: str, what: str):
+    try:
+        return registry[name]
+    except KeyError:
+        raise SchemaError(
+            f"unknown {what} {name!r}; registered: {', '.join(sorted(registry)) or 'none'}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +120,7 @@ def cmd_fiber(args) -> int:
         "simple_components": [0, *data.simple],
         "dual_classes": classes,
     }
-    lines = [
+    lines = lambda: [
         f"fiber kind: {data.kind}",
         f"components: {data.m}  (multiplicities {', '.join(map(str, data.multiplicities))};"
         " Theta_0 meets the zero section)",
@@ -120,13 +131,10 @@ def cmd_fiber(args) -> int:
         *("  " + line for line in matrix_lines(a_inv)),
         f"component group: {data.group.describe()}",
         "dual classes of the non-identity components:",
-    ]
-    for name, cls in classes.items():
-        lines.append(f"  {name} -> ({', '.join(map(str, cls))})")
-    lines.append(
+        *(f"  {name} -> ({', '.join(map(str, cls))})" for name, cls in classes.items()),
         "simple components (multiplicity 1): "
-        + ", ".join(f"Theta_{i}" for i in (0, *data.simple))
-    )
+        + ", ".join(f"Theta_{i}" for i in (0, *data.simple)),
+    ]
     return _emit(args, report, lines)
 
 
@@ -163,27 +171,14 @@ def cmd_image(args) -> int:
     else:
         names = ", ".join(s.name for s in surface.sections) or "none registered"
         raise SchemaError(f"pass --generator to pick a section (candidates: {names})")
-    try:
-        gen = table.sections[gen_name]
-    except KeyError:
-        raise SchemaError(
-            f"unknown generator section {gen_name!r}; registered:"
-            f" {', '.join(sorted(table.sections)) or 'none'}"
-        ) from None
-    try:
-        divisor = table.divisors[args.divisor]
-    except KeyError:
-        raise SchemaError(
-            f"unknown divisor {args.divisor!r}; registered:"
-            f" {', '.join(sorted(table.divisors)) or 'none'}"
-        ) from None
+    gen = _lookup(table.sections, gen_name, "generator section")
+    divisor = _lookup(table.divisors, args.divisor, "divisor")
 
     der = derive(table, divisor.name, gen.name)
     free, point = der.free, der.point
     torsion_name = point.torsion_name or "0"
 
     gamma_report = {}
-    gamma_lines = []
     gammas = zip(surface.fibers, der.gamma_vectors, der.gamma_classes)
     for (fid, kind), vec, cls in gammas:
         gamma_report[fid] = {
@@ -191,10 +186,6 @@ def cmd_image(args) -> int:
             "vector": [render_number(x) for x in vec],
             "class": list(cls),
         }
-        gamma_lines.append(
-            f"  fiber {fid} [{kind}]: ({', '.join(map(str, vec))})"
-            f"  ->  class ({', '.join(map(str, cls))})"
-        )
 
     report = {
         "source": source,
@@ -213,29 +204,35 @@ def cmd_image(args) -> int:
         },
         "point": _point_json(point),
     }
-    fibers_str = ", ".join(f"{fid} {kind}" for fid, kind in surface.fibers)
-    sign_note = (
-        f"(sign fixed by the registered {divisor.name}.{gen.name} pairing)"
-        if free.sign_determined
-        else "(sign undetermined; both signs give the same decomposition)"
-    )
-    lines = [
-        f"config: {source}",
-        f"surface: chi = {surface.chi}; fibers {fibers_str};"
-        f" free rank {surface.mw_free_rank};"
-        f" torsion {surface.torsion_group.describe()}",
-        f"generator: {gen.name}  (height <P_o, P_o> = {free.height})",
-        f"divisor: {divisor.name}  (d = D.F = {divisor.d}, D.O = {divisor.d_dot_o},"
-        f" D^2 = {divisor.d_squared})",
-        f"phi0(D).phi0(D) = {free.phi0_self}",
-        f"n^2 = -phi0(D).phi0(D) / height = {free.n_squared}",
-        f"n = {point.free_coeff}  {sign_note}",
-        "gamma trace  (-A_v^{-1} c(v, D) per fiber, then its component-group class):",
-        *gamma_lines,
-        f"torsion residual gamma(D) - n gamma({gen.name}) = {classes_str(der.torsion_residual)}"
-        f"  ->  {torsion_name}, coords ({', '.join(map(str, point.torsion))})",
-        f"P_D = {point}",
-    ]
+
+    def lines():
+        fibers_str = ", ".join(f"{fid} {kind}" for fid, kind in surface.fibers)
+        sign_note = (
+            f"(sign fixed by the registered {divisor.name}.{gen.name} pairing)"
+            if free.sign_determined
+            else "(sign undetermined; both signs give the same decomposition)"
+        )
+        return [
+            f"config: {source}",
+            f"surface: chi = {surface.chi}; fibers {fibers_str};"
+            f" free rank {surface.mw_free_rank};"
+            f" torsion {surface.torsion_group.describe()}",
+            f"generator: {gen.name}  (height <P_o, P_o> = {free.height})",
+            f"divisor: {divisor.name}  (d = D.F = {divisor.d}, D.O = {divisor.d_dot_o},"
+            f" D^2 = {divisor.d_squared})",
+            f"phi0(D).phi0(D) = {free.phi0_self}",
+            f"n^2 = -phi0(D).phi0(D) / height = {free.n_squared}",
+            f"n = {point.free_coeff}  {sign_note}",
+            "gamma trace  (-A_v^{-1} c(v, D) per fiber, then its component-group class):",
+            *(f"  fiber {fid} [{g['kind']}]: ({', '.join(map(str, g['vector']))})"
+              f"  ->  class ({', '.join(map(str, g['class']))})"
+              for fid, g in gamma_report.items()),
+            f"torsion residual gamma(D) - n gamma({gen.name}) ="
+            f" {classes_str(der.torsion_residual)}"
+            f"  ->  {torsion_name}, coords ({', '.join(map(str, point.torsion))})",
+            f"P_D = {point}",
+        ]
+
     return _emit(args, report, lines)
 
 
@@ -288,15 +285,19 @@ def cmd_cover(args) -> int:
         ],
         "exists_for": [v.n for v in verdicts if v.exists],
     }
-    lines = []
-    for v in verdicts:
-        word = "EXISTS" if v.exists else "does not exist"
-        lines.append(f"{atype}, n = {v.n}: dihedral cover of order {2 * v.n} {word}")
-        for reason in v.reasons:
-            lines.append(f"  - {reason}")
-    if sweep is not None:
-        hits = ", ".join(str(n) for n in report["exists_for"]) or "none"
-        lines.append(f"summary: covers exist for n in {{{hits}}}  (sweep {sweep[0]}..{sweep[1]})")
+
+    def lines():
+        out = []
+        for v in verdicts:
+            word = "EXISTS" if v.exists else "does not exist"
+            out.append(f"{atype}, n = {v.n}: dihedral cover of order {2 * v.n} {word}")
+            for reason in v.reasons:
+                out.append(f"  - {reason}")
+        if sweep is not None:
+            hits = ", ".join(str(n) for n in report["exists_for"]) or "none"
+            out.append(f"summary: covers exist for n in {{{hits}}}  (sweep {sweep[0]}..{sweep[1]})")
+        return out
+
     return _emit(args, report, lines)
 
 
@@ -352,19 +353,18 @@ def cmd_arrangement(args) -> int:
         "collinear_tangencies": atype is ArrangementType.TYPE_I,
         "image": _point_json(point),
     }
-    fmt = lambda t: "oo" if t is None else str(t)
-    lines = [
+    rendered = report["arrangement"]
+    lines = lambda: [
         f"arrangement: sign {'+1' if sign > 0 else '-1'}, s1 = {s1}, s2 = {s2}"
         + (f"  (drawn from seed {seed})" if seed is not None else ""),
-        f"tangency parameters t(q_i): {', '.join(fmt(t) for t in arr.q_params)}",
-        f"residual parameters t(p_i): {', '.join(fmt(t) for t in arr.p_params)}",
+        f"tangency parameters t(q_i): {', '.join(rendered['q_params'])}",
+        f"residual parameters t(p_i): {', '.join(rendered['p_params'])}",
         f"type: {arr.type_tag}  (tangency points"
         f" {'collinear' if report['collinear_tangencies'] else 'not collinear'})",
         "lines (a, b, c with ax + by + cz = 0):",
+        *(f"  {name}: ({', '.join(coeffs)})" for name, coeffs in rendered["lines"].items()),
+        f"image of E+ through the full pipeline: P = {point}",
     ]
-    for name, coeffs in report["arrangement"]["lines"].items():
-        lines.append(f"  {name}: ({', '.join(coeffs)})")
-    lines.append(f"image of E+ through the full pipeline: P = {point}")
     return _emit(args, report, lines)
 
 
@@ -372,141 +372,95 @@ def cmd_arrangement(args) -> int:
 # demo
 
 
-class _DemoFailure(Exception):
-    pass
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise _DemoFailure(message)
-
-
-def _demo_fiber_catalog() -> str:
+def _i0star_group() -> tuple:
+    """Basis-free facts about I0*'s component group: its name, how many of
+    e1..e3 are distinct nonzero classes, e1 + e2 == e3, and e4 == 0."""
     data = fiber_data("I0*")
-    _require(data.multiplicities == (1, 1, 1, 1, 2), "I0* multiplicities != (1,1,1,1,2)")
-    _require(data.euler == 6, "I0* euler number != 6")
-    a_golden = QMatrix([[-2, 0, 0, 1], [0, -2, 0, 1], [0, 0, -2, 1], [1, 1, 1, -2]])
-    h = Fraction(-1, 2)
-    a_inv_golden = QMatrix(
-        [[-1, h, h, -1], [h, -1, h, -1], [h, h, -1, -1], [-1, -1, -1, -2]]
-    )
-    _require(data.a == a_golden, "I0* intersection matrix A mismatch")
-    _require(data.a_inv == a_inv_golden, "I0* inverse matrix A^-1 mismatch")
-    i2 = fiber_data("I2")
-    _require(i2.a == QMatrix([[-2]]) and i2.a_inv == QMatrix([[h]]), "I2 matrices mismatch")
-    return "I0* and I2 matrices match their goldens"
+    zero = data.group.zero()
+    e1, e2, e3, e4 = (dual_class_of(data, i) for i in (1, 2, 3, 4))
+    nonzero = len({e1, e2, e3} - {zero})
+    return data.group.describe(), nonzero, data.group.add(e1, e2) == e3, e4 == zero
 
 
-def _demo_component_group() -> str:
-    data = fiber_data("I0*")
-    _require(data.group.describe() == "Z/2 x Z/2", "I0* component group != Z/2 x Z/2")
-    e1, e2, e3 = (dual_class_of(data, i) for i in (1, 2, 3))
-    _require(len({e1, e2, e3}) == 3 and all(c != (0, 0) for c in (e1, e2, e3)),
-             "I0* dual classes of Theta_1..Theta_3 not three distinct nonzero elements")
-    _require(data.group.add(e1, e2) == e3, "I0* relation e1 + e2 = e3 fails")
-    _require(dual_class_of(data, 4) == (0, 0), "I0* central component not in the identity class")
-    return "component group (Z/2)^2 with e1 + e2 = e3"
+def _collinear_relation() -> tuple:
+    """The collinear class relation's verdict and the squares of its sides."""
+    table = bundled_table("collinear")
+    lhs, rhs = ns_relation("collinear")
+    status = verify_ns_relation(table, lhs, rhs).status
+    return status, table.pair_class(lhs, lhs), table.pair_class(rhs, rhs)
 
 
-def _demo_bundled_image(variant: str, name: str, expected: MWPoint, shown: str) -> str:
-    point = abel_jacobi_image(bundled_table(variant), "E+", GENERATOR)
-    _require(point == expected and str(point) == shown,
-             f"{name}: image of E+ is {point}, expected {shown}")
-    return f"{name}: P_(E+) = {point}"
-
-
-def _demo_height() -> str:
-    h = derive(bundled_table("collinear"), "E+", GENERATOR).free.height
-    _require(h == Fraction(1, 2), f"<P_o, P_o> = {h}, expected 1/2")
-    return "<P_o, P_o> = 1/2"
-
-
-def _demo_ns_relation(variant: str) -> str:
-    table = bundled_table(variant)
-    lhs, rhs = ns_relation(variant)
-    verdict = verify_ns_relation(table, lhs, rhs)
-    _require(verdict.status is RelationStatus.HOLDS,
-             f"{variant} relation: {verdict.status.value} ({verdict.detail})")
-    detail = f"{variant} class relation verifies on every generator pairing"
-    if variant == "collinear":
-        sq_l = table.pair_class(lhs, lhs)
-        sq_r = table.pair_class(rhs, rhs)
-        _require(sq_l == sq_r == 3, f"collinear relation squares {sq_l}, {sq_r} != 3")
-        detail += "; both sides square to 3"
-    return detail
-
-
-def _demo_cover_table() -> str:
-    for n in range(3, 51):
-        _require(d2n_cover_exists("I", n).exists, f"type I cover missing at n = {n}")
-    hits = [n for n in range(3, 51) if d2n_cover_exists("II", n).exists]
-    _require(hits == [4], f"type II covers exist for n in {hits}, expected [4]")
-    return "n = 3..50: type I always, type II only n = 4"
-
-
-def _demo_arrangements() -> str:
-    plus = generate_arrangement(2, 3, +1)
-    _require(plus.q_params == (Fraction(2), Fraction(3), Fraction(-7, 5)),
-             "sign +1 tangency parameters mismatch")
-    _require(classify_type(plus).value == "I" and str(image_of(plus)) == "O",
-             "sign +1 arrangement is not type I with image O")
-    minus = generate_arrangement(2, 3, -1)
-    _require(minus.q_params == (Fraction(2), Fraction(3), Fraction(-5, 7)),
-             "sign -1 tangency parameters mismatch")
-    _require(classify_type(minus).value == "II" and str(image_of(minus)) == "2*P_o + 0",
-             "sign -1 arrangement is not type II with image 2*P_o")
-    return "s1 = 2, s2 = 3: sign +1 -> type I, P = O; sign -1 -> type II, P = 2*P_o + 0"
-
-
-def _demo_rank_accounting() -> str:
-    rank = four_line_surface().ns_rank
-    _require(rank == 10, f"rank accounting gives {rank}, declared 10")
-    return "NS rank 10 = 2 + 7 + 1"
-
-
-def _demo_guardrail() -> str:
+def _rejects_non_square() -> bool:
+    """Whether derive rejects a synthetic (E+)^2 = 2 as not a perfect square."""
     bad = replace(eplus_profile("collinear"), d_squared=2)
-    table = build_table(four_line_surface(), [bad])
     try:
-        derive(table, "E+", GENERATOR)
+        derive(build_table(four_line_surface(), [bad]), "E+", GENERATOR)
     except InconsistentDataError as exc:
-        _require("not a perfect square" in str(exc),
-                 f"rejection lacks the perfect-square diagnostic: {exc}")
-        return "synthetic (E+)^2 = 2 rejected: n^2 = 2 not a perfect square"
-    raise _DemoFailure("synthetic (E+)^2 = 2 profile was not rejected")
+        return "not a perfect square" in str(exc)
+    return False
+
+
+# (name, observe, golden, PASS detail): a check passes when observe() == golden
+_DEMO_CHECKS = [
+    ("fiber catalog goldens",
+     lambda: [(d.multiplicities, d.euler, d.a.cells(), d.a_inv.cells())
+              for d in map(fiber_data, ("I0*", "I2"))],
+     [((1, 1, 1, 1, 2), 6,
+       [[-2, 0, 0, 1], [0, -2, 0, 1], [0, 0, -2, 1], [1, 1, 1, -2]],
+       [[-1, "-1/2", "-1/2", -1], ["-1/2", -1, "-1/2", -1],
+        ["-1/2", "-1/2", -1, -1], [-1, -1, -1, -2]]),
+      ((1, 1), 2, [[-2]], [["-1/2"]])],
+     "I0* and I2 matrices match their goldens"),
+    ("component group (Z/2)^2", _i0star_group, ("Z/2 x Z/2", 3, True, True),
+     "component group (Z/2)^2 with e1 + e2 = e3"),
+    ("bundled type2 image",
+     lambda: abel_jacobi_image(bundled_table("noncollinear"), "E+", GENERATOR),
+     MWPoint(2, (0, 0)), "fourlines_type2: P_(E+) = 2*P_o + 0"),
+    ("bundled type1 image",
+     lambda: abel_jacobi_image(bundled_table("collinear"), "E+", GENERATOR),
+     MWPoint(0, (0, 0)), "fourlines_type1: P_(E+) = O"),
+    ("generator height",
+     lambda: derive(bundled_table("collinear"), "E+", GENERATOR).free.height,
+     Fraction(1, 2), "<P_o, P_o> = 1/2"),
+    ("class relation, collinear", _collinear_relation, (RelationStatus.HOLDS, 3, 3),
+     "collinear class relation verifies on every generator pairing; both sides square to 3"),
+    ("class relation, noncollinear",
+     lambda: verify_ns_relation(bundled_table("noncollinear"), *ns_relation("noncollinear")).status,
+     RelationStatus.HOLDS, "noncollinear class relation verifies on every generator pairing"),
+    ("dihedral cover table",
+     lambda: ([n for n in range(3, 51) if not d2n_cover_exists("I", n).exists],
+              [n for n in range(3, 51) if d2n_cover_exists("II", n).exists]),
+     ([], [4]), "n = 3..50: type I always, type II only n = 4"),
+    ("arrangement pipeline",
+     lambda: [(arr.q_params, classify_type(arr).value, str(image_of(arr)))
+              for arr in (generate_arrangement(2, 3, sign) for sign in (1, -1))],
+     [((2, 3, Fraction(-7, 5)), "I", "O"), ((2, 3, Fraction(-5, 7)), "II", "2*P_o + 0")],
+     "s1 = 2, s2 = 3: sign +1 -> type I, P = O; sign -1 -> type II, P = 2*P_o + 0"),
+    ("rank accounting", lambda: four_line_surface().ns_rank, 10, "NS rank 10 = 2 + 7 + 1"),
+    ("inconsistency guardrail", _rejects_non_square, True,
+     "synthetic (E+)^2 = 2 rejected: n^2 = 2 not a perfect square"),
+]
 
 
 def cmd_demo(args) -> int:
-    checks = [
-        ("fiber catalog goldens", _demo_fiber_catalog),
-        ("component group (Z/2)^2", _demo_component_group),
-        ("bundled type2 image", lambda: _demo_bundled_image(
-            "noncollinear", "fourlines_type2", MWPoint(2, (0, 0)), "2*P_o + 0")),
-        ("bundled type1 image", lambda: _demo_bundled_image(
-            "collinear", "fourlines_type1", MWPoint(0, (0, 0)), "O")),
-        ("generator height", _demo_height),
-        ("class relation, collinear", lambda: _demo_ns_relation("collinear")),
-        ("class relation, noncollinear", lambda: _demo_ns_relation("noncollinear")),
-        ("dihedral cover table", _demo_cover_table),
-        ("arrangement pipeline", _demo_arrangements),
-        ("rank accounting", _demo_rank_accounting),
-        ("inconsistency guardrail", _demo_guardrail),
-    ]
     results = []
-    for name, fn in checks:
+    for name, observe, golden, detail in _DEMO_CHECKS:
+        status = "PASS"
         try:
-            results.append({"name": name, "status": "PASS", "detail": fn()})
+            got = observe()
+            if got != golden:
+                status, detail = "FAIL", f"got {got}, expected {golden}"
         except Exception as exc:  # any failure must surface as a FAIL line
-            results.append({"name": name, "status": "FAIL",
-                            "detail": f"{type(exc).__name__}: {exc}"})
+            status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
+        results.append({"name": name, "status": status, "detail": detail})
     failures = sum(r["status"] == "FAIL" for r in results)
     report = {"checks": results, "failures": failures,
               "ok": failures == 0, "total": len(results)}
-    lines = [f"{r['status']}  {r['name']}: {r['detail']}" for r in results]
-    lines.append(
+    lines = lambda: [
+        *(f"{r['status']}  {r['name']}: {r['detail']}" for r in results),
         f"{len(results) - failures}/{len(results)} checks passed"
-        if failures else f"all {len(results)} checks passed"
-    )
+        if failures else f"all {len(results)} checks passed",
+    ]
     _emit(args, report, lines)
     return 1 if failures else 0
 

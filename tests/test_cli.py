@@ -84,6 +84,16 @@ def test_fiber_matrices_render_like_the_fraction_oracle(capsys):
         assert f"):\n{blocks[0]}\ninverse A^-1:\n{blocks[1]}\ncomponent group:" in text
 
 
+def test_fiber_json_lays_out_no_text(capsys, monkeypatch):
+    calls = []
+    layout = cli.matrix_lines
+    monkeypatch.setattr(cli, "matrix_lines", lambda cells: calls.append(cells) or layout(cells))
+    assert run(capsys, "fiber", "I9", "--json")[0] == 0
+    assert calls == []
+    assert run(capsys, "fiber", "I9")[0] == 0
+    assert len(calls) == 2
+
+
 def test_fiber_rejects_irreducible_and_unknown(capsys):
     code, _, err = run(capsys, "fiber", "I1")
     assert code == 2 and "irreducible" in err
@@ -420,6 +430,23 @@ def test_demo_flags_corrupted_bundle(capsys, monkeypatch):
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(failing) == 1 and "bundled type2 image" in failing[0]
     assert "10/11 checks passed" in out
+
+
+@pytest.mark.parametrize("index", range(len(cli._DEMO_CHECKS)))
+def test_demo_reports_a_golden_mismatch(capsys, monkeypatch, index):
+    # an object() golden equals nothing the check can observe
+    checks = list(cli._DEMO_CHECKS)
+    name, observe, _, detail = checks[index]
+    checks[index] = (name, observe, object(), detail)
+    monkeypatch.setattr(cli, "_DEMO_CHECKS", checks)
+    code, out, _ = run(capsys, "demo")
+    assert code == 1
+    failing = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failing) == 1
+    assert failing[0].startswith(f"FAIL  {name}: got ") and "expected" in failing[0]
+    assert "10/11 checks passed" in out
+    code, out, _ = run(capsys, "demo", "--json")
+    assert code == 1 and json.loads(out)["failures"] == 1
 
 
 def test_demo_flags_broken_math(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajimage.exact import QMatrix, SmithForm, smith_normal_form
+from ajimage.kodaira import fiber_data
 
 from oracles import (
     abelian_order_multiset,
@@ -162,3 +164,51 @@ def test_qmatrix_rejects_bad_shapes():
         QMatrix([[1]], 0)
     with pytest.raises(ValueError, match="shape"):
         QMatrix([[1, 2]]) * (1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# sympy as a differential oracle: it shares no code with the library, and it
+# is only a test tool, so these tests skip where it is not installed
+
+
+_rng = random.Random(2018)
+SYMPY_KINDS = (
+    [f"I{n}" for n in sorted(_rng.sample(range(2, 61), 8))]
+    + [f"I{n}*" for n in sorted(_rng.sample(range(41), 8))]
+    + ["III", "IV", "IV*", "III*", "II*"]
+)
+
+
+@pytest.mark.parametrize("kind", SYMPY_KINDS)
+def test_catalog_matches_sympy(kind):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    data = fiber_data(kind)
+    a = sympy.Matrix(data.a.num)
+    factors = invariant_factors(-a, domain=sympy.ZZ)
+    assert data.group.invariant_factors == tuple(int(f) for f in factors if f > 1)
+    inv = a.inv()
+    den = data.a_inv.den
+    assert all(inv[i, j] == sympy.Rational(x, den)
+               for i, row in enumerate(data.a_inv.num) for j, x in enumerate(row))
+
+
+def test_smith_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(7)
+    deficient = 0
+    for _ in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        entries = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6)) for _ in range(nc)]
+                   for _ in range(nr)]
+        if nr >= 2 and rng.random() < 0.3:  # a dependent row
+            q = rng.randint(-3, 3)
+            entries[-1] = [x + q * y for x, y in zip(entries[0], entries[1])]
+        ours = [f for f in smith_normal_form(entries).invariant_factors if f]
+        theirs = invariant_factors(sympy.Matrix(entries), domain=sympy.ZZ)
+        assert ours == [abs(int(f)) for f in theirs if f], entries
+        deficient += len(ours) < min(nr, nc)
+    assert 0 < deficient < 300  # both rank-deficient and full-rank cases ran
