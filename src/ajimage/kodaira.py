@@ -242,9 +242,11 @@ def _full_matrix(mults, edges) -> list[list[int]]:
 
 
 # Largest fiber (and largest total over one surface's fibers) that gets a
-# catalog.  The build is cubic in m: I256 takes 1.5-1.9 s (CPython 3.11,
-# x86_64), where the I9997 that a chi = 1000 config could otherwise ask for
-# takes hours.
+# catalog.  Every A is an ADE Cartan matrix, so the Smith reduction finds a
+# unit pivot at every step and the build grows about as m^2: I100 takes
+# 25 ms, I200* 0.11 s and I256 0.16-0.18 s (CPython 3.11, x86_64).  The
+# I9997 that a chi = 1000 config could otherwise ask for would take minutes
+# by that growth, and its inverse alone has 10^8 dense entries.
 MAX_COMPONENTS = 256
 
 

@@ -50,7 +50,7 @@ from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import InconsistentDataError, MissingIntersectionError, SchemaError
-from .exact import smith_normal_form
+from .exact import exact_number, smith_normal_form
 from .kodaira import (
     MAX_COMPONENTS,
     AbelianGroup,
@@ -94,33 +94,34 @@ def _sym_str(sym: tuple) -> str:
 
 
 class FormalClass:
-    """Finite formal rational combination of symbols."""
+    """Finite formal rational combination of symbols.  A coefficient is
+    stored as an int when it is integral and as a Fraction otherwise."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, coeffs: Mapping[tuple, int | Fraction] | None = None):
         clean = {}
         for sym, c in (coeffs or {}).items():
-            c = Fraction(c)
+            c = exact_number(c, "FormalClass")
             if c:
                 clean[sym] = c
         self.coeffs = clean
 
     @staticmethod
     def of(sym: tuple) -> "FormalClass":
-        return FormalClass({sym: Fraction(1)})
+        return FormalClass({sym: 1})
 
     def __add__(self, other: "FormalClass") -> "FormalClass":
         out = dict(self.coeffs)
         for sym, c in other.coeffs.items():
-            out[sym] = out.get(sym, Fraction(0)) + c
+            out[sym] = out.get(sym, 0) + c
         return FormalClass(out)
 
     def __sub__(self, other: "FormalClass") -> "FormalClass":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "FormalClass":
-        s = Fraction(scalar)
+        s = exact_number(scalar, "FormalClass")
         return FormalClass({sym: s * c for sym, c in self.coeffs.items()})
 
     def __neg__(self) -> "FormalClass":
@@ -272,8 +273,6 @@ class IntersectionTable:
         index = self._index
         vec: dict = {}
         for sym, c in x.coeffs.items():
-            if c.denominator == 1:
-                c = c.numerator
             i = index.get(sym)
             if i is not None:
                 vec[i] = vec.get(i, 0) + c
@@ -287,8 +286,13 @@ class IntersectionTable:
                 vec[first + k] = vec.get(first + k, 0) - a * c
         return vec
 
+    def _gap(self, i: int, j: int) -> MissingIntersectionError:
+        pair = ".".join(_sym_str(self._basis[idx]) for idx in (i, j))
+        return MissingIntersectionError(f"the pairing {pair} is not registered")
+
     def _times(self, x: FormalClass, columns) -> list:
-        """(G x)_j for every basis index j in columns."""
+        """(G x)_j for every basis index j in columns, summed as integers
+        while x's coefficients are."""
         gram = self._gram
         out = [0] * len(columns)
         for i, a in self._vector(x).items():
@@ -296,15 +300,24 @@ class IntersectionTable:
             for k, j in enumerate(columns):
                 value = row[j]
                 if value is None:
-                    pair = ".".join(_sym_str(self._basis[idx]) for idx in (i, j))
-                    raise MissingIntersectionError(f"the pairing {pair} is not registered")
-                out[k] += a * value
+                    raise self._gap(i, j)
+                if value:
+                    out[k] += a * value
         return out
 
     def pair_class(self, x: FormalClass, y: FormalClass) -> Fraction:
-        """x^T G y."""
-        yv = self._vector(y)
-        return Fraction(sum(map(mul, yv.values(), self._times(x, list(yv)))))
+        """x^T G y, summed over the two sparse coefficient vectors; one
+        Fraction at the end."""
+        gram, yv = self._gram, self._vector(y)
+        total = 0
+        for i, a in self._vector(x).items():
+            row = gram[i]
+            for j, b in yv.items():
+                value = row[j]
+                if value is None:
+                    raise self._gap(i, j)
+                total += a * value * b
+        return Fraction(total)
 
     def pair(self, a: tuple, b: tuple) -> Fraction:
         return self.pair_class(FormalClass.of(a), FormalClass.of(b))

@@ -123,6 +123,19 @@ def test_smith_rejects_non_integer():
         smith_normal_form([[Fraction(1, 2)]])
 
 
+def test_exact_layers_refuse_floats():
+    # 0.1 is not 1/10 in binary; a silent Fraction(0.1) would store 2**-55 times
+    # 3602879701896397, so every exact entry point names the float and stops
+    for build in (lambda x: smith_normal_form([[1, x]]), lambda x: QMatrix([[x]]),
+                  lambda x: QMatrix([[1]]) * (x,)):
+        for x in (2.0, 0.1):
+            with pytest.raises(TypeError, match=f"float {x!r}"):
+                build(x)
+    # integral rationals are still exact input
+    assert smith_normal_form([[Fraction(2)]]).invariant_factors == (2,)
+    assert QMatrix([[Fraction(1, 10)]]) == QMatrix([[1]], 10)
+
+
 @settings(max_examples=100)
 @given(matrices(st.integers(-6, 6)))
 def test_smith_unimodular_transforms(entries):
@@ -176,6 +189,7 @@ SYMPY_KINDS = (
     [f"I{n}" for n in sorted(_rng.sample(range(2, 61), 8))]
     + [f"I{n}*" for n in sorted(_rng.sample(range(41), 8))]
     + ["III", "IV", "IV*", "III*", "II*"]
+    + ["I100", "I100*"]
 )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -202,6 +203,77 @@ def test_dual_classes_cycle():
     for c in classes:
         assert c == acc
         acc = g.add(acc, step)
+
+
+# Dual class of every component, as the one Smith reduction prints it: the
+# basis of the component group is read off its row transform U, so a change
+# of pivot order that moves the basis fails here before any CLI golden.
+DUAL_CLASSES = {
+    "I2": [(0,), (1,)],
+    "I3": [(0,), (2,), (1,)],
+    "I4": [(0,), (3,), (2,), (1,)],
+    "I5": [(0,), (4,), (3,), (2,), (1,)],
+    "I6": [(0,), (5,), (4,), (3,), (2,), (1,)],
+    "I7": [(0,), (6,), (5,), (4,), (3,), (2,), (1,)],
+    "I8": [(0,), (7,), (6,), (5,), (4,), (3,), (2,), (1,)],
+    "I9": [(0,), (8,), (7,), (6,), (5,), (4,), (3,), (2,), (1,)],
+    "I10": [(0,), (9,), (8,), (7,), (6,), (5,), (4,), (3,), (2,), (1,)],
+    "I11": [(0,), (10,), (9,), (8,), (7,), (6,), (5,), (4,), (3,), (2,), (1,)],
+    "I12": [(0,), (11,), (10,), (9,), (8,), (7,), (6,), (5,), (4,), (3,), (2,), (1,)],
+    "I0*": [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)],
+    "I1*": [(0,), (2,), (1,), (3,), (0,), (2,)],
+    "I2*": [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 0), (0, 0)],
+    "I3*": [(0,), (2,), (1,), (3,), (0,), (2,), (0,), (2,)],
+    "I4*": [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 0), (0, 0), (1, 0), (0, 0)],
+    "I5*": [(0,), (2,), (1,), (3,), (0,), (2,), (0,), (2,), (0,), (2,)],
+    "I6*": [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 0), (0, 0), (1, 0), (0, 0), (1, 0), (0, 0)],
+    "I7*": [(0,), (2,), (1,), (3,), (0,), (2,), (0,), (2,), (0,), (2,), (0,), (2,)],
+    "I8*": [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 0), (0, 0), (1, 0), (0, 0), (1, 0), (0, 0), (1, 0), (0, 0)],
+    "III": [(0,), (1,)],
+    "IV": [(0,), (2,), (1,)],
+    "IV*": [(0,), (0,), (0,), (2,), (1,), (1,), (2,)],
+    "III*": [(0,), (0,), (0,), (0,), (1,), (0,), (1,), (1,)],
+    "II*": [(), (), (), (), (), (), (), (), ()],
+}
+
+# sha256 of repr(tuple of dual_class_of(data, i) for every component i)
+DUAL_CLASS_SHA256 = {
+    "I100": "142d0e4b0c6c61718bbbe4f60e2982d0474317eb7444dffe0dd1687738a03dda",
+    "I100*": "df3c58584951d5b69205b23a4f79b16eab084c4a692b6720b592d87721c07b8c",
+    "I200*": "9952f04f430d41166c11fae36355b387b887a713cd33a388859ad721ff26024e",
+    "I256": "462d1cf89b4b72ca7b385d9fc3b6b94eafa7dfc00cb999764ad38c0d3ea41900",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DUAL_CLASSES))
+def test_dual_class_goldens(kind):
+    data = fiber_data(kind)
+    assert [dual_class_of(data, i) for i in range(data.m)] == DUAL_CLASSES[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(DUAL_CLASS_SHA256))
+def test_dual_class_digests_on_large_fibers(kind):
+    data = fiber_data(kind)
+    classes = tuple(dual_class_of(data, i) for i in range(data.m))
+    assert hashlib.sha256(repr(classes).encode()).hexdigest() == DUAL_CLASS_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind, group", [("I256", (256,)), ("I251*", (4,))])
+def test_catalogs_at_the_size_cap(kind, group):
+    # the largest kinds MAX_COMPONENTS admits; Shioda's closed forms give
+    # -(A^-1)_ii = i (n - i) / n on I_n, and 1 on the near legs and 1 + n/4
+    # on the far legs of I*_n
+    data = fiber_data(kind)
+    assert data.m == MAX_COMPONENTS
+    assert data.group.invariant_factors == group
+    assert data.a_inv.den == group[-1]
+    num, den = data.a_inv.num, data.a_inv.den
+    diagonal = [Fraction(-num[i][i], den) for i in range(data.m - 1)]
+    n = data.kind.n
+    if data.kind.family == "I":
+        assert diagonal == [Fraction(i * (n - i), n) for i in range(1, n)]
+    else:
+        assert diagonal[:3] == [1, 1 + Fraction(n, 4), 1 + Fraction(n, 4)]
 
 
 def test_reduce_golden():

@@ -489,6 +489,30 @@ def test_n_of_needs_rank_one():
         n_of(build_table(cfg0, [eplus_profile("collinear")]), "E+", "s_o")
 
 
+# --- formal classes ---
+
+
+def test_formal_class_holds_exact_coefficients():
+    s = section_sym("s_o")
+    # an integral coefficient is stored as an int, however it was given
+    cls = FormalClass({s: Fraction(2), SYM_O: Fraction(1, 2)})
+    assert cls == FormalClass({s: 2, SYM_O: Fraction(1, 2)})
+    assert type(cls.coeffs[s]) is int and type(cls.coeffs[SYM_O]) is Fraction
+    assert type((2 * cls).coeffs[SYM_O]) is int
+    assert type(FormalClass.of(s).coeffs[s]) is int
+    assert repr(cls) == "1/2*O + 2*s_o"
+    assert repr(FormalClass({s: Fraction(-3)}) + FormalClass.of(SYM_F)) == "1*F + -3*s_o"
+    # pairings still come back as Fractions
+    t = table_with(variant="noncollinear")
+    value = t.pair_class(cls, FormalClass.of(SYM_F))
+    assert type(value) is Fraction and value == Fraction(5, 2)
+    # a float is refused, not stored as its binary expansion
+    for build in (lambda x: FormalClass({s: x}), lambda x: x * FormalClass.of(s)):
+        for x in (0.1, 2.0):
+            with pytest.raises(TypeError, match=f"float {x!r}"):
+                build(x)
+
+
 # --- profile_from_class and random-profile properties ---
 
 
