@@ -75,6 +75,7 @@ from .kodaira import (
 )
 from .mwgroup import (
     Derivation,
+    FreeCoefficient,
     MWPoint,
     abel_jacobi_image,
     derive,
@@ -82,7 +83,6 @@ from .mwgroup import (
 from .nslattice import (
     DivisorProfile,
     FormalClass,
-    FreeCoefficient,
     IntersectionTable,
     SectionProfile,
     SurfaceConfig,

@@ -52,20 +52,37 @@ from typing import Iterable
 from .exact import QMatrix, smith_normal_form
 
 _KIND_RE = re.compile(r"^(I)(\d+)(\*?)$|^(II|III|IV)(\*?)$")
+_FAMILIES = ("I", "I*", "II*", "III", "III*", "IV", "IV*")
 
 
 @dataclass(frozen=True)
 class FiberKind:
-    """A Kodaira type: family in {"I", "I*", "II*", "III", "III*", "IV", "IV*"},
-    with n set only for the I_n / I*_n families."""
+    """A reducible Kodaira type: family in {"I", "I*", "II*", "III", "III*",
+    "IV", "IV*"}, with n >= 2 for I_n, n >= 0 for I*_n and no n otherwise.
+    Any other value is rejected when the kind is built."""
 
     family: str
     n: int | None = None
 
+    def __post_init__(self):
+        if self.family == "I" and self.n is not None and self.n < 2:
+            raise ValueError(f"fiber {self} is irreducible")
+        if self.family == "II":
+            raise ValueError("fiber II is irreducible")
+        if self.family not in _FAMILIES:
+            raise ValueError(
+                f"unknown fiber family {self.family!r}; expected one of {', '.join(_FAMILIES)}"
+            )
+        if self.family in ("I", "I*") and self.n is None:
+            raise ValueError("I / I* kinds need an index")
+        if self.family == "I*" and self.n < 0:
+            raise ValueError(f"fiber I*_n needs n >= 0, not {self.n}")
+        if self.family not in ("I", "I*") and self.n is not None:
+            raise ValueError(f"fiber {self.family} takes no index, not {self.n}")
+
     @staticmethod
     def parse(text: str | "FiberKind") -> "FiberKind":
         if isinstance(text, FiberKind):
-            text.check_reducible()
             return text
         m = _KIND_RE.match(text.strip())
         if not m:
@@ -76,19 +93,8 @@ class FiberKind:
                 n = int(m.group(2))
             except ValueError:  # past int's string-conversion limit
                 raise ValueError(f"fiber index n of {family}_n has {len(m.group(2))} digits") from None
-            kind = FiberKind(family, n)
-        else:
-            kind = FiberKind(m.group(4) + m.group(5))
-        kind.check_reducible()
-        return kind
-
-    def check_reducible(self) -> None:
-        if self.family == "I" and self.n is not None and self.n < 2:
-            raise ValueError(f"fiber {self} is irreducible")
-        if self.family == "II":
-            raise ValueError("fiber II is irreducible")
-        if self.family in ("I", "I*") and self.n is None:
-            raise ValueError("I / I* kinds need an index")
+            return FiberKind(family, n)
+        return FiberKind(m.group(4) + m.group(5))
 
     def __str__(self):
         if self.family == "I":

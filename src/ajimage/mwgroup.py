@@ -2,38 +2,41 @@
 n * generator + torsion, derived once and kept as a `Derivation` record.
 
 `derive` takes the names of a divisor and a section registered in the
-table, so it only ever reads profiles that `build_table` validated.  It
-solves x_v = A_v^{-1} c(v, D) once per fiber with nonzero c(v, D) and reads
-everything else off those solves: phi0(D).phi0(D) (quadratic route) and
-phi0(D).phi0(s_o) (linear route, x_v[k - 1]) give n; the gamma vectors are
--x_v, and their classes in the component groups R_v^dual / R_v are read off
-c(v, D) through each fiber's Smith class rows.  Both kill the trivial
-lattice, so the image of a divisor equals the image of its attached
-Mordell-Weil point, which is what makes torsion resolvable from
-intersection data alone: the residual class(D) - n * class(s_o), formed
-fiber by fiber, is looked up in the table's torsion dict (zero included).
-The height identity then fixes the bookkeeping s(D).O of the attached
-section.  `abel_jacobi_image` returns the record's point; the CLI renders
-the record.  Closed forms after Shioda, On the Mordell-Weil lattices
-(1990), section 8.
+table, so it only ever reads profiles that `build_table` validated.  Its
+closed forms, after Shioda, On the Mordell-Weil lattices (1990), section 8,
+go through the projection phi0 away from the trivial lattice
+<O, F, Theta_{v, i>=1}>:
+
+    phi0(D) = D - d O - (d chi + O.D) F - sum_v Theta_v A_v^{-1} c(v, D)
+    phi0(D).phi0(D) = D^2 - 2 d (D.O) - d^2 chi - sum_v c^T A_v^{-1} c
+    phi0(D).phi0(s) = D.s - d (s.O) - d chi - O.D - sum_v c(v,s)^T A_v^{-1} c(v,D)
+    <P, P> = 2 chi + 2 s_P.O + sum_v (A_v^{-1})_kk   (s_P meets Theta_{v,k})
+    n^2 = -phi0(D).phi0(D) / <P_o, P_o>,   n = -phi0(D).phi0(s_o) / <P_o, P_o>.
+
+It solves x_v = A_v^{-1} c(v, D) once per fiber with nonzero c(v, D) and
+reads everything else off those solves: the quadratic route to n reads
+c^T x_v, the linear route x_v[k - 1]; the gamma vectors are -x_v, and their
+classes in the component groups R_v^dual / R_v are read off c(v, D) through
+each fiber's Smith class rows.  Both kill the trivial lattice, so the image
+of a divisor equals the image of its attached Mordell-Weil point, which is
+what makes torsion resolvable from intersection data alone: the residual
+class(D) - n * class(s_o), formed fiber by fiber, is looked up in the
+table's torsion dict (zero included).  The height identity <P, P>
+(`nslattice._height`, which also gives the generator's height) then fixes
+the bookkeeping s(D).O of the attached section.  `abel_jacobi_image`
+returns the record's point; the CLI renders the record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
-from .errors import InconsistentDataError
+from .errors import InconsistentDataError, MissingIntersectionError
 from .kodaira import incidence_class
-from .nslattice import (
-    DivisorProfile,
-    FreeCoefficient,
-    IntersectionTable,
-    _free_coefficient,
-    _gamma_tuple,
-    _local_sum,
-    _solves,
-)
+from .nslattice import DivisorProfile, IntersectionTable, SectionProfile, _gamma_tuple, _height
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,17 @@ class MWPoint:
 def classes_str(classes) -> str:
     """One class per fiber, as (a,b | c | ...)."""
     return "(" + " | ".join(",".join(map(str, p)) if p else "0" for p in classes) + ")"
+
+
+@dataclass(frozen=True)
+class FreeCoefficient:
+    """n, how its sign was fixed, and the two numbers it was read from."""
+
+    n: int
+    n_squared: int
+    sign_determined: bool
+    height: Fraction  # <P_o, P_o>
+    phi0_self: Fraction  # phi0(D).phi0(D)
 
 
 @dataclass(frozen=True)
@@ -121,7 +135,7 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     )
     point = MWPoint(free.n, coords, name)
     return Derivation(
-        free, vectors, classes, residual, _bookkeeping(table, d, free, classes, point), point
+        free, vectors, classes, residual, _bookkeeping(table, free, classes, point), point
     )
 
 
@@ -130,18 +144,87 @@ def abel_jacobi_image(table: IntersectionTable, divisor: str, generator: str) ->
     return derive(table, divisor, generator).point
 
 
-def _bookkeeping(table: IntersectionTable, d: DivisorProfile, free: FreeCoefficient,
-                 classes, point: MWPoint) -> int:
-    # <P_D, P_D> = n^2 <P_o, P_o> must equal 2 chi + 2 s(D).O + contr, where
-    # contr is read off the dual classes of P_D (one simple component each);
-    # s(D).O must come out a nonnegative integer, or -chi when P_D = O.
+def _solves(table: IntersectionTable, d: DivisorProfile) -> dict[str, tuple[Fraction, ...]]:
+    """x_v = A_v^{-1} c(v, D) for every fiber with c(v, D) != 0: the one solve
+    per fiber that _phi0_self, _phi0_cross and the gamma vectors all read."""
+    return {fid: table.fibers[fid].a_inv * c for fid, c in d.c.items() if any(c)}
+
+
+def _phi0_self(table: IntersectionTable, d: DivisorProfile, xs) -> Fraction:
+    if d.d_squared is None:
+        raise MissingIntersectionError(f"divisor {d.name!r}: D^2 required for phi0_self")
+    total = Fraction(d.d_squared) - 2 * d.d * d.d_dot_o - d.d * d.d * table.cfg.chi
+    for fid, x in xs.items():
+        total -= sum(map(mul, d.c[fid], x))
+    return total
+
+
+def _phi0_cross(table: IntersectionTable, d: DivisorProfile, s: SectionProfile, xs) -> Fraction:
+    d_dot_s = d.d_dot_section.get(s.name)
+    if d_dot_s is None:
+        raise MissingIntersectionError(
+            f"divisor {d.name!r}: D.{s.name} required for phi0_cross"
+        )
+    total = Fraction(d_dot_s) - d.d * s.s_dot_o - d.d * table.cfg.chi - d.d_dot_o
+    for fid, x in xs.items():
+        k = s.components.get(fid, 0)
+        if k:
+            total -= x[k - 1]
+    return total
+
+
+def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionProfile,
+                      xs) -> FreeCoefficient:
+    """Free coefficient of D along a rank-one generator.
+
+    Quadratic route always runs: n^2 = -phi0(D).phi0(D) / <P_o, P_o> must be
+    a perfect square.  When D.s_o is registered, the linear route fixes the
+    sign and must agree.
+    """
+    if table.cfg.mw_free_rank != 1:
+        raise InconsistentDataError(
+            f"free coefficient needs Mordell-Weil free rank 1, not {table.cfg.mw_free_rank}"
+        )
+    h = Fraction(*_height(table.cfg.chi, gen.s_dot_o, table.fibers, gen.components))
+    if h <= 0:
+        raise InconsistentDataError(
+            f"generator {gen.name!r} has height {h}; a free generator needs positive height"
+        )
+    self_pairing = _phi0_self(table, d, xs)
+    n_sq = -self_pairing / h
+    if n_sq < 0 or n_sq.denominator != 1 or isqrt(n_sq.numerator) ** 2 != n_sq.numerator:
+        raise InconsistentDataError(
+            f"n^2 = {n_sq} not a perfect square => inconsistent intersection data"
+        )
+    n_abs = isqrt(n_sq.numerator)
+    try:
+        cross = _phi0_cross(table, d, gen, xs)
+    except MissingIntersectionError:
+        return FreeCoefficient(n_abs, int(n_sq), False, h, self_pairing)
+    n_lin = -cross / h
+    if n_lin.denominator != 1:
+        raise InconsistentDataError(
+            f"linear formula gives non-integral n = {n_lin} => inconsistent intersection data"
+        )
+    if int(n_lin) ** 2 != n_sq:
+        raise InconsistentDataError(
+            f"linear n = {n_lin} disagrees with n^2 = {n_sq} => inconsistent intersection data"
+        )
+    return FreeCoefficient(int(n_lin), int(n_sq), True, h, self_pairing)
+
+
+def _bookkeeping(table: IntersectionTable, free: FreeCoefficient, classes, point: MWPoint) -> int:
+    # <P_D, P_D> = n^2 <P_o, P_o> must equal the height identity at s(D).O,
+    # whose local terms are read off the dual classes of P_D (one simple
+    # component each); s(D).O must come out a nonnegative integer, or -chi
+    # when P_D = O.
     chi = table.cfg.chi
     components = {
         fid: table.fibers[fid].class_to_simple[part]
         for (fid, _), part in zip(table.cfg.fibers, classes)
     }
-    local = Fraction(*_local_sum(table.fibers, components))
-    s_dot_o = (free.n_squared * free.height - 2 * chi - local) / 2
+    at_zero = Fraction(*_height(chi, 0, table.fibers, components))
+    s_dot_o = (free.n_squared * free.height - at_zero) / 2
     ok = s_dot_o.denominator == 1 and (
         s_dot_o >= 0 or (s_dot_o == -chi and free.n == 0 and point.torsion_is_zero())
     )
@@ -150,9 +233,4 @@ def _bookkeeping(table: IntersectionTable, d: DivisorProfile, free: FreeCoeffici
             f"height identity gives s(D).O = {s_dot_o}, which no section attains;"
             " intersection data is inconsistent"
         )
-    # relation bookkeeping: the fiber coefficient (d-1) chi + O.D - s(D).O
-    # is then automatically an integer; keep the assertion for safety
-    n_star = (d.d - 1) * chi + d.d_dot_o - s_dot_o
-    if n_star.denominator != 1:
-        raise InconsistentDataError("fiber coefficient in the decomposition is not integral")
     return int(s_dot_o)

@@ -24,16 +24,10 @@ vectors.  So x.y = x^T G y, and the pairings of x with the generators are
 G x (`IntersectionTable.profile`).  G is built on first use.
 
 `build_table` validates every profile once; `mwgroup.derive` then reads
-registered names only.  The private closed forms it uses live here: the
-projection phi0 away from the trivial lattice <O, F, Theta_{v, i>=1}>, its
-self/cross intersection numbers, the height of a registered section, and
-the free coefficient n of a divisor class along a rank-one generator:
-
-    phi0(D) = D - d O - (d chi + O.D) F - sum_v Theta_v A_v^{-1} c(v, D)
-    phi0(D).phi0(D) = D^2 - 2 d (D.O) - d^2 chi - sum_v c^T A_v^{-1} c
-    phi0(D).phi0(s) = D.s - d (s.O) - d chi - O.D - sum_v c(v,s)^T A_v^{-1} c(v,D)
-    <P, P> = 2 chi + 2 s_P.O + sum_v (A_v^{-1})_kk   (s_P meets Theta_{v,k})
-    n^2 = -phi0(D).phi0(D) / <P_o, P_o>,   n = -phi0(D).phi0(s_o) / <P_o, P_o>.
+registered names only and holds the closed forms of the derivation.  The
+height identity they share lives here, in `_height`: it gives a generator's
+height, forces a torsion section's s.O (height zero), and gives the s(D).O
+of the section attached to a divisor.
 
 The reserved divisors O and F get their pairing with every section filled
 in by `build_table` (O.s = s.O, F.s = 1), so no formula branches on names.
@@ -45,8 +39,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import isqrt
-from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import InconsistentDataError, MissingIntersectionError, SchemaError
@@ -290,21 +282,6 @@ class IntersectionTable:
         pair = ".".join(_sym_str(self._basis[idx]) for idx in (i, j))
         return MissingIntersectionError(f"the pairing {pair} is not registered")
 
-    def _times(self, x: FormalClass, columns) -> list:
-        """(G x)_j for every basis index j in columns, summed as integers
-        while x's coefficients are."""
-        gram = self._gram
-        out = [0] * len(columns)
-        for i, a in self._vector(x).items():
-            row = gram[i]
-            for k, j in enumerate(columns):
-                value = row[j]
-                if value is None:
-                    raise self._gap(i, j)
-                if value:
-                    out[k] += a * value
-        return out
-
     def pair_class(self, x: FormalClass, y: FormalClass) -> Fraction:
         """x^T G y, summed over the two sparse coefficient vectors; one
         Fraction at the end."""
@@ -323,23 +300,37 @@ class IntersectionTable:
         return self.pair_class(FormalClass.of(a), FormalClass.of(b))
 
     def profile(self, x: FormalClass) -> list:
-        """G x on the generators: the pairings of x with each of generators()."""
-        return self._times(x, range(len(self.generators())))
+        """G x on the generators: the pairings of x with each of generators(),
+        summed as integers while x's coefficients are."""
+        gram, n = self._gram, len(self.generators())
+        out = [0] * n
+        for i, a in self._vector(x).items():
+            row = gram[i]
+            for j in range(n):
+                value = row[j]
+                if value is None:
+                    raise self._gap(i, j)
+                if value:
+                    out[j] += a * value
+        return out
 
     @cached_property
     def generator_rank(self) -> int:
         """Rank of the generators' Gram block: its nonzero invariant factors."""
         n = len(self.generators())
-        block = [self._times(FormalClass.of(sym), range(n)) for sym in self._basis[:n]]
+        block = [row[:n] for row in self._gram[:n]]
+        for i, row in enumerate(block):
+            if None in row:
+                raise self._gap(i, row.index(None))
         return sum(1 for f in smith_normal_form(block).invariant_factors if f)
 
 
-def _local_sum(fibers: dict[str, ReducibleFiberData],
-               components: Mapping[str, int]) -> tuple[int, int]:
-    """sum_v (A_v^{-1})_kk over the fibers where a section meets Theta_{v,k},
-    k >= 1 (the local terms of its height), as one integer numerator over
-    one denominator, read off each matrix's numerators."""
-    num, den = 0, 1
+def _height(chi: int, s_dot_o: int, fibers: dict[str, ReducibleFiberData],
+            components: Mapping[str, int]) -> tuple[int, int]:
+    """<P, P> = 2 chi + 2 s.O + sum_v (A_v^{-1})_kk of a section that meets
+    Theta_{v,k} in each fiber v (k = 0 adds nothing), as one integer numerator
+    over one denominator, read off each matrix's numerators."""
+    num, den = 2 * chi + 2 * s_dot_o, 1
     for fid, k in components.items():
         if k:
             a_inv = fibers[fid].a_inv
@@ -347,20 +338,15 @@ def _local_sum(fibers: dict[str, ReducibleFiberData],
     return num, den
 
 
-def _height(table: IntersectionTable, s: SectionProfile) -> Fraction:
-    """<P, P> = 2 chi + 2 s.O + sum_v (A_v^{-1})_kk of a registered section."""
-    return 2 * table.cfg.chi + 2 * s.s_dot_o + Fraction(*_local_sum(table.fibers, s.components))
-
-
 def _torsion_s_dot_o(chi: int, fibers: dict[str, ReducibleFiberData],
                      components: Mapping[str, int], name: str) -> int:
-    # height 0 forces  2 chi + 2 s.O + sum (A^{-1})_kk = 0
-    num, den = _local_sum(fibers, components)
-    s_dot_o, rest = divmod(-2 * chi * den - num, 2 * den)
+    # height 0 forces 2 s.O = -(the height at s.O = 0)
+    num, den = _height(chi, 0, fibers, components)
+    s_dot_o, rest = divmod(-num, 2 * den)
     if rest or s_dot_o < 0:
         raise InconsistentDataError(
             f"torsion section {name!r}: height-zero condition gives s.O ="
-            f" {Fraction(-2 * chi * den - num, 2 * den)}, not a nonnegative integer"
+            f" {Fraction(-num, 2 * den)}, not a nonnegative integer"
         )
     return s_dot_o
 
@@ -544,83 +530,3 @@ def _gamma_tuple(cfg, fibers, components: Mapping[str, int]):
     return tuple(
         dual_class_of(fibers[fid], components.get(fid, 0)) for fid, _ in cfg.fibers
     )
-
-
-def _solves(table: IntersectionTable, d: DivisorProfile) -> dict[str, tuple[Fraction, ...]]:
-    """x_v = A_v^{-1} c(v, D) for every fiber with c(v, D) != 0: the one solve
-    per fiber that _phi0_self, _phi0_cross and the gamma vectors all read."""
-    return {fid: table.fibers[fid].a_inv * c for fid, c in d.c.items() if any(c)}
-
-
-def _phi0_self(table: IntersectionTable, d: DivisorProfile, xs) -> Fraction:
-    if d.d_squared is None:
-        raise MissingIntersectionError(f"divisor {d.name!r}: D^2 required for phi0_self")
-    total = Fraction(d.d_squared) - 2 * d.d * d.d_dot_o - d.d * d.d * table.cfg.chi
-    for fid, x in xs.items():
-        total -= sum(map(mul, d.c[fid], x))
-    return total
-
-
-def _phi0_cross(table: IntersectionTable, d: DivisorProfile, s: SectionProfile, xs) -> Fraction:
-    d_dot_s = d.d_dot_section.get(s.name)
-    if d_dot_s is None:
-        raise MissingIntersectionError(
-            f"divisor {d.name!r}: D.{s.name} required for phi0_cross"
-        )
-    total = Fraction(d_dot_s) - d.d * s.s_dot_o - d.d * table.cfg.chi - d.d_dot_o
-    for fid, x in xs.items():
-        k = s.components.get(fid, 0)
-        if k:
-            total -= x[k - 1]
-    return total
-
-
-@dataclass(frozen=True)
-class FreeCoefficient:
-    """n, how its sign was fixed, and the two numbers it was read from."""
-
-    n: int
-    n_squared: int
-    sign_determined: bool
-    height: Fraction  # <P_o, P_o>
-    phi0_self: Fraction  # phi0(D).phi0(D)
-
-
-def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionProfile,
-                      xs) -> FreeCoefficient:
-    """Free coefficient of D along a rank-one generator.
-
-    Quadratic route always runs: n^2 = -phi0(D).phi0(D) / <P_o, P_o> must be
-    a perfect square.  When D.s_o is registered, the linear route fixes the
-    sign and must agree.
-    """
-    if table.cfg.mw_free_rank != 1:
-        raise InconsistentDataError(
-            f"free coefficient needs Mordell-Weil free rank 1, not {table.cfg.mw_free_rank}"
-        )
-    h = _height(table, gen)
-    if h <= 0:
-        raise InconsistentDataError(
-            f"generator {gen.name!r} has height {h}; a free generator needs positive height"
-        )
-    self_pairing = _phi0_self(table, d, xs)
-    n_sq = -self_pairing / h
-    if n_sq < 0 or n_sq.denominator != 1 or isqrt(n_sq.numerator) ** 2 != n_sq.numerator:
-        raise InconsistentDataError(
-            f"n^2 = {n_sq} not a perfect square => inconsistent intersection data"
-        )
-    n_abs = isqrt(n_sq.numerator)
-    try:
-        cross = _phi0_cross(table, d, gen, xs)
-    except MissingIntersectionError:
-        return FreeCoefficient(n_abs, int(n_sq), False, h, self_pairing)
-    n_lin = -cross / h
-    if n_lin.denominator != 1:
-        raise InconsistentDataError(
-            f"linear formula gives non-integral n = {n_lin} => inconsistent intersection data"
-        )
-    if int(n_lin) ** 2 != n_sq:
-        raise InconsistentDataError(
-            f"linear n = {n_lin} disagrees with n^2 = {n_sq} => inconsistent intersection data"
-        )
-    return FreeCoefficient(int(n_lin), int(n_sq), True, h, self_pairing)

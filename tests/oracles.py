@@ -148,7 +148,7 @@ def phi0(table, divisor):
     """phi0(D) = D - d O - (d chi + O.D) F - sum_v Theta_v A_v^{-1} c(v, D) as a
     formal class of a registered divisor, so that pairing it through the
     table's generic pairing code can be compared with the closed forms
-    nslattice._phi0_self / _phi0_cross."""
+    mwgroup._phi0_self / _phi0_cross."""
     d = table.divisors[divisor]
     chi = table.cfg.chi
     sym = {"O": SYM_O, "F": SYM_F}.get(d.name, divisor_sym(d.name))

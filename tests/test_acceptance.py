@@ -38,7 +38,7 @@ from ajimage import (
     u_of,
     verify_ns_relation,
 )
-from ajimage import nslattice
+from ajimage import mwgroup, nslattice
 from ajimage.kodaira import dual_class_of, incidence_class
 from ajimage.nslattice import SYM_F, SYM_O, theta
 
@@ -188,7 +188,7 @@ def test_structural_properties_on_random_profiles():
             assert table.pair_class(cls, FormalClass.of(sym)) == 0, sym
         # the closed-form self-pairing equals the formal expansion
         d = table.divisors["D"]
-        closed_form = nslattice._phi0_self(table, d, nslattice._solves(table, d))
+        closed_form = mwgroup._phi0_self(table, d, mwgroup._solves(table, d))
         assert closed_form == table.pair_class(cls, cls)
 
     # the class of the gamma vector is additive in c, fiber by fiber

@@ -543,12 +543,15 @@ def test_round_trip_of_emitted_config(tmp_path):
 # rebuilt on the derivation record; "render" entries must match byte for
 # byte, "cover" entries in their decisions (the reasons are reworded).  The
 # `cover --sweep 3..50` render entries were recorded after that rebuild, so
-# they pin the reason text of whole sweeps as well.
-GOLDEN = json.loads((Path(__file__).parent / "golden_stdout.json").read_text("utf-8"))
+# they pin the reason text of whole sweeps as well.  `image --config` paths
+# are relative to the checkout root, and the source line prints them as given.
+CHECKOUT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((CHECKOUT / "tests" / "golden_stdout.json").read_text("utf-8"))
 
 
 @pytest.mark.parametrize("case", GOLDEN["render"], ids=lambda c: " ".join(c["argv"]))
-def test_stdout_matches_golden(capsys, case):
+def test_stdout_matches_golden(capsys, monkeypatch, case):
+    monkeypatch.chdir(CHECKOUT)
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]

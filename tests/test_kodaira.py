@@ -38,6 +38,26 @@ def test_parse():
             FiberKind.parse(bad)
 
 
+@pytest.mark.parametrize("family, n, message", [
+    ("I", 1, "fiber I1 is irreducible"),
+    ("II", None, "fiber II is irreducible"),
+    ("I*", None, "I / I* kinds need an index"),
+    ("Q", None, "unknown fiber family 'Q'; expected one of I, I*, II*, III, III*, IV, IV*"),
+    ("I*", -1, "fiber I*_n needs n >= 0, not -1"),
+    ("III", 2, "fiber III takes no index, not 2"),
+    ("IV", 0, "fiber IV takes no index, not 0"),
+    ("IV*", 1, "fiber IV* takes no index, not 1"),
+    ("III*", 3, "fiber III* takes no index, not 3"),
+    ("II*", 5, "fiber II* takes no index, not 5"),
+])
+def test_invalid_kind_cannot_be_built(family, n, message):
+    # before, FiberKind("I*", -1), ("II*", 5) and ("Q") were built, and
+    # fiber_data then raised IndexError, succeeded and raised KeyError
+    with pytest.raises(ValueError) as exc:
+        FiberKind(family, n)
+    assert str(exc.value) == message
+
+
 def test_i0star_golden():
     data = fiber_data("I0*")
     assert data.m == 5

@@ -1,13 +1,16 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajimage.configio import bundled_config
+from ajimage.configio import bundled_config, load_config
 from ajimage.errors import InconsistentDataError
 from ajimage.exact import QMatrix
 from ajimage.fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface
@@ -361,3 +364,82 @@ def test_build_and_derive_read_no_qmatrix_entry(monkeypatch):
         for d in doc.divisors:
             derive(table, d.name, GENERATOR)
     assert reads == []
+
+
+# Every field of the derivation record, recorded before the closed forms
+# moved into mwgroup.  The checked-in configs: wide_i34_i29star.json is a
+# chi = 9 surface with fibers I34 and I29* and a generator with s.O = 2, whose
+# divisors D<k> are k s_o plus seeded trivial-lattice noise (k = -3..3);
+# fourlines_torsion.json is the bundled surface with divisors k s_o + t_i
+# plus noise, and T1_open has no registered D.s_o.  The wide gamma vectors
+# are pinned by the sha256 of their rendered entries.
+CONFIGS = Path(__file__).parent / "configs"
+RECORD_GOLDENS = {
+    ("wide_i34_i29star", "D-3"): (
+        (-3, 9, True, "645/68", "-5805/68"),
+        "6a80064d4463d1385bd46c06f6b913329c0f7ac430d83bb224cb9d9513d60692",
+        ((15,), (1,)), ((0,), (0,)), 42, MWPoint(-3, (), None)),
+    ("wide_i34_i29star", "D-2"): (
+        (-2, 4, True, "645/68", "-645/17"),
+        "b5490329e2bd2906d8b21619e888cc31609cfc23153000ffee1a002808fbea16",
+        ((10,), (2,)), ((0,), (0,)), 14, MWPoint(-2, (), None)),
+    ("wide_i34_i29star", "D-1"): (
+        (-1, 1, True, "645/68", "-645/68"),
+        "8b60cdf48d6f3f71f5872ef5c526daa0e720a8c3b47ef4767a45f67feab16e5c",
+        ((5,), (3,)), ((0,), (0,)), 2, MWPoint(-1, (), None)),
+    ("wide_i34_i29star", "D0"): (
+        (0, 0, True, "645/68", "0"),
+        "980a8fe284c7a33b185c5e58e4782765cc4006154f2be03765d5c642e065526a",
+        ((0,), (0,)), ((0,), (0,)), -9, MWPoint(0, (), None)),
+    ("wide_i34_i29star", "D1"): (
+        (1, 1, True, "645/68", "-645/68"),
+        "30526bd47350a7656ebe5e09d973fe89a678f3adce055aeb4d58b78260e8a82a",
+        ((29,), (1,)), ((0,), (0,)), 2, MWPoint(1, (), None)),
+    ("wide_i34_i29star", "D2"): (
+        (2, 4, True, "645/68", "-645/17"),
+        "f0367ca99da9385eb1949c5636d7701816c77786d50d0aec21bf72e08a9308e3",
+        ((24,), (2,)), ((0,), (0,)), 14, MWPoint(2, (), None)),
+    ("wide_i34_i29star", "D3"): (
+        (3, 9, True, "645/68", "-5805/68"),
+        "856fb0d860fe8521a3aac394870e3ff84f74239ea8f83a2dc783a3aa1f6455db",
+        ((19,), (3,)), ((0,), (0,)), 42, MWPoint(3, (), None)),
+    ("fourlines_torsion", "T1"): (
+        (1, 1, True, "1/2", "-1/2"),
+        (("2", "2", "1", "2"), ("3/2",), ("5/2",), ("1/2",)),
+        ((0, 0), (1,), (1,), (1,)), ((1, 0), (0,), (1,), (1,)), 0, MWPoint(1, (1, 0), "t1")),
+    ("fourlines_torsion", "T2"): (
+        (0, 0, True, "1/2", "0"),
+        (("3/2", "2", "-1/2", "-2"), ("3/2",), ("0",), ("-3/2",)),
+        ((0, 1), (1,), (0,), (1,)), ((0, 1), (1,), (0,), (1,)), 0, MWPoint(0, (0, 1), "t2")),
+    ("fourlines_torsion", "T3"): (
+        (-2, 4, True, "1/2", "-2"),
+        (("-5/2", "3/2", "-1", "-1"), ("5/2",), ("3/2",), ("-2",)),
+        ((1, 1), (1,), (1,), (0,)), ((1, 1), (1,), (1,), (0,)), 1, MWPoint(-2, (1, 1), "t3")),
+    ("fourlines_torsion", "T1b"): (
+        (3, 9, True, "1/2", "-9/2"),
+        (("5", "4", "1", "4"), ("3/2",), ("-3/2",), ("-1/2",)),
+        ((0, 0), (1,), (1,), (1,)), ((1, 0), (0,), (1,), (1,)), 2, MWPoint(3, (1, 0), "t1")),
+    ("fourlines_torsion", "T1_open"): (
+        (1, 1, False, "1/2", "-1/2"),
+        (("1", "0", "-1", "4"), ("-1/2",), ("5/2",), ("3/2",)),
+        ((0, 0), (1,), (1,), (1,)), ((1, 0), (0,), (1,), (1,)), 0, MWPoint(1, (1, 0), "t1")),
+}
+
+
+@cache
+def config_table(name):
+    doc = load_config(CONFIGS / f"{name}.json")
+    return build_table(doc.surface, doc.divisors)
+
+
+@pytest.mark.parametrize("config, divisor", sorted(RECORD_GOLDENS))
+def test_derivation_record_goldens(config, divisor):
+    der = derive(config_table(config), divisor, "s_o")
+    free, vectors = der.free, tuple(tuple(map(str, v)) for v in der.gamma_vectors)
+    if config == "wide_i34_i29star":
+        vectors = hashlib.sha256(repr(vectors).encode()).hexdigest()
+    got = (
+        (free.n, free.n_squared, free.sign_determined, str(free.height), str(free.phi0_self)),
+        vectors, der.gamma_classes, der.torsion_residual, der.s_dot_o, der.point,
+    )
+    assert got == RECORD_GOLDENS[config, divisor]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ajimage import nslattice
+from ajimage import mwgroup, nslattice
 from ajimage.configio import BUNDLED, bundled_config
 from ajimage.errors import InconsistentDataError, MissingIntersectionError, SchemaError
 from ajimage.fourlines import eminus_profile, eplus_profile, four_line_surface
@@ -57,12 +57,12 @@ def phi0_self(table, name):
     """The closed form phi0(D).phi0(D) of a registered divisor, which derive
     reads only when n^2 comes out a perfect square."""
     d = table.divisors[name]
-    return nslattice._phi0_self(table, d, nslattice._solves(table, d))
+    return mwgroup._phi0_self(table, d, mwgroup._solves(table, d))
 
 
 def phi0_cross(table, name, section):
     d = table.divisors[name]
-    return nslattice._phi0_cross(table, d, table.sections[section], nslattice._solves(table, d))
+    return mwgroup._phi0_cross(table, d, table.sections[section], mwgroup._solves(table, d))
 
 
 # --- table construction and base pairings ---
@@ -317,6 +317,25 @@ def test_torsion_closure_matches_all_pairs_oracle(case, data):
     assert accepted == closed
     if mode in ("closed", "perturbed"):
         assert accepted == (mode == "closed")
+
+
+@pytest.mark.parametrize("components, s_dot_o", [
+    ({"inf": 1}, "-1/2"),
+    ({"inf": 1, "1": 1, "2": 1, "3": 1}, "1/4"),
+    ({"1": 1}, "-3/4"),
+    ({}, "-1"),
+])
+def test_torsion_height_zero_rejection(components, s_dot_o):
+    # 2 chi + 2 s.O + sum_v (A_v^{-1})_kk = 0 must give a nonnegative integer s.O
+    cfg = four_line_surface()
+    t1 = replace(cfg.torsion_table[0], components=components)
+    bad = replace(cfg, torsion_table=(t1,) + cfg.torsion_table[1:])
+    with pytest.raises(InconsistentDataError) as exc:
+        build_table(bad)
+    assert str(exc.value) == (
+        f"torsion section 't1': height-zero condition gives s.O = {s_dot_o},"
+        " not a nonnegative integer"
+    )
 
 
 def test_torsion_profile_heights():
