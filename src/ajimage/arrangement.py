@@ -29,13 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Union
 
 from .dihedral import ArrangementType
 from .errors import DegenerateArrangementError, InconsistentDataError, SchemaError
-from .fourlines import GENERATOR, bundled_table
-from .mwgroup import MWPoint, abel_jacobi_image
+from .fourlines import bundled_derivation
+from .mwgroup import MWPoint
 
 Rat = Union[int, Fraction, str]
 
@@ -315,13 +314,9 @@ def image_of(arr: Arrangement) -> MWPoint:
 
     The double cover branched along the four lines turns the cubic's
     preimage into E+ + E-; the arrangement type, classified afresh on the
-    raw coordinates, picks E+'s bundled table, since it decides (E+)^2
-    through E+.E- = 3 (collinear q's) or 5.  The image depends on the type
-    alone, so it is derived once per type.
+    raw coordinates, picks E+'s splitting shape, since it decides (E+)^2
+    through E+.E- = 3 (collinear q's) or 5.  The image depends on the shape
+    alone, so it is the point of `fourlines.bundled_derivation`, which
+    computes it once per shape.
     """
-    return _eplus_image(classify_type(arr))
-
-
-@cache
-def _eplus_image(atype: ArrangementType) -> MWPoint:
-    return abel_jacobi_image(bundled_table(atype.variant), "E+", GENERATOR)
+    return bundled_derivation(classify_type(arr).variant, "E+").point

@@ -42,9 +42,16 @@ from .errors import (
     SchemaError,
 )
 from .exact import matrix_lines
-from .fourlines import GENERATOR, bundled_table, eplus_profile, four_line_surface, ns_relation
+from .fourlines import (
+    GENERATOR,
+    bundled_derivation,
+    bundled_table,
+    eplus_profile,
+    four_line_surface,
+    ns_relation,
+)
 from .kodaira import dual_class_of, fiber_data
-from .mwgroup import MWPoint, abel_jacobi_image, classes_str, derive
+from .mwgroup import MWPoint, classes_str, derive
 from .nslattice import build_table
 
 # bundled config name -> (shipped document, fourlines splitting shape)
@@ -207,11 +214,12 @@ def cmd_image(args) -> int:
 
     def lines():
         fibers_str = ", ".join(f"{fid} {kind}" for fid, kind in surface.fibers)
-        sign_note = (
-            f"(sign fixed by the registered {divisor.name}.{gen.name} pairing)"
-            if free.sign_determined
-            else "(sign undetermined; both signs give the same decomposition)"
-        )
+        sign_note = {
+            "pairing": f"(sign fixed by the registered {divisor.name}.{gen.name} pairing)",
+            "torsion": f"(sign fixed by torsion: at n = {-point.free_coeff} the residual"
+                       " names no torsion section)",
+            "open": "(sign undetermined; both signs give the same decomposition)",
+        }[free.sign_route]
         return [
             f"config: {source}",
             f"surface: chi = {surface.chi}; fibers {fibers_str};"
@@ -414,13 +422,13 @@ _DEMO_CHECKS = [
     ("component group (Z/2)^2", _i0star_group, ("Z/2 x Z/2", 3, True, True),
      "component group (Z/2)^2 with e1 + e2 = e3"),
     ("bundled type2 image",
-     lambda: abel_jacobi_image(bundled_table("noncollinear"), "E+", GENERATOR),
+     lambda: bundled_derivation("noncollinear", "E+").point,
      MWPoint(2, (0, 0)), "fourlines_type2: P_(E+) = 2*P_o + 0"),
     ("bundled type1 image",
-     lambda: abel_jacobi_image(bundled_table("collinear"), "E+", GENERATOR),
+     lambda: bundled_derivation("collinear", "E+").point,
      MWPoint(0, (0, 0)), "fourlines_type1: P_(E+) = O"),
     ("generator height",
-     lambda: derive(bundled_table("collinear"), "E+", GENERATOR).free.height,
+     lambda: bundled_derivation("collinear", "E+").free.height,
      Fraction(1, 2), "<P_o, P_o> = 1/2"),
     ("class relation, collinear", _collinear_relation, (RelationStatus.HOLDS, 3, 3),
      "collinear class relation verifies on every generator pairing; both sides square to 3"),

@@ -5,12 +5,12 @@ Z x T, solving each cyclic factor of the torsion group by gcd arithmetic and
 returning an explicit witness.  `d2n_cover_exists` decides whether a
 dihedral cover of order 2n branched along a four-line-plus-cubic
 arrangement exists with one rule for every type and every n: exactly when
-P_{E+} - P_{E-} is n-divisible in Z x (Z/2)^2.  Both points are computed by
-`abel_jacobi_image` on the type's bundled table (`fourlines.bundled_table`
-of `ArrangementType.variant`: collinear shape for Type I, non-collinear for
-Type II), once per type on first use, and every reason in the verdict is
-rendered from them.  For odd n this is the same as n-divisibility of
-P_{E+} alone, since 2 is invertible on the odd part.
+P_{E+} - P_{E-} is n-divisible in Z x (Z/2)^2.  Both points are read off
+`fourlines.bundled_derivation` of the type's splitting shape
+(`ArrangementType.variant`: collinear for Type I, non-collinear for Type
+II), and every reason in the verdict is rendered from them.  For odd n this
+is the same as n-divisibility of P_{E+} alone, since 2 is invertible on the
+odd part.
 
 `verify_ns_relation` is the supporting check that two formal divisor
 classes really are equal in the Neron-Severi group: it compares their
@@ -28,9 +28,9 @@ from functools import cache
 from math import gcd
 
 from .errors import SchemaError
-from .fourlines import GENERATOR, bundled_table
+from .fourlines import bundled_derivation, four_line_surface
 from .kodaira import AbelianGroup
-from .mwgroup import MWPoint, abel_jacobi_image
+from .mwgroup import MWPoint
 from .nslattice import FormalClass, IntersectionTable, _sym_str
 
 
@@ -111,9 +111,8 @@ def _cover_points(atype: ArrangementType) -> tuple[MWPoint, str, str, AbelianGro
     """P_{E+} - P_{E-} on the type's bundled surface, its rendering, the
     first reason of every verdict (it does not depend on n), and the
     surface's torsion group."""
-    table = bundled_table(atype.variant)
-    plus, minus = (abel_jacobi_image(table, name, GENERATOR) for name in ("E+", "E-"))
-    group = table.cfg.torsion_group
+    plus, minus = (bundled_derivation(atype.variant, name).point for name in ("E+", "E-"))
+    group = four_line_surface().torsion_group
     torsion = group.add(plus.torsion, group.neg(minus.torsion))
     diff = MWPoint(plus.free_coeff - minus.free_coeff, torsion)
     points = (

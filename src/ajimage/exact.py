@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 
 def exact_number(x, where: str) -> "int | Fraction":
@@ -106,15 +105,6 @@ class QMatrix:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QMatrix) and self.den == other.den and self.num == other.num
-
-    def __mul__(self, vector) -> tuple[Fraction, ...]:
-        """Matrix times a vector of rationals: integer dot products, then one
-        Fraction per entry of the result."""
-        ints, scale = _numerators(vector)
-        if self.num and len(self.num[0]) != len(ints):
-            raise ValueError("shape mismatch")
-        den = self.den * scale
-        return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
 
     def cells(self) -> list[list["int | str"]]:
         """Entries as they are printed: an int when integral, else "p/q" in

@@ -29,18 +29,18 @@ E+: the involution fixes O, F and all fiber components, so degree, D.O, D^2
 and the c-vectors match, and <P_{E-}, P_o> = -<P_{E+}, P_o> gives n = 0
 resp. -2, so E-.s_o = 1 resp. 2.
 
-`bundled_table` builds each shape's table once per process; the cover
-decisions, the arrangement images and the demo all read it.
+`bundled_derivation` derives each bundled divisor once per process, on its
+shape's `bundled_table`; the covers, the arrangement images, the class
+relation and the demo all read it.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Mapping
 
 from .configio import ConfigDocument, bundled_config
 from .errors import SchemaError
-from .mwgroup import abel_jacobi_image
+from .mwgroup import Derivation, _solves, derive
 from .nslattice import (
     SYM_F,
     SYM_O,
@@ -94,25 +94,22 @@ def bundled_table(variant: str) -> IntersectionTable:
     return build_table(doc.surface, doc.divisors)
 
 
-def _trivial_part(table: IntersectionTable, d: int, d_dot_o: int,
-                  c: Mapping[str, tuple[int, ...]]) -> FormalClass:
-    """d O + (d chi + D.O) F + sum_v sum_i (A_v^{-1} c(v, D))_i Theta_{v,i}:
-    the class in the trivial lattice that pairs with O, F and every Theta
-    like D does."""
-    coeffs = {SYM_O: d, SYM_F: d * table.cfg.chi + d_dot_o}
-    for fid, vec in c.items():
-        for i, x in enumerate(table.fibers[fid].a_inv * vec, 1):
-            coeffs[theta(fid, i)] = x
-    return FormalClass(coeffs)
+@cache
+def bundled_derivation(variant: str, divisor: str) -> Derivation:
+    """`derive` of a bundled divisor along s_o on its shape's table, once per
+    process: the one place a bundled divisor is derived."""
+    return derive(bundled_table(variant), divisor, GENERATOR)
 
 
 @cache
 def ns_relation(variant: str) -> tuple[FormalClass, FormalClass]:
     """The Neron-Severi relation (lhs, rhs) of E+ on a splitting shape.
 
-    E+ ~ T(E+) + n phi0(s_o), with T the trivial-lattice part above,
-    phi0(s_o) = s_o - T(s_o) and n the free coefficient of P_{E+}: phi0
-    kills torsion, so phi0(E+) = n phi0(s_o).  On the shipped documents:
+    E+ ~ n s_o + T(E+ - n s_o), with n the free coefficient of P_{E+} and
+    T(X) = d O + (d chi + X.O) F + sum_v sum_i (A_v^{-1} c(v, X))_i Theta_{v,i}
+    the class in the trivial lattice that pairs with O, F and every Theta
+    like X does: E+ - n s_o is torsion plus trivial-lattice classes, so it
+    is its own T.  On the shipped documents:
 
     collinear (n = 0):
         E+  ~  3 O + 3 F - 2 Theta_inf_1 - 2 Theta_inf_2 - 2 Theta_inf_3
@@ -123,13 +120,14 @@ def ns_relation(variant: str) -> tuple[FormalClass, FormalClass]:
     """
     table = bundled_table(variant)
     eplus, gen = table.divisors["E+"], table.sections[GENERATOR]
-    units = {
-        fid: tuple(int(i == k) for i in range(1, table.fibers[fid].m))
-        for fid, k in gen.components.items() if k
-    }
-    phi0_gen = FormalClass.of(section_sym(GENERATOR)) - _trivial_part(
-        table, 1, gen.s_dot_o, units
-    )
-    n = abel_jacobi_image(table, "E+", GENERATOR).free_coeff
-    rhs = _trivial_part(table, eplus.d, eplus.d_dot_o, eplus.c) + n * phi0_gen
-    return FormalClass.of(divisor_sym("E+")), rhs
+    n = bundled_derivation(variant, "E+").free.n
+    # E+ - n s_o: s_o has d = 1, s.O and c(v, s_o) = e_k at its component k
+    rest = DivisorProfile("E+ - n s_o", eplus.d - n, eplus.d_dot_o - n * gen.s_dot_o, {
+        fid: tuple(x - n * (i == gen.components.get(fid, 0)) for i, x in enumerate(c, 1))
+        for fid, c in eplus.c.items()
+    })
+    d, chi = rest.d, table.cfg.chi
+    coeffs = {section_sym(GENERATOR): n, SYM_O: d, SYM_F: d * chi + rest.d_dot_o}
+    for fid, x in _solves(table, rest).items():
+        coeffs.update((theta(fid, i), v) for i, v in enumerate(x, 1))
+    return FormalClass.of(divisor_sym("E+")), FormalClass(coeffs)

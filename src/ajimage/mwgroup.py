@@ -21,7 +21,8 @@ each fiber's Smith class rows.  Both kill the trivial lattice, so the image
 of a divisor equals the image of its attached Mordell-Weil point, which is
 what makes torsion resolvable from intersection data alone: the residual
 class(D) - n * class(s_o), formed fiber by fiber, is looked up in the
-table's torsion dict (zero included).  The height identity <P, P>
+table's torsion dict (zero included); without D.s_o both signs of n are
+looked up, and a sign that misses is excluded.  The height identity <P, P>
 (`nslattice._height`, which also gives the generator's height) then fixes
 the bookkeeping s(D).O of the attached section.  `abel_jacobi_image`
 returns the record's point; the CLI renders the record.
@@ -29,7 +30,7 @@ returns the record's point; the CLI renders the record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 from operator import mul
@@ -68,13 +69,21 @@ def classes_str(classes) -> str:
 
 @dataclass(frozen=True)
 class FreeCoefficient:
-    """n, how its sign was fixed, and the two numbers it was read from."""
+    """n, how its sign was fixed, and the two numbers it was read from.
+
+    sign_route is "pairing" when the registered D.s_o fixed the sign,
+    "torsion" when only one sign leaves a residual in the torsion table, and
+    "open" when both signs resolve to the same torsion element (n = |n|)."""
 
     n: int
     n_squared: int
-    sign_determined: bool
+    sign_route: str  # "pairing", "torsion" or "open"
     height: Fraction  # <P_o, P_o>
     phi0_self: Fraction  # phi0(D).phi0(D)
+
+    @property
+    def sign_determined(self) -> bool:
+        return self.sign_route != "open"
 
 
 @dataclass(frozen=True)
@@ -95,9 +104,13 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
 
     Runs both routes to n, resolves torsion, and verifies the section
     bookkeeping: the height identity must give the attached section an
-    integral intersection with O.  With an undetermined sign both sign
-    choices must agree on torsion, otherwise the decomposition is reported
-    as ambiguous.
+    integral intersection with O.  Without a registered D.s_o, a sign whose
+    residual names no torsion section is excluded, so torsion fixes the sign
+    when exactly one sign is left.  When both signs name the same torsion
+    element the sign stays open; when they name different ones the
+    decomposition is reported as ambiguous.  That is reachable: on two I4
+    fibers, with s_o through Theta_1 of both and a 2-torsion t through
+    Theta_2 of both, P_o and -P_o + t agree on every number but D.s_o.
     """
     d = table.divisors[divisor]
     gen = table.sections[generator]
@@ -109,26 +122,33 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     )
     gen_classes = _gamma_tuple(table.cfg, table.fibers, gen.components)
 
-    def torsion_of(k: int):
-        # classes + k * gen_classes, fiber by fiber, and the torsion element it names
-        shifted = tuple(
-            tuple((x + k * y) % f for x, y, f in zip(a, b, data.group.invariant_factors))
+    def residual_of(n: int):
+        # classes - n * gen_classes, fiber by fiber
+        return tuple(
+            tuple((x - n * y) % f for x, y, f in zip(a, b, data.group.invariant_factors))
             for data, a, b in zip(fibers, classes, gen_classes)
         )
-        hit = table.torsion.get(shifted)
-        if hit is None:
-            raise InconsistentDataError(
-                f"no torsion section realizes the dual class {classes_str(shifted)};"
-                " intersection data is inconsistent with the torsion table"
-            )
-        return shifted, hit
 
-    residual, (name, coords) = torsion_of(-free.n)
-    if not free.sign_determined and torsion_of(free.n)[1] != (name, coords):
+    residual = residual_of(free.n)
+    hit = table.torsion.get(residual)
+    if free.sign_route == "open" and free.n:
+        other = residual_of(-free.n)
+        other_hit = table.torsion.get(other)
+        if hit is None and other_hit is not None:
+            free, residual, hit = replace(free, n=-free.n, sign_route="torsion"), other, other_hit
+        elif hit is not None and other_hit is None:
+            free = replace(free, sign_route="torsion")
+        elif hit != other_hit:
+            raise InconsistentDataError(
+                f"sign of n = {free.n} is undetermined and the torsion resolution"
+                " depends on it; register D.s_o to fix the sign"
+            )
+    if hit is None:
         raise InconsistentDataError(
-            f"sign of n = {free.n} is undetermined and the torsion resolution"
-            " depends on it; register D.s_o to fix the sign"
+            f"no torsion section realizes the dual class {classes_str(residual)};"
+            " intersection data is inconsistent with the torsion table"
         )
+    name, coords = hit
     vectors = tuple(
         tuple(-x for x in xs[fid]) if fid in xs else (Fraction(0),) * (data.m - 1)
         for (fid, _), data in zip(table.cfg.fibers, fibers)
@@ -145,9 +165,15 @@ def abel_jacobi_image(table: IntersectionTable, divisor: str, generator: str) ->
 
 
 def _solves(table: IntersectionTable, d: DivisorProfile) -> dict[str, tuple[Fraction, ...]]:
-    """x_v = A_v^{-1} c(v, D) for every fiber with c(v, D) != 0: the one solve
-    per fiber that _phi0_self, _phi0_cross and the gamma vectors all read."""
-    return {fid: table.fibers[fid].a_inv * c for fid, c in d.c.items() if any(c)}
+    """x_v = A_v^{-1} c(v, D) for every fiber with c(v, D) != 0, one Fraction
+    per integer dot product: the library's one A^{-1} c product, which the
+    phi0 closed forms, the gamma vectors and `fourlines.ns_relation` read."""
+    out = {}
+    for fid, c in d.c.items():
+        if any(c):
+            a_inv = table.fibers[fid].a_inv
+            out[fid] = tuple(Fraction(sum(map(mul, row, c)), a_inv.den) for row in a_inv.num)
+    return out
 
 
 def _phi0_self(table: IntersectionTable, d: DivisorProfile, xs) -> Fraction:
@@ -200,7 +226,7 @@ def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionP
     try:
         cross = _phi0_cross(table, d, gen, xs)
     except MissingIntersectionError:
-        return FreeCoefficient(n_abs, int(n_sq), False, h, self_pairing)
+        return FreeCoefficient(n_abs, int(n_sq), "open", h, self_pairing)
     n_lin = -cross / h
     if n_lin.denominator != 1:
         raise InconsistentDataError(
@@ -210,7 +236,7 @@ def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionP
         raise InconsistentDataError(
             f"linear n = {n_lin} disagrees with n^2 = {n_sq} => inconsistent intersection data"
         )
-    return FreeCoefficient(int(n_lin), int(n_sq), True, h, self_pairing)
+    return FreeCoefficient(int(n_lin), int(n_sq), "pairing", h, self_pairing)
 
 
 def _bookkeeping(table: IntersectionTable, free: FreeCoefficient, classes, point: MWPoint) -> int:

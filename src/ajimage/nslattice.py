@@ -163,7 +163,7 @@ class DivisorProfile:
     d: int  # D.F
     d_dot_o: int
     c: Mapping[str, tuple[int, ...]]  # fiber id -> (D.Theta_{v,1}, ...)
-    d_squared: int | Fraction | None = None
+    d_squared: int | None = None
     d_dot_section: Mapping[str, int] = field(default_factory=dict)
     d_dot_divisor: Mapping[str, int] = field(default_factory=dict)
 
@@ -351,6 +351,35 @@ def _torsion_s_dot_o(chi: int, fibers: dict[str, ReducibleFiberData],
     return s_dot_o
 
 
+def _int(x, where: str) -> int:
+    """An integer field of a profile.  A float is refused with a TypeError
+    (exact_number), a non-integral rational with a SchemaError."""
+    if type(x) is int:
+        return x
+    x = exact_number(x, where)
+    if type(x) is not int:
+        raise SchemaError(f"{where} must be an integer, not {x}")
+    return x
+
+
+# the types of a profile's entries when no entry needs reading: a table is
+# built on every request, so the usual all-int case costs one pass in C
+_INT = {int}
+
+
+def _ints(values, where: str) -> tuple[int, ...]:
+    values = tuple(values)
+    if set(map(type, values)) <= _INT:
+        return values
+    return tuple(_int(x, where) for x in values)
+
+
+def _int_map(mapping: Mapping[str, int], where: str) -> dict[str, int]:
+    if set(map(type, mapping.values())) <= _INT:
+        return dict(mapping)
+    return {key: _int(x, f"{where}[{key!r}]") for key, x in mapping.items()}
+
+
 def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> IntersectionTable:
     """Validate a configuration and assemble its pairing table.
 
@@ -361,7 +390,9 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     before any catalog is built), and full consistency of the torsion table
     (every nonzero element listed once, distinct classes, height zero, and
     coordinate addition mirroring class addition, checked on the generators
-    of the torsion group).
+    of the torsion group).  Every integer field of a profile is read exactly:
+    a float is refused with a TypeError, a non-integral rational with a
+    SchemaError.
     """
     if cfg.chi <= 0:
         raise SchemaError("chi must be positive")
@@ -403,30 +434,41 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
 
     sections: dict[str, SectionProfile] = {}
     for s in cfg.sections:
+        who = f"section {s.name!r}"
+        s = SectionProfile(s.name, _int(s.s_dot_o, f"{who}: s.O"),
+                           _int_map(s.components, f"{who}: components"))
         if s.name in _RESERVED:
             raise SchemaError(f"section name {s.name!r} is reserved")
         if s.name in sections:
             raise SchemaError(f"duplicate section name {s.name!r}")
         if s.s_dot_o < 0:
             raise SchemaError(f"section {s.name!r}: s.O must be >= 0")
-        check_components(s.components, f"section {s.name!r}")
+        check_components(s.components, who)
         sections[s.name] = s
 
     torsion = _validate_torsion_table(cfg, fibers, check_components)
 
     divisors_map: dict[str, DivisorProfile] = {}
     for d in divisors:
+        who = f"divisor {d.name!r}"
         if d.name in divisors_map:
             raise SchemaError(f"duplicate divisor name {d.name!r}")
-        if d.name in _RESERVED:
-            d = _check_reserved_divisor(cfg, d, sections)
         for fid, cvec in d.c.items():
             if fid not in fibers:
-                raise SchemaError(f"divisor {d.name!r}: unknown fiber id {fid!r}")
+                raise SchemaError(f"{who}: unknown fiber id {fid!r}")
             if cvec is not None and len(cvec) != fibers[fid].m - 1:
-                raise SchemaError(
-                    f"divisor {d.name!r}: c({fid!r}) needs {fibers[fid].m - 1} entries"
-                )
+                raise SchemaError(f"{who}: c({fid!r}) needs {fibers[fid].m - 1} entries")
+        # exact integers everywhere, and a c vector for every fiber (absent means 0)
+        d = DivisorProfile(
+            d.name, _int(d.d, f"{who}: d"), _int(d.d_dot_o, f"{who}: D.O"),
+            {fid: (0,) * (data.m - 1) if d.c.get(fid) is None
+             else _ints(d.c[fid], f"{who}: c({fid!r})") for fid, data in fibers.items()},
+            None if d.d_squared is None else _int(d.d_squared, f"{who}: D^2"),
+            _int_map(d.d_dot_section, f"{who}: D.section"),
+            _int_map(d.d_dot_divisor, f"{who}: D.divisor"),
+        )
+        if d.name in _RESERVED:
+            d = _check_reserved_divisor(cfg, d, sections)
         for sec in d.d_dot_section:
             if sec not in sections:
                 raise SchemaError(f"divisor {d.name!r}: unknown section {sec!r}")
@@ -442,18 +484,7 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
                 )
         divisors_map[d.name] = d
 
-    # every registered divisor needs a full c assignment (missing fibers mean 0)
-    normalized = {}
-    for name, d in divisors_map.items():
-        cmap = {}
-        for fid in fibers:
-            vec = d.c.get(fid)
-            cmap[fid] = tuple(vec) if vec is not None else (0,) * (fibers[fid].m - 1)
-        normalized[name] = DivisorProfile(
-            d.name, d.d, d.d_dot_o, cmap, d.d_squared, dict(d.d_dot_section), dict(d.d_dot_divisor)
-        )
-
-    return IntersectionTable(cfg, fibers, sections, normalized, torsion)
+    return IntersectionTable(cfg, fibers, sections, divisors_map, torsion)
 
 
 def _check_reserved_divisor(cfg: SurfaceConfig, d: DivisorProfile,
@@ -490,12 +521,15 @@ def _validate_torsion_table(cfg, fibers, check_components) -> dict[tuple, tuple]
     seen_tuples = {zero: (None, group.zero())}
     flat = {}  # reduced coordinates -> class tuple flattened over the fibers
     for t in cfg.torsion_table:
-        check_components(t.components, f"torsion section {t.name!r}")
-        if len(t.coords) != len(group.invariant_factors):
+        who = f"torsion section {t.name!r}"
+        components = _int_map(t.components, f"{who}: components")
+        coords = _ints(t.coords, f"{who}: coords")
+        check_components(components, who)
+        if len(coords) != len(group.invariant_factors):
             raise SchemaError(f"torsion section {t.name!r}: coords do not match torsion_group")
-        _torsion_s_dot_o(cfg.chi, fibers, t.components, t.name)
-        tup = _gamma_tuple(cfg, fibers, t.components)
-        coords = group.reduce(t.coords)
+        _torsion_s_dot_o(cfg.chi, fibers, components, t.name)
+        tup = _gamma_tuple(cfg, fibers, components)
+        coords = group.reduce(coords)
         if not any(coords):
             raise SchemaError(f"torsion section {t.name!r}: zero coords are implicit, not listed")
         if tup in seen_tuples:

@@ -159,8 +159,11 @@ def phi0(table, divisor):
         cvec = d.c.get(fid)
         if not cvec or not any(cvec):
             continue
-        for i, x in enumerate(table.fibers[fid].a_inv * cvec, start=1):
-            out[theta(fid, i)] = out.get(theta(fid, i), Fraction(0)) - x
+        # A_v^{-1} c from the inverse's numerators and denominator, not
+        # through mwgroup._solves
+        a_inv = table.fibers[fid].a_inv
+        for i, x in enumerate(mat_vec(a_inv.num, cvec), start=1):
+            out[theta(fid, i)] = out.get(theta(fid, i), Fraction(0)) - x / a_inv.den
     return FormalClass(out)
 
 

@@ -6,6 +6,8 @@ rational throughout, so there are no tolerances anywhere.
 """
 
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -216,14 +218,16 @@ def test_impossible_self_intersection_is_rejected():
 
 
 def test_bundled_tables_built_once_per_shape(monkeypatch, capsys):
-    # every cover decision, arrangement image, demo check and bundled image
-    # request reads one table per splitting shape; the demo guardrail's
-    # broken profile is the only other table on the bundled surface
-    from ajimage import arrangement, cli, dihedral, fourlines
+    # every cover decision, arrangement image, class relation, demo check and
+    # bundled image request reads one table per splitting shape; the demo
+    # guardrail's broken profile is the only other table on the bundled
+    # surface.  Each bundled divisor is derived once on its shape's table;
+    # `image --bundled` derives on every call, like `image --config`.
+    from ajimage import cli, dihedral, fourlines
 
-    caches = (fourlines.bundled_table, fourlines.ns_relation, dihedral._cover_points,
-              arrangement._eplus_image)
-    built = []
+    caches = (fourlines.bundled_table, fourlines.bundled_derivation, fourlines.ns_relation,
+              dihedral._cover_points)
+    built, derived = [], Counter()
 
     class CountingTable(nslattice.IntersectionTable):
         def __init__(self, cfg, fibers, sections, divisors, torsion):
@@ -231,7 +235,17 @@ def test_bundled_tables_built_once_per_shape(monkeypatch, capsys):
                 built.append(tuple((d.name, d.d_squared) for d in divisors.values()))
             super().__init__(cfg, fibers, sections, divisors, torsion)
 
+    derive = mwgroup.derive
+
+    def counting(table, divisor, generator):
+        derived[table, divisor] += 1
+        return derive(table, divisor, generator)
+
     monkeypatch.setattr(nslattice, "IntersectionTable", CountingTable)
+    # every module that binds derive calls the counting one
+    for module in list(sys.modules.values()):
+        if module.__name__.split(".")[0] == "ajimage" and getattr(module, "derive", None) is derive:
+            monkeypatch.setattr(module, "derive", counting)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -248,10 +262,20 @@ def test_bundled_tables_built_once_per_shape(monkeypatch, capsys):
         for atype in ("I", "II"):
             for n in range(3, 51):
                 d2n_cover_exists(atype, n)
+        for variant in fourlines.VARIANTS:
+            assert verify_ns_relation(fourlines.bundled_table(variant), *ns_relation(variant))
         assert cli.main(["demo"]) == 0
+        shapes = {fourlines.bundled_table(v): v for v in fourlines.VARIANTS}
+
+        def bundled_derivations():
+            return {(shapes[t], d): k for (t, d), k in derived.items() if t in shapes}
+
+        once = {(v, d): 1 for v in fourlines.VARIANTS for d in ("E+", "E-")}
+        assert bundled_derivations() == once
         for bundle in ("type1", "type2"):
             for divisor in ("E+", "E-"):
                 assert cli.main(["image", "--bundled", bundle, "--divisor", divisor]) == 0
+        assert bundled_derivations() == {key: 2 for key in once}
     finally:
         for cache in caches:
             cache.cache_clear()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ajimage import arrangement
+from ajimage import fourlines
 from ajimage.arrangement import (
     Arrangement,
     Line,
@@ -215,17 +215,24 @@ def test_generated_pipeline_seeded():
 
 
 def test_divisor_profile_for(monkeypatch):
-    # image_of reads the bundled table of the arrangement's splitting shape,
-    # once per type
-    variants = []
-    table = arrangement.bundled_table
-    monkeypatch.setattr(arrangement, "bundled_table", lambda v: variants.append(v) or table(v))
-    arrangement._eplus_image.cache_clear()
-    plus, minus = generate_arrangement(2, 3, +1), generate_arrangement(2, 3, -1)
-    assert [image_of(arr) for arr in (plus, minus, plus, minus)] == [
-        MWPoint(0, (0, 0)), MWPoint(2, (0, 0))] * 2
-    assert variants == ["collinear", "noncollinear"]
-    assert [table(v).divisors["E+"].d_squared for v in variants] == [3, 1]
+    # image_of reads the bundled derivation of the arrangement's splitting
+    # shape, which derives E+ once per shape: (E+)^2 = 3 collinear, 1 not
+    derived = []
+    derive = fourlines.derive
+
+    def counting(table, divisor, generator):
+        derived.append((divisor, table.divisors[divisor].d_squared))
+        return derive(table, divisor, generator)
+
+    monkeypatch.setattr(fourlines, "derive", counting)
+    fourlines.bundled_derivation.cache_clear()
+    try:
+        plus, minus = generate_arrangement(2, 3, +1), generate_arrangement(2, 3, -1)
+        assert [image_of(arr) for arr in (plus, minus, plus, minus)] == [
+            MWPoint(0, (0, 0)), MWPoint(2, (0, 0))] * 2
+    finally:
+        fourlines.bundled_derivation.cache_clear()
+    assert derived == [("E+", 3), ("E+", 1)]
 
 
 def test_classify_detects_tampered_tag():

@@ -16,10 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from ajimage import cli, fourlines
+from ajimage import cli, dihedral, fourlines, mwgroup
 from ajimage.configio import MAX_DIGITS, bundled_config, dumps_config, loads_config, render_number
 from ajimage.errors import DegenerateArrangementError
-from ajimage.exact import QMatrix
 from ajimage.kodaira import fiber_data
 
 from oracles import matrix_layout
@@ -161,6 +160,16 @@ def test_image_rejects_inconsistent_config(tmp_path, capsys):
     code, _, err = run(capsys, "image", "--config", str(path))
     assert code == 1
     assert "n^2 = 2 not a perfect square" in err
+
+
+def test_image_bookkeeping_rejection_exits_1(capsys):
+    # D1 = s_o derives; D2 = 2 s_o passes every check up to the height
+    # identity, which asks for s(D).O = -1
+    config = str(Path(__file__).parent / "configs" / "bookkeeping_seven_i2.json")
+    code, out, _ = run(capsys, "image", "--config", config, "--divisor", "D1")
+    assert code == 0 and out.splitlines()[-1] == "P_D = 1*P_o + 0"
+    code, out, err = run(capsys, "image", "--config", config, "--divisor", "D2")
+    assert (code, out) == (1, "") and "height identity gives s(D).O = -1" in err
 
 
 def test_image_usage_errors(tmp_path, capsys):
@@ -413,23 +422,28 @@ def test_demo_json(capsys):
 
 
 def test_demo_flags_corrupted_bundle(capsys, monkeypatch):
-    # every bundled table the demo and the relations read yields the type1
-    # data, so the type2 golden must fail.  The noncollinear relation is
-    # then derived on the same data and holds; the cover decisions and the
-    # arrangement images read the tables through their own modules.
+    # every bundled table yields the type1 data, and the demo, the cover
+    # decisions and the arrangement images all read the one derivation on
+    # it: the type2 image, the type II cover table and the sign -1
+    # arrangement fail.  The noncollinear relation is then derived on the
+    # same data and holds.
     type1 = fourlines.bundled_table("collinear")
     for module in (cli, fourlines):
         monkeypatch.setattr(module, "bundled_table", lambda variant: type1)
-    fourlines.ns_relation.cache_clear()
+    caches = (fourlines.bundled_derivation, fourlines.ns_relation, dihedral._cover_points)
+    for cache in caches:
+        cache.cache_clear()
     try:
         code, out, _ = run(capsys, "demo")
     finally:
-        fourlines.ns_relation.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert code == 1
-    assert "9/11 checks passed" not in out  # exactly one failure below
-    failing = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(failing) == 1 and "bundled type2 image" in failing[0]
-    assert "10/11 checks passed" in out
+    failing = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failing == [
+        "FAIL  bundled type2 image", "FAIL  dihedral cover table", "FAIL  arrangement pipeline"
+    ]
+    assert "8/11 checks passed" in out
 
 
 @pytest.mark.parametrize("index", range(len(cli._DEMO_CHECKS)))
@@ -570,18 +584,17 @@ def test_cover_decisions_match_golden(capsys, case):
 
 
 def test_image_solves_once(capsys, monkeypatch):
-    # one A^-1 c product for the one fiber where c(v, E+) is nonzero
-    run(capsys, "image", "--bundled", "type2", "--json")  # warm the catalogs
-    calls = []
-    mul = QMatrix.__mul__
+    # one A^-1 c product, for the one fiber where c(v, E+) is nonzero
+    solved = []
+    solves = mwgroup._solves
 
-    def counting(self, other):
-        calls.append(other)
-        return mul(self, other)
+    def counting(table, d):
+        solved.append(solves(table, d))
+        return solved[-1]
 
-    monkeypatch.setattr(QMatrix, "__mul__", counting)
+    monkeypatch.setattr(mwgroup, "_solves", counting)
     code, _, _ = run(capsys, "image", "--bundled", "type2", "--json")
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and [list(xs) for xs in solved] == [["inf"]]
 
 
 def test_fiber_over_size_cap_is_usage_error(capsys):

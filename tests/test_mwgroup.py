@@ -14,14 +14,16 @@ from ajimage.configio import bundled_config, load_config
 from ajimage.errors import InconsistentDataError
 from ajimage.exact import QMatrix
 from ajimage.fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface
-from ajimage.kodaira import dual_class_of, fiber_data, incidence_class
+from ajimage.kodaira import AbelianGroup, FiberKind, dual_class_of, fiber_data, incidence_class
 from ajimage.mwgroup import MWPoint, abel_jacobi_image, derive
 from ajimage.nslattice import (
     SYM_F,
     SYM_O,
     DivisorProfile,
     FormalClass,
+    SectionProfile,
     SurfaceConfig,
+    TorsionSectionSpec,
     build_table,
     section_sym,
     theta,
@@ -218,8 +220,9 @@ def test_image_ignores_trivial_lattice_noise(k, noise):
 def test_abel_jacobi_sign_undetermined_ok():
     # without D.s_o the sign is open, but exponent-2 torsion makes both agree
     t = table_with(replace(eplus_profile("noncollinear"), d_dot_section={}))
-    img = abel_jacobi_image(t, "E+", "s_o")
-    assert img.free_coeff == 2 and img.torsion_is_zero()
+    der = derive(t, "E+", "s_o")
+    assert der.point.free_coeff == 2 and der.point.torsion_is_zero()
+    assert der.free.sign_route == "open" and not der.free.sign_determined
 
 
 def test_abel_jacobi_rejects_non_square():
@@ -443,3 +446,60 @@ def test_derivation_record_goldens(config, divisor):
         vectors, der.gamma_classes, der.torsion_residual, der.s_dot_o, der.point,
     )
     assert got == RECORD_GOLDENS[config, divisor]
+
+
+# The sign of n without a registered D.s_o: a sign whose residual class names
+# no torsion section is excluded.
+
+
+def test_torsion_fixes_the_sign_of_the_wide_divisors():
+    # trivial torsion and component groups Z/34 x Z/4: only one sign of
+    # each n != 0 leaves a zero residual, so dropping D.s_o changes nothing
+    # in the record but the sign route
+    doc = load_config(CONFIGS / "wide_i34_i29star.json")
+    open_table = build_table(doc.surface, [replace(d, d_dot_section={}) for d in doc.divisors])
+    for k in (-3, -2, -1, 1, 2, 3):
+        paired = derive(config_table("wide_i34_i29star"), f"D{k}", "s_o")
+        der = derive(open_table, f"D{k}", "s_o")
+        assert der.point == paired.point == MWPoint(k, (), None)
+        assert der.free.sign_route == "torsion" and paired.free.sign_route == "pairing"
+        assert der == replace(paired, free=replace(paired.free, sign_route="torsion"))
+
+
+def test_torsion_fixes_the_sign_on_one_i3_fiber():
+    # P1 = s_o + 2 O + 2 Theta_2 and M2 = -2 s_o + F - 2 O - Theta_1 - 2 Theta_2,
+    # neither with D.s_o; in Z/3 the residual at the wrong sign is 2 n class(s_o)
+    table = config_table("i3_sign_by_torsion")
+    for name, n in (("P1", 1), ("M2", -2)):
+        der = derive(table, name, "s_o")
+        assert (der.free.n, der.free.sign_route, der.point) == (n, "torsion", MWPoint(n, (), None))
+        assert der.torsion_residual == ((0,),)
+
+
+def test_open_sign_that_torsion_cannot_split_is_refused():
+    # two I4 fibers, s_o through Theta_1 of both and a 2-torsion t through
+    # Theta_2 of both: class(t) = 2 class(s_o), so P_o and -P_o + t agree on
+    # every intersection number but D.s_o, and both signs name a torsion
+    # element.  build_table accepts the surface (s_o.t = 0 is integral).
+    i4 = FiberKind.parse("I4")
+    cfg = SurfaceConfig(
+        chi=1, fibers=(("a", i4), ("b", i4)),
+        sections=(SectionProfile("s_o", 0, {"a": 1, "b": 1}),), mw_free_rank=1,
+        torsion_group=AbelianGroup((2,)),
+        torsion_table=(TorsionSectionSpec("t", {"a": 2, "b": 2}, (1,)),),
+    )
+    s_o = section_as_divisor(build_table(cfg), "s_o", "D")
+    table = build_table(cfg, [s_o, replace(s_o, name="open", d_dot_section={})])
+    assert derive(table, "D", "s_o").point == MWPoint(1, (0,), None)
+    with pytest.raises(InconsistentDataError, match="sign of n = 1 is undetermined.*depends on it"):
+        derive(table, "open", "s_o")
+
+
+def test_bookkeeping_rejects_an_impossible_multiple():
+    # chi = 2, seven I2 fibers, s_o with s.O = 0 through Theta_1 of each
+    # (height 1/2): D1 = s_o derives, but D2 = 2 s_o would need s(D).O = -1
+    table = config_table("bookkeeping_seven_i2")
+    der = derive(table, "D1", "s_o")
+    assert str(der.point) == "1*P_o + 0" and der.s_dot_o == 0
+    with pytest.raises(InconsistentDataError, match=r"height identity gives s\(D\)\.O = -1,"):
+        derive(table, "D2", "s_o")

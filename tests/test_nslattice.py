@@ -171,6 +171,42 @@ def test_validation_errors():
             build_table(cfg, [replace(F_PROFILE, d_dot_section=bad)])
 
 
+def test_profiles_refuse_floats_at_the_table():
+    # every integer field of a section, torsion or divisor profile is read
+    # exactly: D^2 = 0.1 once failed as "n^2 = 104483511354995507/
+    # 18014398509481984 not a perfect square", and D^2 = 1.0 or D.s_o = 0.0
+    # were taken silently
+    cfg, eplus = four_line_surface(), eplus_profile("noncollinear")
+    s_o, t1 = cfg.sections[0], cfg.torsion_table[0]
+    with_section = lambda **kw: build_table(replace(cfg, sections=(replace(s_o, **kw),)))
+    with_torsion = lambda **kw: build_table(
+        replace(cfg, torsion_table=(replace(t1, **kw),) + cfg.torsion_table[1:]))
+    with_divisor = lambda **kw: build_table(cfg, [replace(eplus, **kw)])
+    builds = [
+        lambda x: with_divisor(d=x),
+        lambda x: with_divisor(d_dot_o=x),
+        lambda x: with_divisor(c={"inf": (x, 1, 1, 0)}),
+        lambda x: with_divisor(d_squared=x),
+        lambda x: with_divisor(d_dot_section={"s_o": x}),
+        lambda x: with_divisor(d_dot_divisor={"E-": x}),
+        lambda x: with_section(s_dot_o=x),
+        lambda x: with_section(components={**s_o.components, "inf": x}),
+        lambda x: with_torsion(components={**t1.components, "1": x}),
+        lambda x: with_torsion(coords=(x, 0)),
+    ]
+    for build in builds:
+        for x in (0.1, 1.0, 0.0):
+            with pytest.raises(TypeError, match=f"not the float {x!r}"):
+                build(x)
+        with pytest.raises(SchemaError, match="must be an integer, not 1/2"):
+            build(Fraction(1, 2))
+    # integral rationals are exact integers
+    table = with_divisor(d_squared=Fraction(2, 2), d_dot_section={"s_o": Fraction(0)})
+    d = table.divisors["E+"]
+    assert type(d.d_squared) is int and type(d.d_dot_section["s_o"]) is int
+    assert derive(table, "E+", "s_o").point.free_coeff == 2
+
+
 @pytest.mark.parametrize("chi, bound", [(1, "Euler"), (170, "exceeds 10 chi")])
 def test_bounds_checked_before_any_catalog(chi, bound):
     # an I2000 catalog would take minutes; both bounds must reject from the
