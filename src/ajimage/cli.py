@@ -214,11 +214,15 @@ def cmd_image(args) -> int:
 
     def lines():
         fibers_str = ", ".join(f"{fid} {kind}" for fid, kind in surface.fibers)
+        pairing = f"{divisor.name}.{gen.name}"
         sign_note = {
-            "pairing": f"(sign fixed by the registered {divisor.name}.{gen.name} pairing)",
+            "pairing": f"(sign fixed by the registered {pairing} pairing)",
             "torsion": f"(sign fixed by torsion: at n = {-point.free_coeff} the residual"
                        " names no torsion section)",
-            "open": "(sign undetermined; both signs give the same decomposition)",
+            # at n = 0 both signs are the same point
+            "open": f"(sign undetermined: {replace(point, free_coeff=-point.free_coeff)}"
+                    f" fits the data as well; register {pairing} to fix it)" if point.free_coeff
+                    else "(sign undetermined; both signs give the same decomposition)",
         }[free.sign_route]
         return [
             f"config: {source}",

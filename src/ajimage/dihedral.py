@@ -15,8 +15,8 @@ odd part.
 `verify_ns_relation` is the supporting check that two formal divisor
 classes really are equal in the Neron-Severi group: it compares their
 pairings with the table generators (G x) and their self-intersections.
-Agreement is conclusive only when the generators span full rank (read once
-per table off the Smith form of their Gram block), so a rank-deficient
+Agreement is conclusive only when the generators span full rank
+(`IntersectionTable.generator_rank`, in closed form), so a rank-deficient
 table yields a distinct "inconclusive" verdict rather than a silent pass.
 """
 

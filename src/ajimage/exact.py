@@ -4,11 +4,12 @@ with unimodular transforms.
 Everything here is exact; floats never appear.  A QMatrix stores integer
 rows over one positive denominator, in lowest terms, and hands out
 Fractions only on read.  The Smith form is the only elimination the
-library runs: kodaira reads the inverse A^{-1}, the component group and
-every dual class off one Smith reduction per fiber kind, and nslattice
-reads the rank of a table's generator Gram matrix off its nonzero
-invariant factors.  The inverse comes out as integer numerators over the
-last invariant factor, which is the denominator of A^{-1} in lowest terms.
+library runs, once per fiber kind when its catalog is built: kodaira
+reads the inverse A^{-1}, the component group and every dual class off
+it.  (nslattice reads the rank of a table's generators off Shioda-Tate in
+closed form, with no elimination.)  The inverse comes out as integer
+numerators over the last invariant factor, which is the denominator of
+A^{-1} in lowest terms.
 A float is refused with a TypeError wherever an exact number is read.
 
 The reduction takes three exact shortcuts that leave its sequence of

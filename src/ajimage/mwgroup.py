@@ -23,9 +23,9 @@ what makes torsion resolvable from intersection data alone: the residual
 class(D) - n * class(s_o), formed fiber by fiber, is looked up in the
 table's torsion dict (zero included); without D.s_o both signs of n are
 looked up, and a sign that misses is excluded.  The height identity <P, P>
-(`nslattice._height`, which also gives the generator's height) then fixes
-the bookkeeping s(D).O of the attached section.  `abel_jacobi_image`
-returns the record's point; the CLI renders the record.
+then fixes the bookkeeping s(D).O of the attached section
+(`nslattice._s_dot_o`, which also forces each torsion section's s.O).
+`abel_jacobi_image` returns the record's point; the CLI renders the record.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from operator import mul
 
 from .errors import InconsistentDataError, MissingIntersectionError
 from .kodaira import incidence_class
-from .nslattice import DivisorProfile, IntersectionTable, SectionProfile, _gamma_tuple, _height
+from .nslattice import (DivisorProfile, IntersectionTable, SectionProfile, _gamma_tuple,
+                        _height, _s_dot_o)
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,33 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     along a registered generator section.
 
     Runs both routes to n, resolves torsion, and verifies the section
-    bookkeeping: the height identity must give the attached section an
-    integral intersection with O.  Without a registered D.s_o, a sign whose
-    residual names no torsion section is excluded, so torsion fixes the sign
-    when exactly one sign is left.  When both signs name the same torsion
-    element the sign stays open; when they name different ones the
+    bookkeeping.  Without a registered D.s_o, a sign whose residual names no
+    torsion section is excluded, so torsion fixes the sign when exactly one
+    sign is left.  When the two signs name different torsion elements the
     decomposition is reported as ambiguous.  That is reachable: on two I4
     fibers, with s_o through Theta_1 of both and a 2-torsion t through
     Theta_2 of both, P_o and -P_o + t agree on every number but D.s_o.
+
+    When both signs name the same torsion element t, the record keeps
+    n = |n| with sign_route "open".  Torsion cannot tell nP_o + t from
+    -nP_o + t there: their residuals differ by 2n class(P_o), which is zero,
+    and every other number the derivation reads is even in n.  Only D.s_o
+    separates the two points, so the record does not pick one by any other
+    rule; the CLI names the other point and the pairing that would fix it.
+
+    The bookkeeping s(D).O solves <P_D, P_D> = n^2 <P_o, P_o> on the simple
+    components that carry P_D's classes.  It is always an integer.  Write
+    q(P) = sum_v contr_v(P) = -sum_v (A_v^{-1})_kk.  The height identity says
+    2 s(D).O = n^2 <P_o, P_o> - 2 chi + q(nP_o + t), and n^2 <P_o, P_o> is
+    -n^2 q(P_o) modulo 2.  Each contr_v is the discriminant quadratic form of
+    the even lattice A_v, well defined modulo 2 on the component group, so
+    q(nP_o + t) = n^2 q(P_o) + q(t) + 2n sum_v b_v(P_o, t)  (mod 2),
+    with b_v(P_o, t) = -(A_v^{-1})_{k_s, k_t}.  Here q(t) = 2 chi + 2 t.O is
+    even (t has height zero), and `build_table` has checked that
+    sum_v b_v(P_o, t) is an integer for every torsion entry t.  So
+    2 s(D).O is even.  The sign is not forced: s(D).O < 0 on a point other
+    than O means the generator has an impossible multiple, and the data is
+    refused.
     """
     d = table.divisors[divisor]
     gen = table.sections[generator]
@@ -154,9 +174,17 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
         for (fid, _), data in zip(table.cfg.fibers, fibers)
     )
     point = MWPoint(free.n, coords, name)
-    return Derivation(
-        free, vectors, classes, residual, _bookkeeping(table, free, classes, point), point
-    )
+    components = {fid: data.class_to_simple[part]
+                  for (fid, _), data, part in zip(table.cfg.fibers, fibers, classes)}
+    h = free.height
+    s_dot_o = _s_dot_o(table.cfg.chi, table.fibers, components,
+                       (free.n_squared * h.numerator, h.denominator))
+    if s_dot_o < 0 and (free.n or not point.torsion_is_zero()):
+        raise InconsistentDataError(
+            f"height identity gives s(D).O = {s_dot_o}, which no section attains;"
+            " intersection data is inconsistent"
+        )
+    return Derivation(free, vectors, classes, residual, s_dot_o, point)
 
 
 def abel_jacobi_image(table: IntersectionTable, divisor: str, generator: str) -> MWPoint:
@@ -228,35 +256,10 @@ def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionP
     except MissingIntersectionError:
         return FreeCoefficient(n_abs, int(n_sq), "open", h, self_pairing)
     n_lin = -cross / h
-    if n_lin.denominator != 1:
-        raise InconsistentDataError(
-            f"linear formula gives non-integral n = {n_lin} => inconsistent intersection data"
-        )
-    if int(n_lin) ** 2 != n_sq:
+    # n^2 is an integer square, so this also makes n_lin an integer
+    if n_lin * n_lin != n_sq:
         raise InconsistentDataError(
             f"linear n = {n_lin} disagrees with n^2 = {n_sq} => inconsistent intersection data"
         )
     return FreeCoefficient(int(n_lin), int(n_sq), "pairing", h, self_pairing)
 
-
-def _bookkeeping(table: IntersectionTable, free: FreeCoefficient, classes, point: MWPoint) -> int:
-    # <P_D, P_D> = n^2 <P_o, P_o> must equal the height identity at s(D).O,
-    # whose local terms are read off the dual classes of P_D (one simple
-    # component each); s(D).O must come out a nonnegative integer, or -chi
-    # when P_D = O.
-    chi = table.cfg.chi
-    components = {
-        fid: table.fibers[fid].class_to_simple[part]
-        for (fid, _), part in zip(table.cfg.fibers, classes)
-    }
-    at_zero = Fraction(*_height(chi, 0, table.fibers, components))
-    s_dot_o = (free.n_squared * free.height - at_zero) / 2
-    ok = s_dot_o.denominator == 1 and (
-        s_dot_o >= 0 or (s_dot_o == -chi and free.n == 0 and point.torsion_is_zero())
-    )
-    if not ok:
-        raise InconsistentDataError(
-            f"height identity gives s(D).O = {s_dot_o}, which no section attains;"
-            " intersection data is inconsistent"
-        )
-    return int(s_dot_o)

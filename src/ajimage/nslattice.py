@@ -25,9 +25,11 @@ G x (`IntersectionTable.profile`).  G is built on first use.
 
 `build_table` validates every profile once; `mwgroup.derive` then reads
 registered names only and holds the closed forms of the derivation.  The
-height identity they share lives here, in `_height`: it gives a generator's
-height, forces a torsion section's s.O (height zero), and gives the s(D).O
-of the section attached to a divisor.
+height identity they share lives here: `_height` gives a generator's
+height, and `_s_dot_o` solves the identity for s.O, once for each torsion
+section (height zero) and once for the section attached to a divisor.  The
+rank of the generators' Gram block is read off Shioda-Tate in closed form
+(`IntersectionTable.generator_rank`); this module runs no elimination.
 
 The reserved divisors O and F get their pairing with every section filled
 in by `build_table` (O.s = s.O, F.s = 1), so no formula branches on names.
@@ -42,7 +44,7 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import InconsistentDataError, MissingIntersectionError, SchemaError
-from .exact import exact_number, smith_normal_form
+from .exact import exact_number
 from .kodaira import (
     MAX_COMPONENTS,
     AbelianGroup,
@@ -115,9 +117,6 @@ class FormalClass:
     def __rmul__(self, scalar) -> "FormalClass":
         s = exact_number(scalar, "FormalClass")
         return FormalClass({sym: s * c for sym, c in self.coeffs.items()})
-
-    def __neg__(self) -> "FormalClass":
-        return (-1) * self
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalClass) and self.coeffs == other.coeffs
@@ -316,39 +315,48 @@ class IntersectionTable:
 
     @cached_property
     def generator_rank(self) -> int:
-        """Rank of the generators' Gram block: its nonzero invariant factors."""
-        n = len(self.generators())
-        block = [row[:n] for row in self._gram[:n]]
-        for i, row in enumerate(block):
-            if None in row:
-                raise self._gap(i, row.index(None))
-        return sum(1 for f in smith_normal_form(block).invariant_factors if f)
+        """Rank of the generators' Gram block by Shioda-Tate: 2 + sum_v (m_v - 1)
+        for the trivial lattice (every A_v is invertible), plus 1 for a single
+        section of nonzero height (its Schur complement is -<P, P>).  Two
+        sections need their pairing, which nothing registers."""
+        names = list(self.sections)
+        if len(names) > 1:
+            raise self._gap(*(self._index[section_sym(name)] for name in names[:2]))
+        return 2 + sum(data.m - 1 for data in self.fibers.values()) + sum(
+            _height(self.cfg.chi, s.s_dot_o, self.fibers, s.components)[0] != 0
+            for s in self.sections.values()
+        )
+
+
+def _a_inv_sum(num: int, fibers: dict[str, ReducibleFiberData], components: Mapping[str, int],
+               other: Mapping[str, int]) -> tuple[int, int]:
+    """num + sum_v (A_v^{-1})_kl, k and l the components of v in `components`
+    and `other` (Theta_{v,0} adds nothing), as one integer numerator over one
+    denominator, read off each matrix's numerators."""
+    den = 1
+    for fid, k in components.items():
+        l = other.get(fid, 0)
+        if k and l:
+            a_inv = fibers[fid].a_inv
+            num, den = num * a_inv.den + a_inv.num[k - 1][l - 1] * den, den * a_inv.den
+    return num, den
 
 
 def _height(chi: int, s_dot_o: int, fibers: dict[str, ReducibleFiberData],
             components: Mapping[str, int]) -> tuple[int, int]:
     """<P, P> = 2 chi + 2 s.O + sum_v (A_v^{-1})_kk of a section that meets
-    Theta_{v,k} in each fiber v (k = 0 adds nothing), as one integer numerator
-    over one denominator, read off each matrix's numerators."""
-    num, den = 2 * chi + 2 * s_dot_o, 1
-    for fid, k in components.items():
-        if k:
-            a_inv = fibers[fid].a_inv
-            num, den = num * a_inv.den + a_inv.num[k - 1][k - 1] * den, den * a_inv.den
-    return num, den
+    Theta_{v,k} in each fiber v."""
+    return _a_inv_sum(2 * chi + 2 * s_dot_o, fibers, components, components)
 
 
-def _torsion_s_dot_o(chi: int, fibers: dict[str, ReducibleFiberData],
-                     components: Mapping[str, int], name: str) -> int:
-    # height 0 forces 2 s.O = -(the height at s.O = 0)
+def _s_dot_o(chi: int, fibers: dict[str, ReducibleFiberData], components: Mapping[str, int],
+             height: tuple[int, int] = (0, 1)) -> int | Fraction:
+    """The height identity solved for the s.O of a section with these
+    components and height num/den (zero by default), in integers.  A
+    Fraction comes back only when s.O is not an integer, for a message."""
     num, den = _height(chi, 0, fibers, components)
-    s_dot_o, rest = divmod(-num, 2 * den)
-    if rest or s_dot_o < 0:
-        raise InconsistentDataError(
-            f"torsion section {name!r}: height-zero condition gives s.O ="
-            f" {Fraction(-num, 2 * den)}, not a nonnegative integer"
-        )
-    return s_dot_o
+    s_num, s_den = height[0] * den - num * height[1], 2 * den * height[1]
+    return Fraction(s_num, s_den) if s_num % s_den else s_num // s_den
 
 
 def _int(x, where: str) -> int:
@@ -388,11 +396,11 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     sum e_v <= 12 chi, the rank bound 2 + sum(m_v - 1) + mw rank <= 10 chi,
     the size cap sum m_v <= MAX_COMPONENTS (these three from the kinds alone,
     before any catalog is built), and full consistency of the torsion table
-    (every nonzero element listed once, distinct classes, height zero, and
-    coordinate addition mirroring class addition, checked on the generators
-    of the torsion group).  Every integer field of a profile is read exactly:
-    a float is refused with a TypeError, a non-integral rational with a
-    SchemaError.
+    (every nonzero element listed once, distinct classes, height zero, an
+    integral pairing with every section, and coordinate addition mirroring
+    class addition, checked on the generators of the torsion group).  Every
+    integer field of a profile is read exactly: a float is refused with a
+    TypeError, a non-integral rational with a SchemaError.
     """
     if cfg.chi <= 0:
         raise SchemaError("chi must be positive")
@@ -446,7 +454,7 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
         check_components(s.components, who)
         sections[s.name] = s
 
-    torsion = _validate_torsion_table(cfg, fibers, check_components)
+    torsion = _validate_torsion_table(cfg, fibers, sections, check_components)
 
     divisors_map: dict[str, DivisorProfile] = {}
     for d in divisors:
@@ -507,14 +515,18 @@ def _check_reserved_divisor(cfg: SurfaceConfig, d: DivisorProfile,
     return replace(d, d_dot_section=pairing)
 
 
-def _validate_torsion_table(cfg, fibers, check_components) -> dict[tuple, tuple]:
+def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tuple, tuple]:
     """Check the torsion table; return {dual class tuple: (name, reduced
     coords)} over every element of the torsion group, zero as (None, zero).
 
-    Once every nonzero element is listed exactly once, closure is checked on
-    the generators: class(a + e_i) = class(a) + class(e_i) for every element
-    a and unit vector e_i, r |T| comparisons of flat class vectors.  Every
-    element is a sum of unit vectors, so this gives additivity for all sums.
+    Each entry t has height zero, which forces its t.O, and is orthogonal to
+    every registered section s under the height pairing, which forces
+    s.t = chi + s.O + t.O + sum_v (A_v^{-1})_{k_s, k_t}; that sum must be an
+    integer.  Once every nonzero element is listed exactly once, closure is
+    checked on the generators: class(a + e_i) = class(a) + class(e_i) for
+    every element a and unit vector e_i, r |T| comparisons of flat class
+    vectors.  Every element is a sum of unit vectors, so this gives
+    additivity for all sums.
     """
     group = cfg.torsion_group
     zero = _gamma_tuple(cfg, fibers, {})
@@ -527,7 +539,18 @@ def _validate_torsion_table(cfg, fibers, check_components) -> dict[tuple, tuple]
         check_components(components, who)
         if len(coords) != len(group.invariant_factors):
             raise SchemaError(f"torsion section {t.name!r}: coords do not match torsion_group")
-        _torsion_s_dot_o(cfg.chi, fibers, components, t.name)
+        t_dot_o = _s_dot_o(cfg.chi, fibers, components)
+        if type(t_dot_o) is not int or t_dot_o < 0:
+            raise InconsistentDataError(
+                f"{who}: height-zero condition gives s.O = {t_dot_o}, not a nonnegative integer"
+            )
+        for s in sections.values():
+            num, den = _a_inv_sum(cfg.chi + s.s_dot_o + t_dot_o, fibers, s.components, components)
+            if num % den:
+                raise InconsistentDataError(
+                    f"sections {s.name!r} and {t.name!r}: <P, t> = 0 forces"
+                    f" {s.name}.{t.name} = {Fraction(num, den)}, not an integer"
+                )
         tup = _gamma_tuple(cfg, fibers, components)
         coords = group.reduce(coords)
         if not any(coords):

@@ -297,16 +297,20 @@ def section_as_divisor(table, section, name=None):
     )
 
 
-def torsion_profile(cfg, spec):
-    """A torsion-table entry as a section profile.  Height zero forces
-    2 chi + 2 s.O + sum_v (A_v^{-1})_kk = 0; A_v^{-1} comes from the adjugate."""
-    kinds = dict(cfg.fibers)
-    contrib = sum(
+def section_height(chi, kinds, s_dot_o, components):
+    """<P, P> = 2 chi + 2 s.O + sum_v (A_v^{-1})_kk of a section through
+    components[v] of the fiber of kind kinds[v]; A_v^{-1} comes from the
+    adjugate."""
+    return 2 * chi + 2 * s_dot_o + sum(
         (inverse_adjugate(fiber_data(kinds[fid]).a.num)[k - 1][k - 1]
-         for fid, k in spec.components.items() if k),
+         for fid, k in components.items() if k),
         Fraction(0),
     )
-    s_dot_o = (-2 * cfg.chi - contrib) / 2
+
+
+def torsion_profile(cfg, spec):
+    """A torsion-table entry as a section profile: height zero forces s.O."""
+    s_dot_o = -section_height(cfg.chi, dict(cfg.fibers), 0, spec.components) / 2
     assert s_dot_o.denominator == 1 and s_dot_o >= 0, "oracle: not a torsion section"
     return SectionProfile(spec.name, int(s_dot_o), dict(spec.components))
 

@@ -185,6 +185,23 @@ def test_image_usage_errors(tmp_path, capsys):
     assert code == 2  # argparse: --config/--bundled required
 
 
+def test_image_with_two_sections_needs_a_generator(tmp_path, capsys):
+    # s2 = s_o + t1 is a section of the surface, so the table builds
+    config = Path(__file__).parent / "configs" / "fourlines_torsion.json"
+    raw = json.loads(config.read_text("utf-8"))
+    raw["surface"]["sections"].append(
+        {"name": "s2", "s_dot_O": 0, "components": {"1": 1, "2": 1, "3": 1}}
+    )
+    path = tmp_path / "two_sections.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(capsys, "image", "--config", str(path), "--divisor", "T3")
+    assert (code, out) == (2, "")
+    assert err == "error: pass --generator to pick a section (candidates: s_o, s2)\n"
+    code, out, _ = run(capsys, "image", "--config", str(path), "--divisor", "T3",
+                       "--generator", "s_o")
+    assert code == 0 and out.startswith(f"config: file:{path}")
+
+
 # whole files that fail before any field is read (path None: value is the bytes)
 UNDECODABLE_CASES = [
     pytest.param(None, b'{"schema_version": ' + b"9" * 5000 + b"}", "too many digits",
@@ -566,9 +583,14 @@ GOLDEN = json.loads((CHECKOUT / "tests" / "golden_stdout.json").read_text("utf-8
 @pytest.mark.parametrize("case", GOLDEN["render"], ids=lambda c: " ".join(c["argv"]))
 def test_stdout_matches_golden(capsys, monkeypatch, case):
     monkeypatch.chdir(CHECKOUT)
-    code, out, _ = run(capsys, *case["argv"])
+    code, out, err = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+    # a rejection is one "error: " line, and a success writes nothing there
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("case", GOLDEN["cover"], ids=lambda c: " ".join(c["argv"]))

@@ -29,7 +29,13 @@ from ajimage.nslattice import (
     theta,
 )
 
-from oracles import inverse_adjugate, profile_from_class, section_as_divisor, torsion_profile
+from oracles import (
+    inverse_adjugate,
+    profile_from_class,
+    section_as_divisor,
+    section_height,
+    torsion_profile,
+)
 
 
 def table_with(*divisors, variant=None):
@@ -503,3 +509,86 @@ def test_bookkeeping_rejects_an_impossible_multiple():
     assert str(der.point) == "1*P_o + 0" and der.s_dot_o == 0
     with pytest.raises(InconsistentDataError, match=r"height identity gives s\(D\)\.O = -1,"):
         derive(table, "D2", "s_o")
+
+
+# surfaces with torsion, and every generator (components, s.O <= 2) that
+# build_table accepts with positive height
+def _torsion_surfaces():
+    i3, i4 = FiberKind.parse("I3"), FiberKind.parse("I4")
+    yield four_line_surface()
+    yield SurfaceConfig(1, (("a", i4), ("b", i4)), (), 1, AbelianGroup((2,)),
+                        (TorsionSectionSpec("t", {"a": 2, "b": 2}, (1,)),))
+    yield SurfaceConfig(1, (("a", i3), ("b", i3), ("c", i3)), (), 1, AbelianGroup((3,)), (
+        TorsionSectionSpec("t1", {"a": 1, "b": 1, "c": 1}, (1,)),
+        TorsionSectionSpec("t2", {"a": 2, "b": 2, "c": 2}, (2,)),
+    ))
+
+
+def _generators(cfg):
+    fids = [fid for fid, _ in cfg.fibers]
+    simple = [(0,) + fiber_data(kind).simple for _, kind in cfg.fibers]
+    for comps, s_dot_o in product(product(*simple), range(3)):
+        gen = SectionProfile("s_o", s_dot_o, dict(zip(fids, comps)))
+        try:
+            table = build_table(replace(cfg, sections=(gen,)))
+        except InconsistentDataError:
+            continue  # a pairing with a torsion section is not an integer
+        if section_height(cfg.chi, dict(cfg.fibers), s_dot_o, gen.components) > 0:
+            yield table.cfg
+
+
+TORSION_TABLES = [cfg for surface in _torsion_surfaces() for cfg in _generators(surface)]
+
+
+@st.composite
+def torsion_divisors(draw):
+    """A table with torsion and generator s, and a divisor whose class is
+    n class(s) + class(t) for a drawn torsion entry t (or t = 0): c(v, D) is
+    n e_{k_s} + e_{k_t} + A_v w_v for drawn w_v, d and D.O are drawn, and
+    <P_D, P_D> = n^2 <P_o, P_o> and <P_D, P_o> = n <P_o, P_o> fix D^2 and
+    D.s_o through the phi0 closed forms."""
+    cfg = draw(st.sampled_from(TORSION_TABLES))
+    gen = cfg.sections[0]
+    t = draw(st.sampled_from((None,) + cfg.torsion_table))
+    n, d, d_dot_o = draw(st.integers(-3, 3)), draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    h = section_height(cfg.chi, dict(cfg.fibers), gen.s_dot_o, gen.components)
+    d_sq = -n * n * h + 2 * d * d_dot_o + d * d * cfg.chi
+    d_dot_s = -n * h + d * gen.s_dot_o + d * cfg.chi + d_dot_o
+    c = {}
+    for fid, kind in cfg.fibers:
+        a = fiber_data(kind).a.num
+        w = draw(st.lists(st.integers(-2, 2), min_size=len(a), max_size=len(a)))
+        vec = [sum(x * y for x, y in zip(row, w)) for row in a]
+        for coeff, section in ((n, gen), (1, t)):
+            k = section.components.get(fid, 0) if section else 0
+            if k:
+                vec[k - 1] += coeff
+        x = [sum(y * z for y, z in zip(row, vec)) for row in inverse_adjugate(a)]
+        d_sq += sum(y * z for y, z in zip(vec, x))
+        k = gen.components.get(fid, 0)
+        d_dot_s += x[k - 1] if k else 0
+        c[fid] = tuple(vec)
+    # both are integers because the table accepted s next to every torsion entry
+    assert d_sq.denominator == 1 and d_dot_s.denominator == 1
+    registered = {"s_o": int(d_dot_s)} if draw(st.booleans()) else {}
+    return cfg, n, t, DivisorProfile("D", d, d_dot_o, c, int(d_sq), registered)
+
+
+@settings(max_examples=150, deadline=None)
+@given(torsion_divisors())
+def test_bookkeeping_s_dot_o_is_an_integer_on_tables_with_torsion(case):
+    cfg, n, t, profile = case
+    assert {c.torsion_group.order for c in TORSION_TABLES} == {2, 3, 4}
+    try:
+        der = derive(build_table(cfg, [profile]), "D", "s_o")
+    except InconsistentDataError as exc:
+        # an impossible multiple of the generator, or an open sign that
+        # torsion splits two ways; never a non-integral s(D).O
+        assert "which no section attains" in str(exc) or "depends on it" in str(exc)
+        return
+    assert type(der.s_dot_o) is int
+    coords = t.coords if t else (0,) * len(cfg.torsion_group.invariant_factors)
+    if profile.d_dot_section:
+        assert der.point == MWPoint(n, cfg.torsion_group.reduce(coords), t and t.name)
+    else:
+        assert abs(der.point.free_coeff) == abs(n)

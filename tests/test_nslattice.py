@@ -3,6 +3,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import floor
 from unittest.mock import patch
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from ajimage import mwgroup, nslattice
 from ajimage.configio import BUNDLED, bundled_config
 from ajimage.errors import InconsistentDataError, MissingIntersectionError, SchemaError
+from ajimage.exact import smith_normal_form
 from ajimage.fourlines import eminus_profile, eplus_profile, four_line_surface
 from ajimage.kodaira import AbelianGroup, FiberKind, dual_class_of, fiber_data
 from ajimage.mwgroup import derive
@@ -36,6 +38,7 @@ from oracles import (
     phi0,
     profile_from_class,
     section_as_divisor,
+    section_height,
     torsion_closed_reference,
     torsion_profile,
 )
@@ -171,6 +174,47 @@ def test_validation_errors():
             build_table(cfg, [replace(F_PROFILE, d_dot_section=bad)])
 
 
+def _torsion_entries(cfg, **changes):
+    """The bundled torsion table with the named entries replaced by
+    (components, coords)."""
+    return replace(cfg, torsion_table=tuple(
+        TorsionSectionSpec(t.name, *changes[t.name]) if t.name in changes else t
+        for t in cfg.torsion_table
+    ))
+
+
+T1 = four_line_surface().torsion_table[0]
+REJECTIONS = [
+    pytest.param(lambda cfg: (replace(cfg, fibers=cfg.fibers + cfg.fibers[1:2]), ()),
+                 SchemaError, "duplicate fiber id '1'", id="duplicate-fiber-id"),
+    pytest.param(lambda cfg: (replace(cfg, sections=(SectionProfile("O", 0, {}),)), ()),
+                 SchemaError, "section name 'O' is reserved", id="section-named-O"),
+    pytest.param(lambda cfg: (replace(cfg, sections=(SectionProfile("F", 0, {}),)), ()),
+                 SchemaError, "section name 'F' is reserved", id="section-named-F"),
+    pytest.param(lambda cfg: (replace(cfg, sections=cfg.sections * 2), ()),
+                 SchemaError, "duplicate section name 's_o'", id="duplicate-section-name"),
+    pytest.param(lambda cfg: (cfg, [eplus_profile("collinear")] * 2),
+                 SchemaError, "duplicate divisor name 'E+'", id="duplicate-divisor-name"),
+    pytest.param(lambda cfg: (_torsion_entries(cfg, t1=(T1.components, (1,))), ()),
+                 SchemaError, "torsion section 't1': coords do not match torsion_group",
+                 id="torsion-coords-length"),
+    pytest.param(lambda cfg: (_torsion_entries(cfg, t1=(T1.components, (2, 0))), ()),
+                 SchemaError, "torsion section 't1': zero coords are implicit, not listed",
+                 id="torsion-zero-coords"),
+    pytest.param(lambda cfg: (_torsion_entries(cfg, t2=(T1.components, (0, 1))), ()),
+                 InconsistentDataError, "torsion sections 't1' and 't2' share a dual class tuple",
+                 id="torsion-shared-class"),
+]
+
+
+@pytest.mark.parametrize("edit, error, message", REJECTIONS)
+def test_build_table_rejections(edit, error, message):
+    cfg, divisors = edit(four_line_surface())
+    with pytest.raises(error) as exc:
+        build_table(cfg, divisors)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_profiles_refuse_floats_at_the_table():
     # every integer field of a section, torsion or divisor profile is read
     # exactly: D^2 = 0.1 once failed as "n^2 = 104483511354995507/
@@ -248,11 +292,12 @@ def test_torsion_table_validation():
         classes({}): (None, (0, 0)),
         **{classes(spec.components): (spec.name, spec.coords) for spec in cfg.torsion_table},
     }
-    # swapping one component assignment breaks closure
+    # swapping one component assignment breaks closure; with s_o registered,
+    # the non-integral s_o.t2 is refused first
     bad = SurfaceConfig(
         chi=cfg.chi,
         fibers=cfg.fibers,
-        sections=cfg.sections,
+        sections=(),
         mw_free_rank=1,
         torsion_group=cfg.torsion_group,
         torsion_table=(
@@ -263,6 +308,8 @@ def test_torsion_table_validation():
     )
     with pytest.raises(InconsistentDataError, match="not closed under addition"):
         build_table(bad)
+    with pytest.raises(InconsistentDataError, match="forces s_o.t2 = -1/2, not an integer"):
+        build_table(replace(bad, sections=cfg.sections))
     # incomplete table
     partial = SurfaceConfig(
         chi=cfg.chi,
@@ -274,6 +321,24 @@ def test_torsion_table_validation():
     )
     with pytest.raises(InconsistentDataError):
         build_table(partial)
+
+
+def test_torsion_pairing_with_a_section_must_be_an_integer():
+    # chi = 1, two I4 fibers: s_o through Theta_1 of the first fiber and a
+    # 2-torsion t through Theta_2 of both.  <P_o, t> = 0 forces
+    # s_o.t = 1 + 0 + 0 + (A^{-1})_12 = 1/2, so no such surface exists
+    i4 = FiberKind.parse("I4")
+    cfg = SurfaceConfig(
+        chi=1, fibers=(("a", i4), ("b", i4)),
+        sections=(SectionProfile("s_o", 0, {"a": 1, "b": 0}),), mw_free_rank=1,
+        torsion_group=AbelianGroup((2,)),
+        torsion_table=(TorsionSectionSpec("t", {"a": 2, "b": 2}, (1,)),),
+    )
+    with pytest.raises(InconsistentDataError) as exc:
+        build_table(cfg)
+    assert str(exc.value) == "sections 's_o' and 't': <P, t> = 0 forces s_o.t = 1/2, not an integer"
+    # through Theta_1 of both fibers, s_o.t = 1 - 1/2 - 1/2 = 0
+    build_table(replace(cfg, sections=(SectionProfile("s_o", 0, {"a": 1, "b": 1}),)))
 
 
 # fibers I0* (Z/2 x Z/2), I4 (Z/4) and I3 (Z/3): their flat class vectors
@@ -343,9 +408,9 @@ def test_torsion_closure_matches_all_pairs_oracle(case, data):
         factors, CLOSURE_MODULI, {**flat, (0,) * len(factors): FLAT_CLASSES[0]}
     )
     # the height-zero condition has its own check; only closure is under test
-    with patch.object(nslattice, "_torsion_s_dot_o", lambda *args: 0):
+    with patch.object(nslattice, "_s_dot_o", lambda *args: 0):
         try:
-            nslattice._validate_torsion_table(cfg, fibers, lambda components, who: None)
+            nslattice._validate_torsion_table(cfg, fibers, {}, lambda components, who: None)
             accepted = True
         except InconsistentDataError as exc:
             assert "not closed under addition" in str(exc)
@@ -484,6 +549,65 @@ def test_height_distinct_sections_need_data():
         t.pair(section_sym("s_o"), section_sym("other"))
 
 
+# --- the rank of the generators ---
+
+RANK_KINDS = ("I2", "I3", "I5", "I9", "I0*", "I3*", "III", "IV", "IV*", "III*", "II*")
+
+
+def _least_chi(kinds, mw_rank):
+    """The least chi that the Euler and rank bounds allow."""
+    euler = sum(fiber_data(k).euler for k in kinds)
+    rank = 2 + sum(fiber_data(k).m - 1 for k in kinds) + mw_rank
+    return max(1, -(-euler // 12), -(-rank // 10))
+
+
+# sections of height zero: every (chi, kinds, components, s.O) on a few small
+# fiber lists where 2 chi + 2 s.O + sum_v (A_v^{-1})_kk = 0 with s.O >= 0
+ZERO_HEIGHT = [
+    (chi, kinds, comps, int(-at_zero / 2))
+    for kinds in (("I0*", "I2", "I2", "I2"), ("I4", "I4"), ("I3", "I3", "I3"), ("I2",) * 8,
+                  ("I6", "I3", "I2"), ("III*", "I2"), ("IV*", "IV"))
+    for chi in range(_least_chi(kinds, 0), 3)
+    for comps in product(*((0,) + fiber_data(k).simple for k in kinds))
+    for at_zero in [section_height(chi, dict(enumerate(kinds)), 0, dict(enumerate(comps)))]
+    if at_zero <= 0 and (at_zero / 2).denominator == 1
+]
+
+
+@st.composite
+def rank_tables(draw):
+    """A table with no section, one section of positive height, or one of
+    height zero."""
+    mode = draw(st.sampled_from(["none", "positive", "zero"]))
+    if mode == "zero":
+        chi, kinds, comps, s_dot_o = draw(st.sampled_from(ZERO_HEIGHT))
+    else:
+        kinds = tuple(draw(st.lists(st.sampled_from(RANK_KINDS), max_size=4)))
+        chi = _least_chi(kinds, 1) + draw(st.integers(0, 1))
+        comps = tuple(draw(st.sampled_from((0,) + fiber_data(k).simple)) for k in kinds)
+        at_zero = section_height(chi, dict(enumerate(kinds)), 0, dict(enumerate(comps)))
+        # the least s.O >= 0 with 2 s.O > -at_zero, plus a little
+        s_dot_o = max(0, floor(-at_zero / 2) + 1) + draw(st.integers(0, 2))
+    fibers = tuple((f"v{i}", FiberKind.parse(k)) for i, k in enumerate(kinds))
+    sections = () if mode == "none" else (
+        SectionProfile("s", s_dot_o, {fid: k for (fid, _), k in zip(fibers, comps)}),
+    )
+    return mode, build_table(SurfaceConfig(chi, fibers, sections, int(mode == "positive")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_tables())
+def test_generator_rank_matches_the_rank_of_the_gram_block(case):
+    mode, table = case
+    assert len(ZERO_HEIGHT) >= 20
+    gens = table.generators()
+    block = [table.profile(FormalClass.of(g)) for g in gens]
+    rank = sum(1 for f in smith_normal_form(block).invariant_factors if f)
+    assert table.generator_rank == rank
+    trivial = 2 + sum(data.m - 1 for data in table.fibers.values())
+    assert rank == trivial + (mode == "positive")
+
+
 # --- free coefficient ---
 
 
@@ -533,7 +657,7 @@ def test_n_of_rejects_linear_mismatch():
     bad = DivisorProfile(
         "E+", 3, 0, {"inf": (1, 1, 1, 0)}, d_squared=1, d_dot_section={"s_o": 1}
     )
-    with pytest.raises(InconsistentDataError, match="disagrees|non-integral"):
+    with pytest.raises(InconsistentDataError, match="disagrees"):
         n_of(table_with(bad), "E+", "s_o")
 
 
