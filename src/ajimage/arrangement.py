@@ -22,7 +22,8 @@ points p_i (tangency at u makes the residual point u^{-2}, so the p_i
 are automatically collinear: their u-product is the inverse square of
 the q's u-product, which is +-1 by construction).  The sign chosen for
 the q's u-product is the whole classification: +1 makes q_1, q_2, q_3
-collinear (Type I), -1 makes them non-collinear (Type II).
+collinear (Type I), -1 makes them non-collinear (Type II).  Public entry
+points read their numbers through `exact.exact_number`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Union
 
 from .dihedral import ArrangementType
 from .errors import DegenerateArrangementError, InconsistentDataError, SchemaError
+from .exact import exact_number
 from .fourlines import bundled_derivation
 from .mwgroup import MWPoint
 
@@ -40,6 +42,11 @@ Rat = Union[int, Fraction, str]
 
 #: parameter values of lines through the node that are tangent there
 NODE_PARAMS = (Fraction(1), Fraction(-1))
+
+
+def _rat(x, where: str) -> Fraction:
+    """A caller's number as a Fraction (a Fraction passes as it is)."""
+    return x if type(x) is Fraction else Fraction(exact_number(x, where))
 
 
 def _normalize(coords: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, ...]:
@@ -56,11 +63,12 @@ class ProjPoint:
     coords: tuple[Fraction, Fraction, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _normalize(tuple(Fraction(c) for c in self.coords)))
+        coords = tuple(_rat(c, "ProjPoint") for c in self.coords)
+        object.__setattr__(self, "coords", _normalize(coords))
 
     @staticmethod
     def of(x: Rat, y: Rat, z: Rat) -> "ProjPoint":
-        return ProjPoint((Fraction(x), Fraction(y), Fraction(z)))
+        return ProjPoint((x, y, z))
 
     def __str__(self):
         return "(" + " : ".join(map(str, self.coords)) + ")"
@@ -73,7 +81,7 @@ class Line:
     coeffs: tuple[Fraction, Fraction, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _normalize(tuple(Fraction(c) for c in self.coeffs)))
+        object.__setattr__(self, "coeffs", _normalize(tuple(_rat(c, "Line") for c in self.coeffs)))
 
     def contains(self, p: ProjPoint) -> bool:
         return sum(a * x for a, x in zip(self.coeffs, p.coords)) == 0
@@ -116,7 +124,7 @@ def param_point(t: "Rat | None") -> ProjPoint:
     """P(t) on the cubic; t = None is the inflection at infinity."""
     if t is None:
         return ProjPoint.of(0, 1, 0)
-    t = Fraction(t)
+    t = _rat(t, "param_point")
     if t in NODE_PARAMS:
         raise DegenerateArrangementError(
             f"parameter t = {t} hits the node of the cubic; no smooth point there"
@@ -128,7 +136,7 @@ def u_of(t: "Rat | None") -> Fraction:
     """Group coordinate of P(t): u = (t - 1)/(t + 1), u(oo) = 1."""
     if t is None:
         return Fraction(1)
-    t = Fraction(t)
+    t = _rat(t, "u_of")
     if t in NODE_PARAMS:
         raise DegenerateArrangementError(f"parameter t = {t} hits the node of the cubic")
     return (t - 1) / (t + 1)
@@ -136,7 +144,7 @@ def u_of(t: "Rat | None") -> Fraction:
 
 def param_of_u(u: Rat) -> "Fraction | None":
     """Inverse of u_of; u = 1 is the point at infinity (None)."""
-    u = Fraction(u)
+    u = _rat(u, "param_of_u")
     if u == 0:
         raise DegenerateArrangementError("u = 0 is the node, not a smooth point")
     if u == 1:
@@ -147,7 +155,7 @@ def param_of_u(u: Rat) -> "Fraction | None":
 def tangent_line_at(t: Rat) -> Line:
     """The tangent line of the cubic at P(t) (gradient of the cubic form,
     with the common factor t^2 - 1 removed)."""
-    t = Fraction(t)
+    t = _rat(t, "tangent_line_at")
     if t in NODE_PARAMS:
         raise DegenerateArrangementError(f"parameter t = {t} hits the node; no tangent line")
     return Line((-(3 * t * t - 1), 2 * t, (t * t - 1) ** 2))
@@ -183,7 +191,7 @@ class Arrangement:
 
     def as_dict(self) -> dict:
         """JSON-ready rendering; all rationals as exact 'p/q' strings."""
-        rat = lambda x: "oo" if x is None else str(Fraction(x))
+        rat = lambda x: "oo" if x is None else str(x)
         return {
             "type": self.type_tag.value,
             "sign": self.sign,
@@ -206,15 +214,18 @@ def generate_arrangement(s1: Rat, s2: Rat, sign: int = 1) -> Arrangement:
     The first two tangency points are P(s1), P(s2); the third is placed so
     that the q's u-product is exactly `sign`, making them collinear for
     sign = +1 and non-collinear for sign = -1.  Degenerate parameter
-    choices (node parameters, coinciding points, concurrent tangents,
-    a tangency point falling on another line of the arrangement) are
-    rejected with the violated condition spelled out.
+    choices (node parameters, coinciding tangency or residual points,
+    concurrent tangents) are rejected with the violated condition spelled
+    out.  No q_i can then equal a p_j: since u_1 u_2 u_3 = sign, u_i = u_j^-2
+    with i != j makes the third coordinate sign * u_j, so two q's (sign +1)
+    or two p's (sign -1) coincide, and u_i = u_i^-2 gives u_i^3 = 1, so
+    u_i = 1 over Q, which u_of never returns and the u_3 check refuses.
     """
+    s1, s2, sign = _rat(s1, "s1"), _rat(s2, "s2"), exact_number(sign, "sign")
     if sign not in (1, -1):
         raise SchemaError(f"sign must be +1 or -1, got {sign!r}")
-    s1, s2 = Fraction(s1), Fraction(s2)
     u1, u2 = u_of(s1), u_of(s2)
-    u3 = Fraction(sign) / (u1 * u2)
+    u3 = sign / (u1 * u2)
     if u3 == 1:
         raise DegenerateArrangementError(
             "q_3 degenerates to the inflection point at infinity, where the tangent"
@@ -228,15 +239,6 @@ def generate_arrangement(s1: Rat, s2: Rat, sign: int = 1) -> Arrangement:
         raise DegenerateArrangementError(
             "residual contact points p_i coincide; no transversal line through them"
         )
-    for i, uq in enumerate(us, start=1):
-        for j, up in enumerate(ups, start=1):
-            if uq == up:
-                what = (
-                    f"q_{i} equals its own residual point p_{i}"
-                    if i == j
-                    else f"q_{i} falls on the transversal line (q_{i} = p_{j})"
-                )
-                raise DegenerateArrangementError(what)
 
     q_params = tuple(param_of_u(u) for u in us)
     p_params = tuple(param_of_u(u) for u in ups)

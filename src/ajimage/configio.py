@@ -31,9 +31,11 @@ Schema, version 1::
     }
 
 Numbers are JSON integers or exact strings "p" / "p/q" (optional sign,
-decimal digits only); floats are rejected outright so no value ever passes
-through binary floating point, and no integer, numerator or denominator may
-have more than MAX_DIGITS digits.  Unknown
+decimal digits only); floats and booleans are rejected outright so no value
+ever passes through binary floating point, and no integer, numerator or
+denominator may have more than MAX_DIGITS digits.  Only this syntax is read
+here; plain ints go on to build_table, which reads every number through
+`exact.exact_int` as it does a Python caller's.  Unknown
 keys are rejected at every level: a typo fails loudly instead of being
 ignored.  Two documents ship with the package (data/fourlines_type1.json
 and data/fourlines_type2.json), carrying the bundled four-line surface
@@ -53,6 +55,7 @@ from functools import cache
 from importlib import resources
 
 from .errors import SchemaError
+from .exact import exact_number
 from .kodaira import AbelianGroup, FiberKind
 from .nslattice import DivisorProfile, SectionProfile, SurfaceConfig, TorsionSectionSpec
 
@@ -108,8 +111,9 @@ def parse_int(value, where: str) -> int:
 
 
 def render_number(value) -> "int | str":
-    q = Fraction(value)
-    return int(q) if q.denominator == 1 else str(q)
+    """An exact number as JSON: an int when integral, else "p/q"."""
+    q = exact_number(value, "render_number")
+    return q if type(q) is int else str(q)
 
 
 def _check_keys(doc: Mapping, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):

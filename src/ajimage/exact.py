@@ -10,7 +10,10 @@ it.  (nslattice reads the rank of a table's generators off Shioda-Tate in
 closed form, with no elimination.)  The inverse comes out as integer
 numerators over the last invariant factor, which is the denominator of
 A^{-1} in lowest terms.
-A float is refused with a TypeError wherever an exact number is read.
+
+`exact_number` and `exact_int` are the one reader of a caller's numbers: a
+float or a bool is refused with a TypeError that names it, and `exact_int`
+refuses a non-integral rational with a SchemaError.
 
 The reduction takes three exact shortcuts that leave its sequence of
 operations, and so U, S and V, unchanged: the pivot scan stops at the first
@@ -27,17 +30,32 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import SchemaError
+
 
 def exact_number(x, where: str) -> "int | Fraction":
-    """x as an int when integral, else as a Fraction.  A float is refused
-    with a TypeError naming it: 0.1 would be stored as 3602879701896397/2**55,
-    not as 1/10."""
+    """x as an int when integral, else as a Fraction.  A float or a bool is
+    refused with a TypeError naming it: 0.1 would be stored as
+    3602879701896397/2**55, not as 1/10, and True would be taken as 1."""
     if type(x) is int:
         return x
-    if isinstance(x, float):
-        raise TypeError(f"{where} takes exact numbers, not the float {x!r}")
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"{where} takes exact numbers, not the {type(x).__name__} {x!r}")
+    try:
+        q = Fraction(x)
+    except (TypeError, ValueError) as exc:  # not a number, or not a rational's text
+        raise type(exc)(f"{where} takes exact numbers, not {x!r}") from None
+    return q.numerator if q.denominator == 1 else q
+
+
+def exact_int(x, where: str) -> int:
+    """x as an int: exact_number, and a SchemaError for a non-integral value."""
+    if type(x) is int:
+        return x
+    x = exact_number(x, where)
+    if type(x) is not int:
+        raise SchemaError(f"{where} must be an integer, not {x}")
+    return x
 
 
 def _numerators(values) -> tuple[list[int], int]:
@@ -155,13 +173,6 @@ class SmithForm:
         return QMatrix(out, top)
 
 
-def _int_rows(a) -> list[list[int]]:
-    rows = [[exact_number(x, "smith_normal_form") for x in row] for row in a]
-    if any(type(x) is not int for row in rows for x in row):
-        raise ValueError("smith_normal_form needs integer entries")
-    return rows
-
-
 def smith_normal_form(a) -> SmithForm:
     """Smith normal form over the integers with transform tracking.
 
@@ -171,7 +182,7 @@ def smith_normal_form(a) -> SmithForm:
     fold that row in and keep reducing.  All row ops mirror into u, column
     ops into v, so u @ a @ v == s exactly.
     """
-    s = _int_rows(a)
+    s = [[exact_int(x, "smith_normal_form entry") for x in row] for row in a]
     nr = len(s)
     nc = len(s[0]) if nr else 0
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]

@@ -49,7 +49,7 @@ from itertools import product
 from operator import mul
 from typing import Iterable
 
-from .exact import QMatrix, smith_normal_form
+from .exact import QMatrix, exact_int, smith_normal_form
 
 _KIND_RE = re.compile(r"^(I)(\d+)(\*?)$|^(II|III|IV)(\*?)$")
 _FAMILIES = ("I", "I*", "II*", "III", "III*", "IV", "IV*")
@@ -59,12 +59,15 @@ _FAMILIES = ("I", "I*", "II*", "III", "III*", "IV", "IV*")
 class FiberKind:
     """A reducible Kodaira type: family in {"I", "I*", "II*", "III", "III*",
     "IV", "IV*"}, with n >= 2 for I_n, n >= 0 for I*_n and no n otherwise.
-    Any other value is rejected when the kind is built."""
+    Any other value is rejected when the kind is built; n is read through
+    `exact.exact_int`."""
 
     family: str
     n: int | None = None
 
     def __post_init__(self):
+        if self.n is not None:
+            object.__setattr__(self, "n", exact_int(self.n, "fiber index n"))
         if self.family == "I" and self.n is not None and self.n < 2:
             raise ValueError(f"fiber {self} is irreducible")
         if self.family == "II":
@@ -110,11 +113,14 @@ class AbelianGroup:
     dividing the next); elements are residue tuples of the same length.
 
     `add`, `neg` and `scale` take any integer tuples of that length, reduced
-    or not, and return the reduced residues."""
+    or not, and return the reduced residues.  The factors are read through
+    `exact.exact_int`."""
 
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "invariant_factors", tuple(
+            exact_int(f, "invariant factor") for f in self.invariant_factors))
         for f in self.invariant_factors:
             if f <= 1:
                 raise ValueError("invariant factors must exceed 1")

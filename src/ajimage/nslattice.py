@@ -18,9 +18,8 @@ named sections, followed by the registered divisors; the entries are
 
 Entries nothing registers (distinct sections, a missing D.s, D^2 or D.D')
 are gaps; reading one raises MissingIntersectionError naming both symbols.
-Theta_{v,0} is the fixed vector F - sum_i a_i Theta_{v,i} (fiber relation),
-and divisors named O or F (with the canonical data) are the O and F basis
-vectors.  So x.y = x^T G y, and the pairings of x with the generators are
+Theta_{v,0} is the fixed vector F - sum_i a_i Theta_{v,i} (fiber relation).
+So x.y = x^T G y, and the pairings of x with the generators are
 G x (`IntersectionTable.profile`).  G is built on first use.
 
 `build_table` validates every profile once; `mwgroup.derive` then reads
@@ -31,8 +30,9 @@ section (height zero) and once for the section attached to a divisor.  The
 rank of the generators' Gram block is read off Shioda-Tate in closed form
 (`IntersectionTable.generator_rank`); this module runs no elimination.
 
-The reserved divisors O and F get their pairing with every section filled
-in by `build_table` (O.s = s.O, F.s = 1), so no formula branches on names.
+No section or divisor may be named O or F, so no formula branches on a
+name; a divisor with O's numbers under another name derives to the point
+O, since phi0(D)^2 = -chi + 2 chi - chi = 0.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import InconsistentDataError, MissingIntersectionError, SchemaError
-from .exact import exact_number
+from .exact import exact_int, exact_number
 from .kodaira import (
     MAX_COMPONENTS,
     AbelianGroup,
@@ -61,8 +61,8 @@ from .kodaira import (
 # ("section", name), ("divisor", name).
 SYM_O = ("O",)
 SYM_F = ("F",)
-# divisor names that stand for O and F themselves
-_RESERVED = {"O": SYM_O, "F": SYM_F}
+# the names _sym_str prints for SYM_O and SYM_F, which no section or divisor takes
+_NAMES_OF_O_AND_F = ("O", "F")
 
 
 def theta(fiber_id: str, i: int) -> tuple:
@@ -208,13 +208,11 @@ class IntersectionTable:
 
     @cached_property
     def _basis(self) -> list[tuple]:
-        return self.generators() + [divisor_sym(n) for n in self.divisors if n not in _RESERVED]
+        return self.generators() + [divisor_sym(n) for n in self.divisors]
 
     @cached_property
     def _index(self) -> dict[tuple, int]:
-        index = {sym: i for i, sym in enumerate(self._basis)}
-        index.update((divisor_sym(n), index[s]) for n, s in _RESERVED.items() if n in self.divisors)
-        return index
+        return {sym: i for i, sym in enumerate(self._basis)}
 
     @cached_property
     def _gram(self) -> list[list]:
@@ -243,8 +241,6 @@ class IntersectionTable:
                 if k:
                     put(sym, theta(fid, k), 1)
         for name, d in self.divisors.items():
-            if name in _RESERVED:
-                continue
             sym = divisor_sym(name)
             put(sym, SYM_O, d.d_dot_o)
             put(sym, SYM_F, d.d)
@@ -254,7 +250,7 @@ class IntersectionTable:
             for other, value in d.d_dot_section.items():
                 put(sym, section_sym(other), value)
             for other, value in d.d_dot_divisor.items():
-                if other in self.divisors and other not in _RESERVED and other != name:
+                if other in self.divisors and other != name:
                     put(sym, divisor_sym(other), value)
             put(sym, sym, d.d_squared)
         return g
@@ -359,17 +355,6 @@ def _s_dot_o(chi: int, fibers: dict[str, ReducibleFiberData], components: Mappin
     return Fraction(s_num, s_den) if s_num % s_den else s_num // s_den
 
 
-def _int(x, where: str) -> int:
-    """An integer field of a profile.  A float is refused with a TypeError
-    (exact_number), a non-integral rational with a SchemaError."""
-    if type(x) is int:
-        return x
-    x = exact_number(x, where)
-    if type(x) is not int:
-        raise SchemaError(f"{where} must be an integer, not {x}")
-    return x
-
-
 # the types of a profile's entries when no entry needs reading: a table is
 # built on every request, so the usual all-int case costs one pass in C
 _INT = {int}
@@ -379,13 +364,13 @@ def _ints(values, where: str) -> tuple[int, ...]:
     values = tuple(values)
     if set(map(type, values)) <= _INT:
         return values
-    return tuple(_int(x, where) for x in values)
+    return tuple(exact_int(x, where) for x in values)
 
 
 def _int_map(mapping: Mapping[str, int], where: str) -> dict[str, int]:
     if set(map(type, mapping.values())) <= _INT:
         return dict(mapping)
-    return {key: _int(x, f"{where}[{key!r}]") for key, x in mapping.items()}
+    return {key: exact_int(x, f"{where}[{key!r}]") for key, x in mapping.items()}
 
 
 def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> IntersectionTable:
@@ -399,10 +384,15 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     (every nonzero element listed once, distinct classes, height zero, an
     integral pairing with every section, and coordinate addition mirroring
     class addition, checked on the generators of the torsion group).  Every
-    integer field of a profile is read exactly: a float is refused with a
-    TypeError, a non-integral rational with a SchemaError.
+    integer field of the configuration and of a profile is read exactly
+    (`exact.exact_int`): a float or a bool is refused with a TypeError, a
+    non-integral rational with a SchemaError.  A section or divisor named O
+    or F is refused.
     """
-    if cfg.chi <= 0:
+    chi, rank = exact_int(cfg.chi, "chi"), exact_int(cfg.mw_free_rank, "mw_free_rank")
+    if chi is not cfg.chi or rank is not cfg.mw_free_rank:
+        cfg = replace(cfg, chi=chi, mw_free_rank=rank)
+    if chi <= 0:
         raise SchemaError("chi must be positive")
     seen: set[str] = set()
     for fid, _ in cfg.fibers:
@@ -443,9 +433,9 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     sections: dict[str, SectionProfile] = {}
     for s in cfg.sections:
         who = f"section {s.name!r}"
-        s = SectionProfile(s.name, _int(s.s_dot_o, f"{who}: s.O"),
+        s = SectionProfile(s.name, exact_int(s.s_dot_o, f"{who}: s.O"),
                            _int_map(s.components, f"{who}: components"))
-        if s.name in _RESERVED:
+        if s.name in _NAMES_OF_O_AND_F:
             raise SchemaError(f"section name {s.name!r} is reserved")
         if s.name in sections:
             raise SchemaError(f"duplicate section name {s.name!r}")
@@ -459,6 +449,8 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     divisors_map: dict[str, DivisorProfile] = {}
     for d in divisors:
         who = f"divisor {d.name!r}"
+        if d.name in _NAMES_OF_O_AND_F:
+            raise SchemaError(f"divisor name {d.name!r} is reserved")
         if d.name in divisors_map:
             raise SchemaError(f"duplicate divisor name {d.name!r}")
         for fid, cvec in d.c.items():
@@ -468,15 +460,13 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
                 raise SchemaError(f"{who}: c({fid!r}) needs {fibers[fid].m - 1} entries")
         # exact integers everywhere, and a c vector for every fiber (absent means 0)
         d = DivisorProfile(
-            d.name, _int(d.d, f"{who}: d"), _int(d.d_dot_o, f"{who}: D.O"),
+            d.name, exact_int(d.d, f"{who}: d"), exact_int(d.d_dot_o, f"{who}: D.O"),
             {fid: (0,) * (data.m - 1) if d.c.get(fid) is None
              else _ints(d.c[fid], f"{who}: c({fid!r})") for fid, data in fibers.items()},
-            None if d.d_squared is None else _int(d.d_squared, f"{who}: D^2"),
+            None if d.d_squared is None else exact_int(d.d_squared, f"{who}: D^2"),
             _int_map(d.d_dot_section, f"{who}: D.section"),
             _int_map(d.d_dot_divisor, f"{who}: D.divisor"),
         )
-        if d.name in _RESERVED:
-            d = _check_reserved_divisor(cfg, d, sections)
         for sec in d.d_dot_section:
             if sec not in sections:
                 raise SchemaError(f"divisor {d.name!r}: unknown section {sec!r}")
@@ -493,26 +483,6 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
         divisors_map[d.name] = d
 
     return IntersectionTable(cfg, fibers, sections, divisors_map, torsion)
-
-
-def _check_reserved_divisor(cfg: SurfaceConfig, d: DivisorProfile,
-                            sections: dict[str, SectionProfile]) -> DivisorProfile:
-    """Check a divisor named O or F against the canonical class and fill in
-    its pairing with every section (O.s = s.O, F.s = 1)."""
-    chi = cfg.chi
-    want = {"O": (1, -chi, -chi), "F": (0, 1, 0)}[d.name]
-    if (d.d, d.d_dot_o, d.d_squared) != want or any(v and any(v) for v in d.c.values()):
-        raise SchemaError(
-            f"divisor name {d.name!r} is reserved for the canonical class with"
-            f" (d, D.O, D^2) = {want} and trivial component incidences"
-        )
-    pairing = {name: s.s_dot_o if d.name == "O" else 1 for name, s in sections.items()}
-    if {**pairing, **d.d_dot_section} != pairing:
-        raise SchemaError(
-            f"divisor {d.name!r}: registered section pairings {dict(d.d_dot_section)} differ"
-            f" from the canonical {pairing}"
-        )
-    return replace(d, d_dot_section=pairing)
 
 
 def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tuple, tuple]:

@@ -151,10 +151,8 @@ def phi0(table, divisor):
     mwgroup._phi0_self / _phi0_cross."""
     d = table.divisors[divisor]
     chi = table.cfg.chi
-    sym = {"O": SYM_O, "F": SYM_F}.get(d.name, divisor_sym(d.name))
-    out = {sym: Fraction(1)}
-    out[SYM_O] = out.get(SYM_O, Fraction(0)) - d.d
-    out[SYM_F] = out.get(SYM_F, Fraction(0)) - (d.d * chi + d.d_dot_o)
+    out = {divisor_sym(d.name): Fraction(1), SYM_O: Fraction(-d.d),
+           SYM_F: Fraction(-(d.d * chi + d.d_dot_o))}
     for fid, _ in table.cfg.fibers:
         cvec = d.c.get(fid)
         if not cvec or not any(cvec):
@@ -213,24 +211,10 @@ def pair_reference(table, a, b):
             if a[1] == b[1]:
                 return Fraction(-chi)
             raise MissingIntersectionError(f"distinct sections {a[1]!r}.{b[1]!r}")
-        db = table.divisors[b[1]]
-        if db.name == "O":
-            return Fraction(table.sections[a[1]].s_dot_o)
-        if db.name == "F":
-            return Fraction(1)
-        return _registered(db.d_dot_section.get(a[1]), a, b)
+        return _registered(table.divisors[b[1]].d_dot_section.get(a[1]), a, b)
     da, db = table.divisors[a[1]], table.divisors[b[1]]
     if a[1] == b[1]:
         return _registered(da.d_squared, a, b)
-    # the reserved O / F divisors pair canonically with everything
-    if da.name == "O":
-        return Fraction(db.d_dot_o)
-    if db.name == "O":
-        return Fraction(da.d_dot_o)
-    if da.name == "F":
-        return Fraction(db.d)
-    if db.name == "F":
-        return Fraction(da.d)
     return _registered(da.d_dot_divisor.get(b[1], db.d_dot_divisor.get(a[1])), a, b)
 
 
@@ -273,11 +257,6 @@ def torsion_closed_reference(factors, moduli, classes):
             if classes[total] != tuple((x + y) % m for x, y, m in zip(ca, cb, moduli)):
                 return False
     return True
-
-
-def zero_section_profile(chi):
-    """O itself as a section profile (s.O = O^2 = -chi, identity components)."""
-    return SectionProfile("O", -chi, {})
 
 
 def section_as_divisor(table, section, name=None):

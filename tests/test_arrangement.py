@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ajimage import fourlines
 from ajimage.arrangement import (
@@ -192,6 +194,24 @@ def test_generate_rejections():
         generate_arrangement(-3, Fraction(-1, 3), +1)
 
 
+@given(st.fractions(-12, 12, max_denominator=6), st.fractions(-12, 12, max_denominator=6),
+       st.sampled_from([1, -1]))
+def test_no_tangency_point_is_a_residual_point(s1, s2, sign):
+    # generate_arrangement's docstring proves that once the three u-checks
+    # pass, no q_i equals a p_j (u_i = u_j^-2); so it runs no such check
+    assume(s1 not in (1, -1) and s2 not in (1, -1))
+    u1, u2 = u_of(s1), u_of(s2)
+    us = (u1, u2, sign / (u1 * u2))
+    assume(us[2] != 1 and len(set(us)) == 3 and len({u**-2 for u in us}) == 3)
+    assert not set(us) & {u**-2 for u in us}
+
+
+def test_projective_point_needs_a_nonzero_coordinate():
+    with pytest.raises(SchemaError) as exc:
+        ProjPoint.of(0, 0, 0)
+    assert str(exc.value) == "projective coordinates must not all vanish"
+
+
 def test_generated_pipeline_seeded():
     rng = random.Random(123)
     done = 0
@@ -246,6 +266,38 @@ def test_validate_detects_off_cubic_point():
     bad = replace(arr, q_points=(ProjPoint.of(1, 1, 1),) + arr.q_points[1:])
     with pytest.raises((InconsistentDataError, DegenerateArrangementError)):
         _validate(bad)
+
+
+def _other_residuals(arr):
+    # three points of the cubic off a line, each joined to its q_i by a
+    # (non-tangent) L_i, so every incidence before collinearity still holds
+    points = tuple(param_point(t) for t in (0, 5, 7))
+    lines = tuple(Line.through(q, p) for q, p in zip(arr.q_points, points))
+    return replace(arr, p_points=points, lines=arr.lines[:1] + lines)
+
+
+TAMPERED = [
+    pytest.param(lambda arr: replace(arr, p_points=(ProjPoint.of(1, 1, 1),) + arr.p_points[1:]),
+                 "residual point (1 : 1 : 1) left the cubic", id="residual-off-cubic"),
+    pytest.param(lambda arr: replace(arr, lines=(arr.lines[0], arr.lines[2], arr.lines[1],
+                                                 arr.lines[3])),
+                 "L_1 misses its contact points", id="swapped-tangents"),
+    pytest.param(_other_residuals, "p_1, p_2, p_3 are not collinear", id="residuals-not-collinear"),
+    pytest.param(lambda arr: replace(arr, lines=(Line((0, 0, 1)),) + arr.lines[1:]),
+                 "L_0 misses a residual point", id="wrong-transversal"),
+    pytest.param(lambda arr: replace(arr, sign=-1),
+                 "collinearity of the tangency points disagrees with the chosen sign",
+                 id="wrong-sign"),
+]
+
+
+@pytest.mark.parametrize("tamper, message", TAMPERED)
+def test_validate_detects_tampering(tamper, message):
+    # _validate trusts nothing the construction claims: each edit of a valid
+    # arrangement fails the one incidence it breaks
+    with pytest.raises(InconsistentDataError) as exc:
+        _validate(tamper(generate_arrangement(2, 3, +1)))
+    assert str(exc.value) == message
 
 
 def test_as_dict_json():

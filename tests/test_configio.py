@@ -207,6 +207,11 @@ SCHEMA_CASES = [
     (("surface", "torsion_table"), None, "surface.torsion_table: expected a list"),
     (("surface", "torsion_table", 0, "coords"), 1, r"torsion_table\[0\].coords: expected a list"),
     (("surface", "mw_free_rank"), -3, "surface.mw_free_rank: must be >= 0"),
+    (("surface",), [], "surface: expected an object"),
+    (("surface", "sections", 0, "components"), [],
+     r"surface.sections\[0\].components: expected an object of integers"),
+    (("surface", "fibers", 0, "id"), "", r"surface.fibers\[0\]: 'id' must be a nonempty string"),
+    (("surface", "chi"), None, "surface.chi: expected integer or 'p/q' string, got NoneType"),
 ] + [
     # an exponent string used to cost seconds in Fraction and crash the
     # rendering of the result; now only "p" and "p/q" parse

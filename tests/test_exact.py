@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -6,8 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajimage.exact import QMatrix, SmithForm, smith_normal_form
-from ajimage.kodaira import fiber_data
+from ajimage.arrangement import (
+    Line,
+    ProjPoint,
+    generate_arrangement,
+    param_of_u,
+    param_point,
+    tangent_line_at,
+    u_of,
+)
+from ajimage.errors import SchemaError
+from ajimage.exact import QMatrix, SmithForm, exact_int, exact_number, smith_normal_form
+from ajimage.fourlines import eplus_profile, four_line_surface
+from ajimage.kodaira import AbelianGroup, FiberKind, fiber_data
+from ajimage.nslattice import SYM_O, FormalClass, build_table
 
 from oracles import (
     abelian_order_multiset,
@@ -118,8 +131,56 @@ def test_smith_i0star_gram():
 
 
 def test_smith_rejects_non_integer():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="smith_normal_form entry must be an integer, not 1/2"):
         smith_normal_form([[Fraction(1, 2)]])
+
+
+_SURFACE = four_line_surface()
+# every public door through which a caller's number reaches the mathematics
+DOORS = {
+    "exact_number": lambda x: exact_number(x, "x"),
+    "exact_int": lambda x: exact_int(x, "x"),
+    "build_table chi": lambda x: build_table(replace(_SURFACE, chi=x)),
+    "build_table mw_free_rank": lambda x: build_table(replace(_SURFACE, mw_free_rank=x)),
+    "section s.O": lambda x: build_table(
+        replace(_SURFACE, sections=(replace(_SURFACE.sections[0], s_dot_o=x),))),
+    "divisor D^2": lambda x: build_table(
+        _SURFACE, [replace(eplus_profile("noncollinear"), d_squared=x)]),
+    "AbelianGroup": lambda x: AbelianGroup((x, 4)),
+    "FiberKind": lambda x: FiberKind("I", x),
+    "FormalClass": lambda x: FormalClass({SYM_O: x}),
+    "FormalClass scalar": lambda x: x * FormalClass.of(SYM_O),
+    "QMatrix": lambda x: QMatrix([[x]]),
+    "smith_normal_form": lambda x: smith_normal_form([[x, 0], [0, 2]]),
+    "generate_arrangement s1": lambda x: generate_arrangement(x, 3, -1),
+    "generate_arrangement s2": lambda x: generate_arrangement(2, x, -1),
+    "generate_arrangement sign": lambda x: generate_arrangement(2, 3, x),
+    "ProjPoint": lambda x: ProjPoint.of(x, 1, 1),
+    "Line": lambda x: Line((x, 1, 1)),
+    "param_point": param_point,
+    "u_of": u_of,
+    "param_of_u": param_of_u,
+    "tangent_line_at": tangent_line_at,
+}
+
+
+def test_exact_number_names_what_it_cannot_read():
+    with pytest.raises(TypeError) as exc:
+        generate_arrangement(2, 3, None)
+    assert str(exc.value) == "sign takes exact numbers, not None"
+    with pytest.raises(ValueError) as exc:
+        exact_int("x", "chi")
+    assert str(exc.value) == "chi takes exact numbers, not 'x'"
+    assert exact_number("3/6", "x") == Fraction(1, 2) and exact_int("4/2", "x") == 2
+
+
+@pytest.mark.parametrize("x", [True, 2.5])
+@pytest.mark.parametrize("door", DOORS)
+def test_every_door_refuses_bools_and_floats(door, x):
+    # exact.exact_number is the one reader: True would be taken as 1 and a
+    # float stored as its binary expansion, so each is refused by name
+    with pytest.raises(TypeError, match=f"not the {type(x).__name__} {x!r}"):
+        DOORS[door](x)
 
 
 def test_exact_layers_refuse_floats():
@@ -160,6 +221,13 @@ def test_qmatrix_holds_rationals_as_numerators_over_one_denominator(rows, data):
     den = data.draw(st.sampled_from([1, -1])) * m.den * data.draw(st.integers(1, 6))
     num = [[int(x * den) for x in row] for row in rows]
     assert QMatrix(num, den) == m
+
+
+def test_qmatrix_is_immutable():
+    m = QMatrix([[1]])
+    with pytest.raises(AttributeError) as exc:
+        m.den = 2
+    assert str(exc.value) == "QMatrix is immutable" and m.den == 1
 
 
 def test_qmatrix_rejects_bad_shapes():

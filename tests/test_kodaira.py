@@ -58,6 +58,17 @@ def test_invalid_kind_cannot_be_built(family, n, message):
     assert str(exc.value) == message
 
 
+def test_kind_index_and_group_factors_are_read_exactly():
+    # integral rationals become ints (the float and bool refusals are in
+    # tests/test_exact.py); at one time FiberKind("I", 5.0) was built and
+    # AbelianGroup((2.0, 4)) described itself as "Z/2.0 x Z/4"
+    kind = FiberKind("I", Fraction(5))
+    assert type(kind.n) is int and kind == FiberKind("I", 5) and fiber_data(kind).m == 5
+    assert AbelianGroup((Fraction(2), 4)).describe() == "Z/2 x Z/4"
+    with pytest.raises(ValueError, match="invariant factor must be an integer, not 5/2"):
+        AbelianGroup((Fraction(5, 2),))
+
+
 def test_i0star_golden():
     data = fiber_data("I0*")
     assert data.m == 5
@@ -217,6 +228,9 @@ def test_dual_classes_cycle():
     classes = [dual_class_of(data, i) for i in range(5)]
     assert classes[0] == g.zero()
     assert len(set(classes)) == 5
+    with pytest.raises(ValueError) as exc:
+        dual_class_of(fiber_data("I4"), 4)
+    assert str(exc.value) == "I4 has components 0..3"
     # the cycle components form the full cyclic group, consecutive steps equal
     step = classes[1]
     acc = g.zero()
@@ -361,6 +375,8 @@ def test_abelian_group_validation():
     assert g.scale(3, (1, 3)) == (1, 1)
     assert g.neg((1, 1)) == (1, 3)
     assert len(list(g.elements())) == 8
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        g.add((1,), (1, 0))
 
 
 TORSION_GROUPS = ((2, 2), (4,), (2, 4), (3,))

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ajimage import fourlines
 from ajimage.configio import bundled_config, load_config
-from ajimage.errors import InconsistentDataError
+from ajimage.errors import InconsistentDataError, SchemaError
 from ajimage.exact import QMatrix
 from ajimage.fourlines import GENERATOR, eminus_profile, eplus_profile, four_line_surface
 from ajimage.kodaira import AbelianGroup, FiberKind, dual_class_of, fiber_data, incidence_class
@@ -46,7 +47,8 @@ def table_with(*divisors, variant=None):
     return build_table(cfg, divs)
 
 
-O_PROFILE = DivisorProfile("O", d=1, d_dot_o=-1, c={}, d_squared=-1)
+# an ordinary divisor with the numbers of O (no divisor may be named O)
+O_LIKE = DivisorProfile("O_like", d=1, d_dot_o=-1, c={}, d_squared=-1)
 
 
 def is_zero(classes):
@@ -115,11 +117,19 @@ def test_integrality_constraint():
         assert flags == [not any(part) for part in der.gamma_classes]
         return flags
 
-    t = table_with(O_PROFILE, variant="noncollinear")
+    t = table_with(O_LIKE, variant="noncollinear")
     assert integral(t, "E+") == [True, True, True, True]
     t2 = table_with(section_as_divisor(table_with(), "s_o"))
     assert integral(t2, "s_o") == [False, False, True, True]
-    assert integral(t, "O") == [True, True, True, True]
+    assert integral(t, "O_like") == [True, True, True, True]
+
+
+def test_bundled_table_refuses_unknown_variant():
+    with pytest.raises(SchemaError) as exc:
+        fourlines.bundled_table("skew")
+    assert str(exc.value) == (
+        "unknown variant 'skew'; expected one of ('collinear', 'noncollinear')"
+    )
 
 
 def test_resolve_torsion_goldens():
@@ -129,7 +139,7 @@ def test_resolve_torsion_goldens():
     # without D.s_o, derive resolves torsion at n = 2 and at n = -2 and they agree
     t = table_with(replace(eplus_profile("noncollinear"), d_dot_section={}))
     assert derive(t, "E+", "s_o").point == MWPoint(2, (0, 0))
-    der_o = derive(table_with(O_PROFILE), "O", "s_o")
+    der_o = derive(table_with(O_LIKE), "O_like", "s_o")
     assert is_zero(der_o.torsion_residual) and der_o.point.torsion_is_zero()
 
 
@@ -181,8 +191,8 @@ def test_abel_jacobi_section_round_trips():
     t = table_with(section_as_divisor(base, "s_o"))
     assert abel_jacobi_image(t, "s_o", "s_o") == MWPoint(1, (0, 0), None)
     # O
-    t_o = table_with(O_PROFILE)
-    assert abel_jacobi_image(t_o, "O", "s_o") == MWPoint(0, (0, 0), None)
+    t_o = table_with(O_LIKE)
+    assert abel_jacobi_image(t_o, "O_like", "s_o") == MWPoint(0, (0, 0), None)
     # each torsion section
     for spec in cfg.torsion_table:
         tt = table_with(torsion_divisor(base, spec))

@@ -52,8 +52,9 @@ def table_with(*divisors, variant=None):
     return build_table(cfg, divs)
 
 
-O_PROFILE = DivisorProfile("O", d=1, d_dot_o=-1, c={}, d_squared=-1)
-F_PROFILE = DivisorProfile("F", d=0, d_dot_o=1, c={}, d_squared=0)
+# ordinary divisors with the numbers of O and F (no divisor may be named O or F)
+O_LIKE = DivisorProfile("O_like", d=1, d_dot_o=-1, c={}, d_squared=-1)
+F_LIKE = DivisorProfile("F_like", d=0, d_dot_o=1, c={}, d_squared=0)
 
 
 def phi0_self(table, name):
@@ -83,6 +84,9 @@ def test_base_pairings():
     assert t.pair(SYM_O, theta("inf", 1)) == 0
     assert t.pair(SYM_O, theta("inf", 0)) == 1
     assert t.pair(SYM_F, theta("inf", 2)) == 0
+    with pytest.raises(KeyError) as exc:
+        t.pair(theta("nope", 1), SYM_O)
+    assert exc.value.args == ("Theta[nope,1] is not a symbol of this table",)
 
 
 def test_derived_identity_component_rows():
@@ -164,14 +168,11 @@ def test_validation_errors():
         build_table(
             SurfaceConfig(1, (("a", FiberKind.parse("I0*")), ("b", FiberKind.parse("II*")),), (), 0)
         )
-    with pytest.raises(SchemaError):
-        build_table(cfg, [DivisorProfile("O", 1, 0, {}, 5)])  # reserved name, wrong data
-    build_table(cfg, [O_PROFILE, F_PROFILE])  # canonical aliases pass
-    # their section pairings are filled in, and may only repeat the canonical ones
-    build_table(cfg, [replace(O_PROFILE, d_dot_section={"s_o": 0})])
-    for bad in ({"s_o": 5}, {"nope": 0}):
-        with pytest.raises(SchemaError, match="differ from the canonical"):
-            build_table(cfg, [replace(F_PROFILE, d_dot_section=bad)])
+    # O and F name the zero section and the fiber class only, whatever the data
+    for prof in (O_LIKE, F_LIKE, DivisorProfile("D", 1, 0, {}, 5)):
+        for name in ("O", "F"):
+            with pytest.raises(SchemaError, match=f"divisor name '{name}' is reserved"):
+                build_table(cfg, [replace(prof, name=name)])
 
 
 def _torsion_entries(cfg, **changes):
@@ -185,14 +186,29 @@ def _torsion_entries(cfg, **changes):
 
 T1 = four_line_surface().torsion_table[0]
 REJECTIONS = [
+    pytest.param(lambda cfg: (replace(cfg, chi=0), ()),
+                 SchemaError, "chi must be positive", id="chi-zero"),
     pytest.param(lambda cfg: (replace(cfg, fibers=cfg.fibers + cfg.fibers[1:2]), ()),
                  SchemaError, "duplicate fiber id '1'", id="duplicate-fiber-id"),
     pytest.param(lambda cfg: (replace(cfg, sections=(SectionProfile("O", 0, {}),)), ()),
                  SchemaError, "section name 'O' is reserved", id="section-named-O"),
     pytest.param(lambda cfg: (replace(cfg, sections=(SectionProfile("F", 0, {}),)), ()),
                  SchemaError, "section name 'F' is reserved", id="section-named-F"),
+    pytest.param(lambda cfg: (replace(cfg, sections=(SectionProfile("s", 0, {"nope": 1}),)), ()),
+                 SchemaError, "section 's': unknown fiber id 'nope'", id="section-unknown-fiber"),
+    pytest.param(lambda cfg: (replace(cfg, sections=(SectionProfile("s", 0, {"1": 2}),)), ()),
+                 SchemaError, "section 's': component 2 out of range for fiber '1'",
+                 id="section-component-range"),
+    pytest.param(lambda cfg: (_torsion_entries(cfg, t1=({"1": 2}, T1.coords)), ()),
+                 SchemaError, "torsion section 't1': component 2 out of range for fiber '1'",
+                 id="torsion-component-range"),
+    pytest.param(lambda cfg: (replace(cfg, sections=(replace(cfg.sections[0], s_dot_o=-1),)), ()),
+                 SchemaError, "section 's_o': s.O must be >= 0", id="section-negative-s-dot-o"),
     pytest.param(lambda cfg: (replace(cfg, sections=cfg.sections * 2), ()),
                  SchemaError, "duplicate section name 's_o'", id="duplicate-section-name"),
+    pytest.param(lambda cfg: (cfg, [replace(eplus_profile("collinear"),
+                                            d_dot_section={"nope": 0})]),
+                 SchemaError, "divisor 'E+': unknown section 'nope'", id="divisor-unknown-section"),
     pytest.param(lambda cfg: (cfg, [eplus_profile("collinear")] * 2),
                  SchemaError, "duplicate divisor name 'E+'", id="duplicate-divisor-name"),
     pytest.param(lambda cfg: (_torsion_entries(cfg, t1=(T1.components, (1,))), ()),
@@ -201,6 +217,10 @@ REJECTIONS = [
     pytest.param(lambda cfg: (_torsion_entries(cfg, t1=(T1.components, (2, 0))), ()),
                  SchemaError, "torsion section 't1': zero coords are implicit, not listed",
                  id="torsion-zero-coords"),
+    pytest.param(lambda cfg: (_torsion_entries(cfg, t2=(cfg.torsion_table[1].components,
+                                                       T1.coords)), ()),
+                 InconsistentDataError, "torsion section 't2': duplicate coordinates",
+                 id="torsion-duplicate-coords"),
     pytest.param(lambda cfg: (_torsion_entries(cfg, t2=(T1.components, (0, 1))), ()),
                  InconsistentDataError, "torsion sections 't1' and 't2' share a dual class tuple",
                  id="torsion-shared-class"),
@@ -454,9 +474,15 @@ def test_torsion_profile_heights():
 
 
 def test_phi0_zero_for_O_and_F():
-    t = table_with(O_PROFILE, F_PROFILE)
-    assert phi0(t, "O").is_zero()
-    assert phi0(t, "F").is_zero()
+    # phi0(D) = D - O and D - F pair to zero with every generator (with the
+    # pairings D.s_o = s_o.O = 0 and s_o.F = 1 registered) and with
+    # themselves, so derive gives O: phi0(D)^2 = -chi + 2 chi - chi = 0
+    t = table_with(replace(O_LIKE, d_dot_section={"s_o": 0}),
+                   replace(F_LIKE, d_dot_section={"s_o": 1}))
+    for name in ("O_like", "F_like"):
+        cls = phi0(t, name)
+        assert not any(t.profile(cls)) and t.pair_class(cls, cls) == 0
+        assert str(derive(t, name, "s_o").point) == "O"
 
 
 def test_phi0_eplus_expansion():
@@ -487,7 +513,7 @@ def test_phi0_orthogonal_to_trivial_lattice():
 def test_phi0_self_goldens():
     assert derive(table_with(variant="collinear"), "E+", "s_o").free.phi0_self == 0
     assert derive(table_with(variant="noncollinear"), "E+", "s_o").free.phi0_self == -2
-    assert derive(table_with(F_PROFILE), "F", "s_o").free.phi0_self == 0
+    assert derive(table_with(F_LIKE), "F_like", "s_o").free.phi0_self == 0
     with pytest.raises(MissingIntersectionError, match="D\\^2 required"):
         derive(table_with(DivisorProfile("D", 1, 0, {})), "D", "s_o")
 
@@ -504,13 +530,13 @@ def test_phi0_cross_goldens():
     for variant, n in (("noncollinear", 2), ("collinear", 0)):
         t = table_with(variant=variant)
         assert phi0_cross(t, "E+", "s_o") == -n * derive(t, "E+", "s_o").free.height
-    # build_table fills in O.s_o = s_o.O and F.s_o = 1, so their signs are fixed too
-    for prof in (O_PROFILE, F_PROFILE):
-        t = table_with(prof)
-        assert t.divisors[prof.name].d_dot_section == {"s_o": 0 if prof is O_PROFILE else 1}
+    # with their pairings O.s_o = s_o.O and F.s_o = 1 registered, the divisors
+    # with O's and F's numbers have their signs fixed too
+    for prof, s_o in ((O_LIKE, 0), (F_LIKE, 1)):
+        t = table_with(replace(prof, d_dot_section={"s_o": s_o}))
+        assert phi0_cross(t, prof.name, "s_o") == 0
         free = derive(t, prof.name, "s_o").free
         assert (free.n, free.sign_determined) == (0, True)
-    assert phi0_cross(table_with(F_PROFILE), "F", "s_o") == 0
     with pytest.raises(MissingIntersectionError):
         phi0_cross(table_with(DivisorProfile("D", 1, 0, {}, 0)), "D", "s_o")
 
@@ -734,7 +760,7 @@ def test_phi0_orthogonality_property(prof):
     assert phi0_self(t, "D") == t.pair_class(cls, cls)
 
 
-O_PROFILE_7 = DivisorProfile("O", d=1, d_dot_o=-7, c={}, d_squared=-7)
+O_LIKE_7 = replace(O_LIKE, d_dot_o=-7, d_squared=-7)
 
 
 def _wide_table():
@@ -755,12 +781,12 @@ def _wide_table():
         DivisorProfile("D2", 1, 0, c(), d_squared=-4, d_dot_section={"s1": 0, "s2": 1},
                        d_dot_divisor={"D1": 4}),
         DivisorProfile("D3", 0, 2, c(), d_squared=2),
-        O_PROFILE_7, F_PROFILE,
+        O_LIKE_7, F_LIKE,
     ])
 
 
 GRAM_TABLES = [
-    build_table(doc.surface, doc.divisors + (O_PROFILE, F_PROFILE))
+    build_table(doc.surface, doc.divisors + (O_LIKE, F_LIKE))
     for doc in map(bundled_config, BUNDLED)
 ] + [_wide_table()]
 
