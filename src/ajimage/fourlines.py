@@ -129,5 +129,5 @@ def ns_relation(variant: str) -> tuple[FormalClass, FormalClass]:
     d, chi = rest.d, table.cfg.chi
     coeffs = {section_sym(GENERATOR): n, SYM_O: d, SYM_F: d * chi + rest.d_dot_o}
     for fid, x in _solves(table, rest).items():
-        coeffs.update((theta(fid, i), v) for i, v in enumerate(x, 1))
+        coeffs.update((theta(fid, i), -v) for i, v in enumerate(x, 1))
     return FormalClass.of(divisor_sym("E+")), FormalClass(coeffs)

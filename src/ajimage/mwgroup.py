@@ -13,24 +13,24 @@ go through the projection phi0 away from the trivial lattice
     <P, P> = 2 chi + 2 s_P.O + sum_v (A_v^{-1})_kk   (s_P meets Theta_{v,k})
     n^2 = -phi0(D).phi0(D) / <P_o, P_o>,   n = -phi0(D).phi0(s_o) / <P_o, P_o>.
 
-It solves x_v = A_v^{-1} c(v, D) once per fiber with nonzero c(v, D) and
-reads everything else off those solves: the quadratic route to n reads
-c^T x_v, the linear route x_v[k - 1]; the gamma vectors are -x_v, and their
-classes in the component groups R_v^dual / R_v are read off c(v, D) through
-each fiber's Smith class rows.  Both kill the trivial lattice, so the image
-of a divisor equals the image of its attached Mordell-Weil point, which is
-what makes torsion resolvable from intersection data alone: the residual
-class(D) - n * class(s_o), formed fiber by fiber, is looked up in the
-table's torsion dict (zero included); without D.s_o both signs of n are
-looked up, and a sign that misses is excluded.  The height identity <P, P>
-then fixes the bookkeeping s(D).O of the attached section
+It solves gamma_v = -A_v^{-1} c(v, D) once per fiber with nonzero c(v, D)
+and reads everything else off those solves: the quadratic route to n adds
+c^T gamma_v, the linear route gamma_v[k - 1]; the record keeps the gamma
+vectors as solved, and their classes in the component groups R_v^dual / R_v
+are read off c(v, D) through each fiber's Smith class rows.  Both kill the
+trivial lattice, so the image of a divisor equals the image of its attached
+Mordell-Weil point, which is what makes torsion resolvable from intersection
+data alone: the residual class(D) - n * class(s_o), formed fiber by fiber,
+is looked up in the table's torsion dict (zero included) at each sign of n
+the data allows, and a sign that misses is excluded.  The height identity
+<P, P> then fixes the bookkeeping s(D).O of the attached section
 (`nslattice._s_dot_o`, which also forces each torsion section's s.O).
 `abel_jacobi_image` returns the record's point; the CLI renders the record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import mul
@@ -74,7 +74,8 @@ class FreeCoefficient:
 
     sign_route is "pairing" when the registered D.s_o fixed the sign,
     "torsion" when only one sign leaves a residual in the torsion table, and
-    "open" when both signs resolve to the same torsion element (n = |n|)."""
+    "open" when both signs resolve to the same torsion element (n = |n|).
+    `derive` builds it once, after deciding the sign."""
 
     n: int
     n_squared: int
@@ -103,9 +104,11 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     """Full decomposition P_D = n * P_o + torsion of a registered divisor
     along a registered generator section.
 
-    Runs both routes to n, resolves torsion, and verifies the section
-    bookkeeping.  Without a registered D.s_o, a sign whose residual names no
-    torsion section is excluded, so torsion fixes the sign when exactly one
+    Reads n^2 off the quadratic route and, when D.s_o is registered, n off
+    the linear route, resolves torsion, and verifies the section bookkeeping.
+    The signs of n the data allows are listed once: n itself when D.s_o is
+    registered, else +-|n|.  A sign whose residual names no torsion section
+    is excluded, so without D.s_o torsion fixes the sign when exactly one
     sign is left.  When the two signs name different torsion elements the
     decomposition is reported as ambiguous.  That is reachable: on two I4
     fibers, with s_o through Theta_1 of both and a 2-torsion t through
@@ -135,8 +138,8 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     d = table.divisors[divisor]
     gen = table.sections[generator]
     fibers = [table.fibers[fid] for fid, _ in table.cfg.fibers]
-    xs = _solves(table, d)
-    free = _free_coefficient(table, d, gen, xs)
+    gammas = _solves(table, d)
+    h, self_pairing, n_sq, n_lin = _free_coefficient(table, d, gen, gammas)
     classes = tuple(
         incidence_class(data, d.c[fid]) for (fid, _), data in zip(table.cfg.fibers, fibers)
     )
@@ -149,41 +152,38 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
             for data, a, b in zip(fibers, classes, gen_classes)
         )
 
-    residual = residual_of(free.n)
-    hit = table.torsion.get(residual)
-    if free.sign_route == "open" and free.n:
-        other = residual_of(-free.n)
-        other_hit = table.torsion.get(other)
-        if hit is None and other_hit is not None:
-            free, residual, hit = replace(free, n=-free.n, sign_route="torsion"), other, other_hit
-        elif hit is not None and other_hit is None:
-            free = replace(free, sign_route="torsion")
-        elif hit != other_hit:
-            raise InconsistentDataError(
-                f"sign of n = {free.n} is undetermined and the torsion resolution"
-                " depends on it; register D.s_o to fix the sign"
-            )
-    if hit is None:
+    n_abs = isqrt(n_sq)
+    signs = (n_lin,) if n_lin is not None else (n_abs, -n_abs) if n_abs else (0,)
+    residuals = [residual_of(n) for n in signs]
+    kept = [(n, r) for n, r in zip(signs, residuals) if r in table.torsion]
+    if not kept:
         raise InconsistentDataError(
-            f"no torsion section realizes the dual class {classes_str(residual)};"
+            f"no torsion section realizes the dual class {classes_str(residuals[0])};"
             " intersection data is inconsistent with the torsion table"
         )
-    name, coords = hit
+    if len({table.torsion[r] for _, r in kept}) > 1:
+        raise InconsistentDataError(
+            f"sign of n = {n_abs} is undetermined and the torsion resolution"
+            " depends on it; register D.s_o to fix the sign"
+        )
+    n, residual = kept[0]
+    route = "pairing" if n_lin is not None else "torsion" if len(kept) < len(signs) else "open"
+    name, coords = table.torsion[residual]
     vectors = tuple(
-        tuple(-x for x in xs[fid]) if fid in xs else (Fraction(0),) * (data.m - 1)
+        gammas[fid] if fid in gammas else (Fraction(0),) * (data.m - 1)
         for (fid, _), data in zip(table.cfg.fibers, fibers)
     )
-    point = MWPoint(free.n, coords, name)
+    point = MWPoint(n, coords, name)
     components = {fid: data.class_to_simple[part]
                   for (fid, _), data, part in zip(table.cfg.fibers, fibers, classes)}
-    h = free.height
     s_dot_o = _s_dot_o(table.cfg.chi, table.fibers, components,
-                       (free.n_squared * h.numerator, h.denominator))
-    if s_dot_o < 0 and (free.n or not point.torsion_is_zero()):
+                       (n_sq * h.numerator, h.denominator))
+    if s_dot_o < 0 and (n or not point.torsion_is_zero()):
         raise InconsistentDataError(
             f"height identity gives s(D).O = {s_dot_o}, which no section attains;"
             " intersection data is inconsistent"
         )
+    free = FreeCoefficient(n, n_sq, route, h, self_pairing)
     return Derivation(free, vectors, classes, residual, s_dot_o, point)
 
 
@@ -193,47 +193,45 @@ def abel_jacobi_image(table: IntersectionTable, divisor: str, generator: str) ->
 
 
 def _solves(table: IntersectionTable, d: DivisorProfile) -> dict[str, tuple[Fraction, ...]]:
-    """x_v = A_v^{-1} c(v, D) for every fiber with c(v, D) != 0, one Fraction
-    per integer dot product: the library's one A^{-1} c product, which the
-    phi0 closed forms, the gamma vectors and `fourlines.ns_relation` read."""
+    """gamma_v = -A_v^{-1} c(v, D) for every fiber with c(v, D) != 0, one
+    Fraction per integer dot product: the library's one A^{-1} c product,
+    which the phi0 closed forms, the record's gamma vectors and
+    `fourlines.ns_relation` read."""
     out = {}
     for fid, c in d.c.items():
         if any(c):
             a_inv = table.fibers[fid].a_inv
-            out[fid] = tuple(Fraction(sum(map(mul, row, c)), a_inv.den) for row in a_inv.num)
+            out[fid] = tuple(Fraction(-sum(map(mul, row, c)), a_inv.den) for row in a_inv.num)
     return out
 
 
-def _phi0_self(table: IntersectionTable, d: DivisorProfile, xs) -> Fraction:
+def _phi0_self(table: IntersectionTable, d: DivisorProfile, gammas) -> Fraction:
     if d.d_squared is None:
         raise MissingIntersectionError(f"divisor {d.name!r}: D^2 required for phi0_self")
     total = Fraction(d.d_squared) - 2 * d.d * d.d_dot_o - d.d * d.d * table.cfg.chi
-    for fid, x in xs.items():
-        total -= sum(map(mul, d.c[fid], x))
+    for fid, g in gammas.items():
+        total += sum(map(mul, d.c[fid], g))
     return total
 
 
-def _phi0_cross(table: IntersectionTable, d: DivisorProfile, s: SectionProfile, xs) -> Fraction:
-    d_dot_s = d.d_dot_section.get(s.name)
-    if d_dot_s is None:
-        raise MissingIntersectionError(
-            f"divisor {d.name!r}: D.{s.name} required for phi0_cross"
-        )
-    total = Fraction(d_dot_s) - d.d * s.s_dot_o - d.d * table.cfg.chi - d.d_dot_o
-    for fid, x in xs.items():
+def _phi0_cross(table: IntersectionTable, d: DivisorProfile, s: SectionProfile,
+                gammas) -> Fraction:
+    total = Fraction(d.d_dot_section[s.name]) - d.d * s.s_dot_o - d.d * table.cfg.chi - d.d_dot_o
+    for fid, g in gammas.items():
         k = s.components.get(fid, 0)
         if k:
-            total -= x[k - 1]
+            total += g[k - 1]
     return total
 
 
 def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionProfile,
-                      xs) -> FreeCoefficient:
-    """Free coefficient of D along a rank-one generator.
+                      gammas) -> tuple[Fraction, Fraction, int, int | None]:
+    """<P_o, P_o>, phi0(D).phi0(D), n^2 and the linear n of D along a
+    rank-one generator; the linear n is None when D.s_o is not registered.
 
     Quadratic route always runs: n^2 = -phi0(D).phi0(D) / <P_o, P_o> must be
-    a perfect square.  When D.s_o is registered, the linear route fixes the
-    sign and must agree.
+    a perfect square.  When D.s_o is registered, the linear route
+    n = -phi0(D).phi0(s_o) / <P_o, P_o> must agree with it.
     """
     if table.cfg.mw_free_rank != 1:
         raise InconsistentDataError(
@@ -244,22 +242,18 @@ def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionP
         raise InconsistentDataError(
             f"generator {gen.name!r} has height {h}; a free generator needs positive height"
         )
-    self_pairing = _phi0_self(table, d, xs)
+    self_pairing = _phi0_self(table, d, gammas)
     n_sq = -self_pairing / h
     if n_sq < 0 or n_sq.denominator != 1 or isqrt(n_sq.numerator) ** 2 != n_sq.numerator:
         raise InconsistentDataError(
             f"n^2 = {n_sq} not a perfect square => inconsistent intersection data"
         )
-    n_abs = isqrt(n_sq.numerator)
-    try:
-        cross = _phi0_cross(table, d, gen, xs)
-    except MissingIntersectionError:
-        return FreeCoefficient(n_abs, int(n_sq), "open", h, self_pairing)
-    n_lin = -cross / h
+    if gen.name not in d.d_dot_section:
+        return h, self_pairing, int(n_sq), None
+    n_lin = -_phi0_cross(table, d, gen, gammas) / h
     # n^2 is an integer square, so this also makes n_lin an integer
     if n_lin * n_lin != n_sq:
         raise InconsistentDataError(
             f"linear n = {n_lin} disagrees with n^2 = {n_sq} => inconsistent intersection data"
         )
-    return FreeCoefficient(int(n_lin), int(n_sq), "pairing", h, self_pairing)
-
+    return h, self_pairing, int(n_sq), int(n_lin)

@@ -121,9 +121,6 @@ class FormalClass:
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalClass) and self.coeffs == other.coeffs
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -376,8 +373,8 @@ def _int_map(mapping: Mapping[str, int], where: str) -> dict[str, int]:
 def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> IntersectionTable:
     """Validate a configuration and assemble its pairing table.
 
-    Checks: known fiber ids everywhere, component indices in range and on
-    simple components for sections, c-vector lengths, the Euler bound
+    Checks: chi > 0, free rank >= 0, known fiber ids, component indices in range
+    and on simple components for sections, c-vector lengths, the Euler bound
     sum e_v <= 12 chi, the rank bound 2 + sum(m_v - 1) + mw rank <= 10 chi,
     the size cap sum m_v <= MAX_COMPONENTS (these three from the kinds alone,
     before any catalog is built), and full consistency of the torsion table
@@ -394,6 +391,8 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
         cfg = replace(cfg, chi=chi, mw_free_rank=rank)
     if chi <= 0:
         raise SchemaError("chi must be positive")
+    if rank < 0:
+        raise SchemaError(f"mw_free_rank must be >= 0, got {rank}")
     seen: set[str] = set()
     for fid, _ in cfg.fibers:
         if fid in seen:

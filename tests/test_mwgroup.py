@@ -511,6 +511,19 @@ def test_open_sign_that_torsion_cannot_split_is_refused():
         derive(table, "open", "s_o")
 
 
+@pytest.mark.parametrize("d_dot_section", [{"s_o": 0}, {}], ids=["pairing", "open"])
+def test_torsion_miss_is_refused_on_both_sign_routes(d_dot_section):
+    # E+ moved by Theta_1 of fibers "2" and "3", with D^2 lowered by 1 so
+    # that n^2 stays 4: the residual (0,0 | 0 | 1 | 1) names no torsion
+    # section, at n = 2 and, since 2 class(s_o) is zero, at n = -2 too
+    eplus = eplus_profile("noncollinear")
+    bad = replace(eplus, d_squared=eplus.d_squared - 1, c={**eplus.c, "2": (1,), "3": (1,)},
+                  d_dot_section=d_dot_section)
+    with pytest.raises(InconsistentDataError, match=r"^no torsion section realizes the dual"
+                       r" class \(0,0 \| 0 \| 1 \| 1\);"):
+        derive(table_with(bad), "E+", "s_o")
+
+
 def test_bookkeeping_rejects_an_impossible_multiple():
     # chi = 2, seven I2 fibers, s_o with s.O = 0 through Theta_1 of each
     # (height 1/2): D1 = s_o derives, but D2 = 2 s_o would need s(D).O = -1
