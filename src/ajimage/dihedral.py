@@ -171,6 +171,7 @@ def verify_ns_relation(table: IntersectionTable, lhs: FormalClass,
     silent pass.
     """
     if lhs == rhs:
+        table._vector(lhs)  # a symbol of no table raises KeyError, as below
         return RelationVerdict(RelationStatus.HOLDS, "sides are syntactically identical")
     gens = table.generators()
     mismatches = [

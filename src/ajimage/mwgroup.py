@@ -36,9 +36,8 @@ from math import isqrt
 from operator import mul
 
 from .errors import InconsistentDataError, MissingIntersectionError
-from .kodaira import incidence_class
-from .nslattice import (DivisorProfile, IntersectionTable, SectionProfile, _gamma_tuple,
-                        _height, _s_dot_o)
+from .kodaira import dual_class_of, incidence_class
+from .nslattice import DivisorProfile, IntersectionTable, SectionProfile, _s_dot_o
 
 
 @dataclass(frozen=True)
@@ -137,20 +136,21 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     """
     d = table.divisors[divisor]
     gen = table.sections[generator]
-    fibers = [table.fibers[fid] for fid, _ in table.cfg.fibers]
     gammas = _solves(table, d)
     h, self_pairing, n_sq, n_lin = _free_coefficient(table, d, gen, gammas)
-    classes = tuple(
-        incidence_class(data, d.c[fid]) for (fid, _), data in zip(table.cfg.fibers, fibers)
-    )
-    gen_classes = _gamma_tuple(table.cfg, table.fibers, gen.components)
+    # one pass over the fibers, in config order
+    vectors, classes, parts, components = [], [], [], {}
+    for fid, data in table.fibers.items():
+        cls = incidence_class(data, d.c[fid])
+        vectors.append(gammas[fid] if fid in gammas else (Fraction(0),) * (data.m - 1))
+        classes.append(cls)
+        parts.append((cls, dual_class_of(data, gen.components.get(fid, 0)),
+                      data.group.invariant_factors))
+        components[fid] = data.class_to_simple[cls]
 
     def residual_of(n: int):
-        # classes - n * gen_classes, fiber by fiber
-        return tuple(
-            tuple((x - n * y) % f for x, y, f in zip(a, b, data.group.invariant_factors))
-            for data, a, b in zip(fibers, classes, gen_classes)
-        )
+        # classes - n * classes of s_o, fiber by fiber
+        return tuple(tuple((x - n * y) % f for x, y, f in zip(*part)) for part in parts)
 
     n_abs = isqrt(n_sq)
     signs = (n_lin,) if n_lin is not None else (n_abs, -n_abs) if n_abs else (0,)
@@ -169,13 +169,7 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     n, residual = kept[0]
     route = "pairing" if n_lin is not None else "torsion" if len(kept) < len(signs) else "open"
     name, coords = table.torsion[residual]
-    vectors = tuple(
-        gammas[fid] if fid in gammas else (Fraction(0),) * (data.m - 1)
-        for (fid, _), data in zip(table.cfg.fibers, fibers)
-    )
     point = MWPoint(n, coords, name)
-    components = {fid: data.class_to_simple[part]
-                  for (fid, _), data, part in zip(table.cfg.fibers, fibers, classes)}
     s_dot_o = _s_dot_o(table.cfg.chi, table.fibers, components,
                        (n_sq * h.numerator, h.denominator))
     if s_dot_o < 0 and (n or not point.torsion_is_zero()):
@@ -184,7 +178,7 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
             " intersection data is inconsistent"
         )
     free = FreeCoefficient(n, n_sq, route, h, self_pairing)
-    return Derivation(free, vectors, classes, residual, s_dot_o, point)
+    return Derivation(free, tuple(vectors), tuple(classes), residual, s_dot_o, point)
 
 
 def abel_jacobi_image(table: IntersectionTable, divisor: str, generator: str) -> MWPoint:
@@ -226,8 +220,9 @@ def _phi0_cross(table: IntersectionTable, d: DivisorProfile, s: SectionProfile,
 
 def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionProfile,
                       gammas) -> tuple[Fraction, Fraction, int, int | None]:
-    """<P_o, P_o>, phi0(D).phi0(D), n^2 and the linear n of D along a
-    rank-one generator; the linear n is None when D.s_o is not registered.
+    """<P_o, P_o> (from `table.heights`), phi0(D).phi0(D), n^2 and the
+    linear n of D along a rank-one generator; the linear n is None when D.s_o
+    is not registered.
 
     Quadratic route always runs: n^2 = -phi0(D).phi0(D) / <P_o, P_o> must be
     a perfect square.  When D.s_o is registered, the linear route
@@ -237,7 +232,7 @@ def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionP
         raise InconsistentDataError(
             f"free coefficient needs Mordell-Weil free rank 1, not {table.cfg.mw_free_rank}"
         )
-    h = Fraction(*_height(table.cfg.chi, gen.s_dot_o, table.fibers, gen.components))
+    h = table.heights[gen.name]
     if h <= 0:
         raise InconsistentDataError(
             f"generator {gen.name!r} has height {h}; a free generator needs positive height"

@@ -24,11 +24,13 @@ G x (`IntersectionTable.profile`).  G is built on first use.
 
 `build_table` validates every profile once; `mwgroup.derive` then reads
 registered names only and holds the closed forms of the derivation.  The
-height identity they share lives here: `_height` gives a generator's
-height, and `_s_dot_o` solves the identity for s.O, once for each torsion
-section (height zero) and once for the section attached to a divisor.  The
-rank of the generators' Gram block is read off Shioda-Tate in closed form
-(`IntersectionTable.generator_rank`); this module runs no elimination.
+height identity they share lives here: `IntersectionTable.heights` holds
+each registered section's height, computed once per table by `_height`,
+and `_s_dot_o` solves the identity for s.O, once for each torsion section
+(height zero) and once for the section attached to a divisor.  The rank of
+the generators' Gram block is read off Shioda-Tate in closed form
+(`IntersectionTable.generator_rank`, from those heights); this module runs
+no elimination.
 
 No section or divisor may be named O or F, so no formula branches on a
 name; a divisor with O's numbers under another name derives to the point
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import InconsistentDataError, MissingIntersectionError, SchemaError
@@ -180,7 +183,10 @@ class SurfaceConfig:
 
 
 class IntersectionTable:
-    """The intersection form of one configured surface as one Gram matrix."""
+    """The intersection form of one configured surface as one Gram matrix.
+
+    `fibers` is in config order.  The Gram matrix and each section's height
+    (`heights`) are computed once per table, on first use."""
 
     def __init__(self, cfg: SurfaceConfig, fibers: dict[str, ReducibleFiberData],
                  sections: dict[str, SectionProfile], divisors: dict[str, DivisorProfile],
@@ -274,37 +280,38 @@ class IntersectionTable:
         pair = ".".join(_sym_str(self._basis[idx]) for idx in (i, j))
         return MissingIntersectionError(f"the pairing {pair} is not registered")
 
-    def pair_class(self, x: FormalClass, y: FormalClass) -> Fraction:
-        """x^T G y, summed over the two sparse coefficient vectors; one
-        Fraction at the end."""
-        gram, yv = self._gram, self._vector(y)
-        total = 0
+    def _gram_x(self, x: FormalClass, columns) -> list:
+        """(G x)_j for each basis index j in columns, summed as integers while
+        x's coefficients are; a gap raises, naming x's symbol first."""
+        gram = self._gram
+        out = [0] * len(columns)
         for i, a in self._vector(x).items():
             row = gram[i]
-            for j, b in yv.items():
+            for k, j in enumerate(columns):
                 value = row[j]
                 if value is None:
                     raise self._gap(i, j)
-                total += a * value * b
-        return Fraction(total)
+                if value:
+                    out[k] += a * value
+        return out
+
+    def pair_class(self, x: FormalClass, y: FormalClass) -> Fraction:
+        """x^T G y: y against G x on y's support, one Fraction at the end."""
+        yv = self._vector(y)
+        return Fraction(sum(map(mul, yv.values(), self._gram_x(x, list(yv)))))
 
     def pair(self, a: tuple, b: tuple) -> Fraction:
         return self.pair_class(FormalClass.of(a), FormalClass.of(b))
 
     def profile(self, x: FormalClass) -> list:
-        """G x on the generators: the pairings of x with each of generators(),
-        summed as integers while x's coefficients are."""
-        gram, n = self._gram, len(self.generators())
-        out = [0] * n
-        for i, a in self._vector(x).items():
-            row = gram[i]
-            for j in range(n):
-                value = row[j]
-                if value is None:
-                    raise self._gap(i, j)
-                if value:
-                    out[j] += a * value
-        return out
+        """G x on the generators: the pairings of x with each of generators()."""
+        return self._gram_x(x, range(len(self.generators())))
+
+    @cached_property
+    def heights(self) -> dict[str, Fraction]:
+        """<P, P> of each registered section, computed once per table."""
+        return {name: Fraction(*_height(self.cfg.chi, s.s_dot_o, self.fibers, s.components))
+                for name, s in self.sections.items()}
 
     @cached_property
     def generator_rank(self) -> int:
@@ -315,10 +322,8 @@ class IntersectionTable:
         names = list(self.sections)
         if len(names) > 1:
             raise self._gap(*(self._index[section_sym(name)] for name in names[:2]))
-        return 2 + sum(data.m - 1 for data in self.fibers.values()) + sum(
-            _height(self.cfg.chi, s.s_dot_o, self.fibers, s.components)[0] != 0
-            for s in self.sections.values()
-        )
+        trivial = 2 + sum(data.m - 1 for data in self.fibers.values())
+        return trivial + sum(h != 0 for h in self.heights.values())
 
 
 def _a_inv_sum(num: int, fibers: dict[str, ReducibleFiberData], components: Mapping[str, int],
@@ -380,7 +385,10 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     before any catalog is built), and full consistency of the torsion table
     (every nonzero element listed once, distinct classes, height zero, an
     integral pairing with every section, and coordinate addition mirroring
-    class addition, checked on the generators of the torsion group).  Every
+    class addition, checked on the generators of the torsion group).  Each
+    registered section's height (`IntersectionTable.heights`) must be >= 0,
+    and positive only when mw_free_rank >= 1: a section of positive height
+    has infinite order.  Every
     integer field of the configuration and of a profile is read exactly
     (`exact.exact_int`): a float or a bool is refused with a TypeError, a
     non-integral rational with a SchemaError.  A section or divisor named O
@@ -414,6 +422,7 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
             f"fibers have {m_total} components in all; catalogs are capped at"
             f" MAX_COMPONENTS = {MAX_COMPONENTS}"
         )
+    # in config order, the order of every per-fiber tuple: callers iterate it
     fibers = {fid: fiber_data(kind) for fid, kind in cfg.fibers}
 
     def check_components(components: Mapping[str, int], who: str):
@@ -481,7 +490,18 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
                 )
         divisors_map[d.name] = d
 
-    return IntersectionTable(cfg, fibers, sections, divisors_map, torsion)
+    table = IntersectionTable(cfg, fibers, sections, divisors_map, torsion)
+    for name, h in table.heights.items():
+        if h < 0:
+            raise InconsistentDataError(
+                f"section {name!r} has height {h} < 0; the height pairing is positive semidefinite"
+            )
+        if h and not rank:
+            raise InconsistentDataError(
+                f"section {name!r} has height {h} > 0, so it has infinite order,"
+                " but mw_free_rank is 0"
+            )
+    return table
 
 
 def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tuple, tuple]:

@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -281,3 +282,16 @@ def test_bundled_tables_built_once_per_shape(monkeypatch, capsys):
             cache.cache_clear()
     capsys.readouterr()
     assert sorted(built) == [(("E+", 1), ("E-", 1)), (("E+", 2),), (("E+", 3), ("E-", 3))]
+
+
+def test_readme_library_use_block_prints_its_comments(capsys):
+    # the README's "Library use" block runs as written, and each print
+    # outputs exactly the comment on its line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(prints) == 5 and all("  # " in line for line in prints)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.splitlines() == [line.split("  # ", 1)[1] for line in prints]

@@ -257,6 +257,24 @@ def test_relation_on_two_sections_needs_their_pairing():
         verify_ns_relation(t, FormalClass.of(SYM_F), fiber)
 
 
+def test_identical_sides_must_be_symbols_of_the_table():
+    # the identical-sides shortcut once answered HOLDS on a symbol no table has
+    t = relation_table("collinear")
+    x = FormalClass.of(theta("nope", 1))
+    message = "Theta\\[nope,1\\] is not a symbol of this table"
+    with pytest.raises(KeyError, match=message):
+        verify_ns_relation(t, x, FormalClass.of(nslattice.SYM_O))
+    with pytest.raises(KeyError, match=message):
+        verify_ns_relation(t, x, x)
+    # identical sides of this table's symbols hold, even where a pairing is a
+    # gap: nothing registers the self-intersection of a divisor without D^2
+    t = build_table(four_line_surface(), [replace(eplus_profile("collinear"), d_squared=None)])
+    y = FormalClass.of(nslattice.divisor_sym("E+")) + FormalClass.of(theta("inf", 0))
+    with pytest.raises(MissingIntersectionError, match="E\\+.E\\+"):
+        t.pair_class(y, y)
+    assert verify_ns_relation(t, y, y).status is RelationStatus.HOLDS
+
+
 def test_mw_scale():
     rng = random.Random(11)
     for group in GROUPS:

@@ -7,7 +7,7 @@ from math import floor
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ajimage import mwgroup, nslattice
@@ -228,6 +228,21 @@ REJECTIONS = [
     pytest.param(lambda cfg: (_torsion_entries(cfg, t2=(T1.components, (0, 1))), ()),
                  InconsistentDataError, "torsion sections 't1' and 't2' share a dual class tuple",
                  id="torsion-shared-class"),
+    # <P, P> = 2 + 2 = 4 has infinite order; once this table built with
+    # generator_rank 4 > ns_rank 3 and let verify_ns_relation answer HOLDS
+    pytest.param(lambda cfg: (SurfaceConfig(1, (("a", FiberKind("I", 2)),),
+                                            (SectionProfile("s", 1, {"a": 0}),), 0), ()),
+                 InconsistentDataError,
+                 "section 's' has height 4 > 0, so it has infinite order, but mw_free_rank is 0",
+                 id="positive-height-on-rank-zero"),
+    # <P, P> = 4 + 0 - 2 - 2 - 1 = -1; once counted as a spanning generator
+    pytest.param(lambda cfg: (SurfaceConfig(2, (("a", FiberKind("I", 8)), ("b", FiberKind("I", 8)),
+                                                 ("c", FiberKind("I", 4))),
+                                            (SectionProfile("s", 0, {"a": 4, "b": 4, "c": 2}),),
+                                            1), ()),
+                 InconsistentDataError,
+                 "section 's' has height -1 < 0; the height pairing is positive semidefinite",
+                 id="negative-height"),
 ]
 
 
@@ -639,6 +654,42 @@ def test_generator_rank_matches_the_rank_of_the_gram_block(case):
     assert rank == trivial + (mode == "positive")
 
 
+def _one_section(chi, kinds, components, s_dot_o, rank):
+    fibers = tuple((f"v{i}", FiberKind.parse(k)) for i, k in enumerate(kinds))
+    comps = {fid: k for (fid, _), k in zip(fibers, components)}
+    return SurfaceConfig(chi, fibers, (SectionProfile("s", s_dot_o, comps),), rank)
+
+
+@st.composite
+def one_section_surfaces(draw):
+    """A surface with one section: kinds, chi from the Euler and rank bounds,
+    a simple component in each fiber, s.O in 0..3 and free rank 0 or 1."""
+    kinds = tuple(draw(st.lists(st.sampled_from(RANK_KINDS), max_size=4)))
+    rank = draw(st.integers(0, 1))
+    chi = _least_chi(kinds, rank) + draw(st.integers(0, 1))
+    comps = [draw(st.sampled_from((0,) + fiber_data(k).simple)) for k in kinds]
+    return _one_section(chi, kinds, comps, draw(st.integers(0, 3)), rank)
+
+
+# random draws rarely reach a height <= 0, so each outcome is also pinned
+@settings(max_examples=100, deadline=None)
+@given(one_section_surfaces())
+@example(_one_section(2, ("I9", "I9"), (4, 4), 0, 1))  # 4 - 20/9 - 20/9 = -4/9
+@example(_one_section(1, ("I3", "I3", "I3"), (1, 1, 1), 0, 0))  # 2 - 3 * 2/3 = 0
+@example(_one_section(1, ("I3", "I3", "I3"), (1, 1, 1), 0, 1))
+@example(_one_section(1, ("I2",), (0,), 1, 0))  # 2 + 2 = 4 on free rank 0
+def test_build_table_accepts_exactly_the_possible_heights(cfg):
+    s = cfg.sections[0]
+    h = section_height(cfg.chi, dict(cfg.fibers), s.s_dot_o, s.components)
+    if h < 0 or h > 0 and cfg.mw_free_rank < 1:
+        with pytest.raises(InconsistentDataError, match=f"^section 's' has height {h} "):
+            build_table(cfg)
+        return
+    table = build_table(cfg)
+    assert table.heights == {"s": h}
+    assert table.generator_rank <= cfg.ns_rank
+
+
 # --- free coefficient ---
 
 
@@ -693,10 +744,15 @@ def test_n_of_rejects_linear_mismatch():
 
 
 def test_n_of_needs_rank_one():
-    cfg = four_line_surface()
-    cfg0 = SurfaceConfig(cfg.chi, cfg.fibers, cfg.sections, 0, cfg.torsion_group, cfg.torsion_table)
-    with pytest.raises(InconsistentDataError, match="rank"):
-        n_of(build_table(cfg0, [eplus_profile("collinear")]), "E+", "s_o")
+    # build_table refuses a section of positive height on free rank 0, so the
+    # free coefficient's own check is met on rank 2: D = s, height 3/2
+    cfg = SurfaceConfig(1, (("a", FiberKind("I", 2)),), (SectionProfile("s", 0, {"a": 1}),), 2)
+    d = DivisorProfile("D", 1, 0, {"a": (1,)}, d_squared=-1, d_dot_section={"s": -1})
+    table = build_table(cfg, [d])
+    assert table.heights == {"s": Fraction(3, 2)}
+    with pytest.raises(InconsistentDataError) as exc:
+        n_of(table, "D", "s")
+    assert str(exc.value) == "free coefficient needs Mordell-Weil free rank 1, not 2"
 
 
 # --- formal classes ---
