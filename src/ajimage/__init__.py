@@ -32,8 +32,6 @@ from .configio import (
     SCHEMA_VERSION,
     ConfigDocument,
     bundled_config,
-    config_to_dict,
-    dumps_config,
     load_config,
     loads_config,
     parse_config,
@@ -41,7 +39,6 @@ from .configio import (
 from .dihedral import (
     ArrangementType,
     CoverVerdict,
-    DivisibilityVerdict,
     RelationStatus,
     RelationVerdict,
     d2n_cover_exists,
@@ -101,7 +98,6 @@ __all__ = [
     "CoverVerdict",
     "DegenerateArrangementError",
     "Derivation",
-    "DivisibilityVerdict",
     "DivisorProfile",
     "FiberKind",
     "FormalClass",
@@ -129,11 +125,9 @@ __all__ = [
     "bundled_config",
     "classify_type",
     "collinear",
-    "config_to_dict",
     "cubic_form",
     "d2n_cover_exists",
     "derive",
-    "dumps_config",
     "eminus_profile",
     "eplus_profile",
     "fiber_data",

@@ -41,6 +41,10 @@ ignored.  Two documents ship with the package (data/fourlines_type1.json
 and data/fourlines_type2.json), carrying the bundled four-line surface
 with the collinear resp. non-collinear splitting-curve profiles; they are
 the one source of that surface (see fourlines).
+
+This module reads documents and never writes one.  The shipped documents
+are kept as canonical JSON (sorted keys, two-space indent, one final
+newline), and a new document starts as a copy of one of them.
 """
 
 from __future__ import annotations
@@ -213,26 +217,6 @@ def surface_from_dict(doc: Mapping) -> SurfaceConfig:
     )
 
 
-def surface_to_dict(cfg: SurfaceConfig) -> dict:
-    doc = {
-        "chi": cfg.chi,
-        "fibers": [{"id": fid, "kind": str(kind)} for fid, kind in cfg.fibers],
-        "mw_free_rank": cfg.mw_free_rank,
-        "sections": [
-            {"name": s.name, "s_dot_O": s.s_dot_o, "components": dict(s.components)}
-            for s in cfg.sections
-        ],
-    }
-    if cfg.torsion_group.invariant_factors:
-        doc["torsion_group"] = list(cfg.torsion_group.invariant_factors)
-    if cfg.torsion_table:
-        doc["torsion_table"] = [
-            {"name": t.name, "components": dict(t.components), "coords": list(t.coords)}
-            for t in cfg.torsion_table
-        ]
-    return doc
-
-
 def divisor_from_dict(doc: Mapping) -> DivisorProfile:
     name = _str_field(doc, "name", "divisor") if isinstance(doc, Mapping) and "name" in doc else "?"
     where = f"divisor {name!r}"
@@ -257,22 +241,6 @@ def divisor_from_dict(doc: Mapping) -> DivisorProfile:
     )
 
 
-def divisor_to_dict(d: DivisorProfile) -> dict:
-    doc = {
-        "name": d.name,
-        "d": d.d,
-        "D_dot_O": d.d_dot_o,
-        "c": {fid: list(vec) for fid, vec in d.c.items() if vec is not None},
-    }
-    if d.d_squared is not None:
-        doc["D_squared"] = render_number(d.d_squared)
-    if d.d_dot_section:
-        doc["D_dot_section"] = {k: render_number(v) for k, v in d.d_dot_section.items()}
-    if d.d_dot_divisor:
-        doc["D_dot_divisor"] = {k: render_number(v) for k, v in d.d_dot_divisor.items()}
-    return doc
-
-
 @dataclass(frozen=True)
 class ConfigDocument:
     surface: SurfaceConfig
@@ -291,14 +259,6 @@ def parse_config(doc: Mapping) -> ConfigDocument:
     )
 
 
-def config_to_dict(config: ConfigDocument) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "surface": surface_to_dict(config.surface),
-        "divisors": [divisor_to_dict(d) for d in config.divisors],
-    }
-
-
 def loads_config(text: str) -> ConfigDocument:
     try:
         doc = json.loads(text)
@@ -309,10 +269,6 @@ def loads_config(text: str) -> ConfigDocument:
     except RecursionError:
         raise SchemaError("invalid JSON: arrays or objects nested too deeply") from None
     return parse_config(doc)
-
-
-def dumps_config(config: ConfigDocument) -> str:
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
 
 
 def load_config(path) -> ConfigDocument:

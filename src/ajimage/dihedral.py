@@ -1,8 +1,8 @@
 """Divisibility in a rank-one Mordell-Weil group and what it decides.
 
-`is_divisible` answers whether a point n*P_o + t admits an n-th root in
-Z x T, solving each cyclic factor of the torsion group by gcd arithmetic and
-returning an explicit witness.  `d2n_cover_exists` decides whether a
+`is_divisible` returns an n-th root of a point n*P_o + t in Z x T, solving
+each cyclic factor of the torsion group by gcd arithmetic, or None when the
+point has none; the witness is the answer, with no separate yes/no flag.  `d2n_cover_exists` decides whether a
 dihedral cover of order 2n branched along a four-line-plus-cubic
 arrangement exists with one rule for every type and every n: exactly when
 P_{E+} - P_{E-} is n-divisible in Z x (Z/2)^2.  Both points are read off
@@ -61,37 +61,29 @@ class ArrangementType(Enum):
         return "collinear" if self is ArrangementType.TYPE_I else "noncollinear"
 
 
-@dataclass(frozen=True)
-class DivisibilityVerdict:
-    divisible: bool
-    witness: MWPoint | None  # X with n*X = Q when divisible
-
-    def __bool__(self):
-        return self.divisible
-
-
-def is_divisible(q: MWPoint, n: int, torsion_group: AbelianGroup) -> DivisibilityVerdict:
-    """Does n*X = Q have a solution X in Z x T?
+def is_divisible(q: MWPoint, n: int, torsion_group: AbelianGroup) -> MWPoint | None:
+    """A witness X in Z x T with n*X = Q, or None when there is none.
 
     The free part needs n | Q.free_coeff.  Each cyclic torsion factor Z/m
     contributes the congruence n*x = t (mod m), solvable exactly when
     gcd(n, m) divides t; the witness coordinate is then
-    (t/g) * (n/g)^{-1} mod (m/g).
+    (t/g) * (n/g)^{-1} mod (m/g).  Every MWPoint is truthy, so the result
+    reads as the yes/no answer too.
     """
     if n < 2:
         raise SchemaError(f"divisibility test needs n >= 2, got {n}")
     if q.free_coeff % n:
-        return DivisibilityVerdict(False, None)
+        return None
     # an empty torsion tuple means the zero element of any torsion group
     coords = torsion_group.reduce(q.torsion) if q.torsion else torsion_group.zero()
     witness = []
     for t, m in zip(coords, torsion_group.invariant_factors):
         g = gcd(n, m)
         if t % g:
-            return DivisibilityVerdict(False, None)
+            return None
         mm = m // g
         witness.append((t // g) * pow(n // g, -1, mm) % mm if mm > 1 else 0)
-    return DivisibilityVerdict(True, MWPoint(q.free_coeff // n, tuple(witness)))
+    return MWPoint(q.free_coeff // n, tuple(witness))
 
 
 @dataclass(frozen=True)
@@ -131,16 +123,16 @@ def d2n_cover_exists(arrangement_type: "str | ArrangementType", n: int) -> Cover
     if n < 3:
         raise SchemaError(f"dihedral covers need n >= 3, got {n}")
     diff, diff_text, points, group = _cover_points(atype)
-    verdict = is_divisible(diff, n, group)
+    witness = is_divisible(diff, n, group)
     rule = (
         f"a cover of order {2 * n} exists exactly when P_{{E+}} - P_{{E-}} is"
         f" {n}-divisible in the Mordell-Weil group"
     )
-    if verdict.divisible:
-        last = f"{diff_text} = {n}*({verdict.witness}), so the cover exists"
+    if witness:
+        last = f"{diff_text} = {n}*({witness}), so the cover exists"
     else:
         last = f"no point X satisfies {n}*X = {diff_text}, so no cover exists"
-    return CoverVerdict(atype, n, verdict.divisible, (points, rule, last), verdict.witness)
+    return CoverVerdict(atype, n, witness is not None, (points, rule, last), witness)
 
 
 class RelationStatus(Enum):

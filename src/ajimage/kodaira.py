@@ -45,7 +45,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from operator import mul
 from typing import Iterable
 
@@ -159,9 +158,6 @@ class AbelianGroup:
     def scale(self, k: int, a) -> tuple[int, ...]:
         self._check(a)
         return tuple(k * x % f for x, f in zip(a, self.invariant_factors))
-
-    def elements(self):
-        return product(*(range(f) for f in self.invariant_factors))
 
     def describe(self) -> str:
         if not self.invariant_factors:

@@ -10,12 +10,18 @@ symbol-by-symbol pairing checks the intersection table's Gram matrix.
 The torsion closure check adds every pair of elements, where the library
 adds only the generators, and the matrix layout prints a matrix's Fraction
 entries, where the library reads its integer numerators.  The section, torsion and class profiles at the
-end build test inputs that no library path needs.
+end build test inputs that no library path needs, and the config writer
+renders a document the way the shipped files are stored, which the library
+only ever reads.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from pathlib import Path
 
+from ajimage import configio
 from ajimage.errors import InconsistentDataError, MissingIntersectionError
 from ajimage.kodaira import fiber_data
 from ajimage.mwgroup import MWPoint
@@ -248,6 +254,11 @@ def mw_scale(n, point, group):
     return MWPoint(n * point.free_coeff, group.scale(n, coords))
 
 
+def group_elements(group):
+    """Every element of an AbelianGroup, as reduced coordinate tuples."""
+    return product(*(range(f) for f in group.invariant_factors))
+
+
 def torsion_closed_reference(factors, moduli, classes):
     """Is coords -> class additive on all |T|^2 pairs?  classes maps every
     element of prod Z/f (f in factors) to a class vector mod moduli."""
@@ -311,3 +322,44 @@ def profile_from_class(table, cls, name):
     return DivisorProfile(
         name, pairing[SYM_F], pairing[SYM_O], c, table.pair_class(cls, cls), d_dot_section
     )
+
+
+DATA = Path(configio.__file__).parent / "data"
+
+
+def shipped_document(name):
+    """A shipped document (a stem of configio.BUNDLED) as parsed JSON, read
+    from its file."""
+    return json.loads((DATA / f"{name}.json").read_text("utf-8"))
+
+
+def dumps_config(config):
+    """A ConfigDocument as canonical JSON text: sorted keys, two-space
+    indent, one final newline, and an optional key only when it has data.
+    Every field is an int, as configio parses them."""
+    cfg = config.surface
+    surface = {
+        "chi": cfg.chi,
+        "fibers": [{"id": fid, "kind": str(kind)} for fid, kind in cfg.fibers],
+        "mw_free_rank": cfg.mw_free_rank,
+        "sections": [{"name": s.name, "s_dot_O": s.s_dot_o, "components": dict(s.components)}
+                     for s in cfg.sections],
+    }
+    if cfg.torsion_group.invariant_factors:
+        surface["torsion_group"] = list(cfg.torsion_group.invariant_factors)
+    if cfg.torsion_table:
+        surface["torsion_table"] = [
+            {"name": t.name, "components": dict(t.components), "coords": list(t.coords)}
+            for t in cfg.torsion_table
+        ]
+    divisors = []
+    for d in config.divisors:
+        doc = {"name": d.name, "d": d.d, "D_dot_O": d.d_dot_o,
+               "c": {fid: list(vec) for fid, vec in d.c.items() if vec is not None}}
+        optional = {"D_squared": d.d_squared, "D_dot_section": d.d_dot_section,
+                    "D_dot_divisor": d.d_dot_divisor}
+        doc.update((key, value) for key, value in optional.items() if value not in (None, {}))
+        divisors.append(doc)
+    document = {"schema_version": configio.SCHEMA_VERSION, "surface": surface,
+                "divisors": divisors}
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"

@@ -17,11 +17,11 @@ from pathlib import Path
 import pytest
 
 from ajimage import cli, dihedral, fourlines, mwgroup
-from ajimage.configio import MAX_DIGITS, bundled_config, dumps_config, loads_config, render_number
+from ajimage.configio import MAX_DIGITS, bundled_config, loads_config, render_number
 from ajimage.errors import DegenerateArrangementError
 from ajimage.kodaira import fiber_data
 
-from oracles import matrix_layout
+from oracles import DATA, dumps_config, matrix_layout, shipped_document
 from test_configio import SCHEMA_CASES, with_value
 
 
@@ -143,7 +143,7 @@ def test_image_json_deterministic(capsys):
 
 def test_image_from_config_file(tmp_path, capsys):
     path = tmp_path / "surface.json"
-    path.write_text(dumps_config(bundled_config("fourlines_type2")), encoding="utf-8")
+    path.write_bytes((DATA / "fourlines_type2.json").read_bytes())
     code, out, _ = run(capsys, "image", "--config", str(path))
     assert code == 0
     assert f"config: file:{path}" in out
@@ -151,7 +151,7 @@ def test_image_from_config_file(tmp_path, capsys):
 
 
 def test_image_rejects_inconsistent_config(tmp_path, capsys):
-    raw = json.loads(dumps_config(bundled_config("fourlines_type1")))
+    raw = shipped_document("fourlines_type1")
     for div in raw["divisors"]:
         if div["name"] == "E+":
             div["D_squared"] = 2
@@ -218,7 +218,7 @@ def test_image_schema_errors_exit_2(tmp_path, capsys, path, value, message):
     if path is None:
         config.write_bytes(value)
     else:
-        raw = with_value(json.loads(dumps_config(bundled_config("fourlines_type2"))), path, value)
+        raw = with_value(shipped_document("fourlines_type2"), path, value)
         config.write_text(json.dumps(raw), encoding="utf-8")
     code, _, err = run(capsys, "image", "--config", str(config))
     assert code == 2 and re.search(message, err) and "Traceback" not in err
@@ -390,7 +390,7 @@ def check_inputs_at_the_digit_bound(tmp_path, capsys):
         ("divisors", 0, key) for key in ("d", "D_dot_O", "D_squared")
     ] + [("divisors", 0, "D_dot_section", "s_o"), ("divisors", 0, "D_dot_divisor", "E-"),
          ("divisors", 0, "c", "inf", 0), ("divisors", 0, "c", "1", 0)]
-    raw = json.loads(dumps_config(bundled_config("fourlines_type2")))
+    raw = shipped_document("fourlines_type2")
     # each field alone at the bound, then all of them at once
     for chosen in [[path] for path in fields] + [fields]:
         doc = json.loads(json.dumps(raw))
@@ -509,7 +509,7 @@ def test_unknown_subcommand(capsys):
 
 
 def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
-    raw = json.loads(dumps_config(bundled_config("fourlines_type1")))
+    raw = shipped_document("fourlines_type1")
     for div in raw["divisors"]:
         if div["name"] == "E+":
             div["D_squared"] = 2
@@ -562,7 +562,7 @@ def test_module_entry_point():
 
 
 def test_round_trip_of_emitted_config(tmp_path):
-    # the config a user writes from our serializer must parse back identically
+    # a document in the shipped files' canonical form parses back identically
     doc = bundled_config("fourlines_type2")
     assert loads_config(dumps_config(doc)) == doc
 
@@ -615,7 +615,7 @@ def test_fiber_over_size_cap_is_usage_error(capsys):
 
 def test_huge_chi_config_capped_before_any_catalog(tmp_path, capsys):
     # chi = 1000 lets a lone I9997 fiber through both the Euler and rank bounds
-    raw = json.loads(dumps_config(bundled_config("fourlines_type2")))
+    raw = shipped_document("fourlines_type2")
     raw["surface"]["chi"] = 1000
     raw["surface"]["fibers"] = [{"id": "big", "kind": "I9997"}]
     path = tmp_path / "huge.json"

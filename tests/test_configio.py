@@ -1,20 +1,15 @@
-import json
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from ajimage import configio
 from ajimage.configio import (
     BUNDLED,
     MAX_DIGITS,
     ConfigDocument,
     bundled_config,
-    config_to_dict,
     divisor_from_dict,
-    dumps_config,
     load_config,
     loads_config,
     parse_config,
@@ -27,8 +22,7 @@ from ajimage.kodaira import AbelianGroup, FiberKind
 from ajimage.mwgroup import MWPoint, abel_jacobi_image
 from ajimage.nslattice import DivisorProfile, SectionProfile, SurfaceConfig, build_table
 
-
-DATA = Path(configio.__file__).parent / "data"
+from oracles import DATA, dumps_config, shipped_document
 
 
 def test_bundled_documents_are_canonical_dumps():
@@ -98,7 +92,7 @@ def test_randomized_round_trip():
 
 
 def base_doc():
-    return json.loads(dumps_config(bundled_config("fourlines_type1")))
+    return shipped_document("fourlines_type1")
 
 
 def test_unknown_keys_rejected():
@@ -265,16 +259,7 @@ def test_unknown_bundle_name():
         bundled_config("fourlines_type9")
 
 
-def test_load_config_from_file(tmp_path):
-    path = tmp_path / "cfg.json"
-    doc = bundled_config("fourlines_type2")
-    path.write_text(dumps_config(doc), encoding="utf-8")
-    assert load_config(path) == doc
+def test_load_config_from_file():
+    assert load_config(DATA / "fourlines_type2.json") == bundled_config("fourlines_type2")
 
 
-def test_config_to_dict_is_json_ready():
-    doc = bundled_config("fourlines_type1")
-    rendered = config_to_dict(doc)
-    assert json.dumps(rendered, sort_keys=True)
-    assert rendered["schema_version"] == 1
-    assert rendered["surface"]["torsion_group"] == [2, 2]

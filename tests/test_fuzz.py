@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajimage import cli
-from ajimage.configio import bundled_config, dumps_config
+
+from oracles import shipped_document
 
 DIGIT_RUNS = st.integers(1, 5000).map(lambda n: "9" * n)
 NUMBER_TEXT = st.one_of(
@@ -64,7 +65,7 @@ def test_any_argv_exits_0_1_or_2(argv, as_json):
     assert code in (0, 1, 2) and "Traceback" not in err, (argv, err[-300:])
 
 
-BUNDLED_DOC = json.loads(dumps_config(bundled_config("fourlines_type2")))
+BUNDLED_DOC = shipped_document("fourlines_type2")
 
 
 def document_paths(node, path=()):
