@@ -43,6 +43,7 @@ from .errors import (
 )
 from .exact import matrix_lines
 from .fourlines import (
+    DOCUMENTS,
     GENERATOR,
     bundled_derivation,
     bundled_table,
@@ -54,12 +55,12 @@ from .kodaira import dual_class_of, fiber_data
 from .mwgroup import MWPoint, classes_str, derive
 from .nslattice import build_table
 
-# bundled config name -> (shipped document, fourlines splitting shape)
+# bundled config name -> (shipped document, fourlines splitting shape); each
+# document answers to its stem and to the stem without "fourlines_"
 _BUNDLE_ALIASES = {
-    "type1": ("fourlines_type1", "collinear"),
-    "type2": ("fourlines_type2", "noncollinear"),
-    "fourlines_type1": ("fourlines_type1", "collinear"),
-    "fourlines_type2": ("fourlines_type2", "noncollinear"),
+    alias: (stem, variant)
+    for variant, stem in DOCUMENTS.items()
+    for alias in (stem.removeprefix("fourlines_"), stem)
 }
 
 

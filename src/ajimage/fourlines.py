@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .configio import ConfigDocument, bundled_config
+from .configio import BUNDLED, ConfigDocument, bundled_config
 from .errors import SchemaError
 from .mwgroup import Derivation, _solves, derive
 from .nslattice import (
@@ -56,16 +56,16 @@ from .nslattice import (
 
 GENERATOR = "s_o"
 
-# the shipped document of each splitting shape
-_DOCUMENTS = {"collinear": "fourlines_type1", "noncollinear": "fourlines_type2"}
+# the shipped document (a stem of configio.BUNDLED) of each splitting shape
+DOCUMENTS = dict(zip(("collinear", "noncollinear"), BUNDLED))
 
-VARIANTS = tuple(_DOCUMENTS)
+VARIANTS = tuple(DOCUMENTS)
 
 
 def _document(variant: str) -> ConfigDocument:
-    if variant not in _DOCUMENTS:
+    if variant not in DOCUMENTS:
         raise SchemaError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return bundled_config(_DOCUMENTS[variant])
+    return bundled_config(DOCUMENTS[variant])
 
 
 def _divisor(variant: str, name: str) -> DivisorProfile:

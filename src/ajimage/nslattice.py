@@ -388,7 +388,8 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     class addition, checked on the generators of the torsion group).  Each
     registered section's height (`IntersectionTable.heights`) must be >= 0,
     and positive only when mw_free_rank >= 1: a section of positive height
-    has infinite order.  Every
+    has infinite order.  A section of height 0 is torsion, so its dual
+    classes must be those of a torsion-table entry.  Every
     integer field of the configuration and of a profile is read exactly
     (`exact.exact_int`): a float or a bool is refused with a TypeError, a
     non-integral rational with a SchemaError.  A section or divisor named O
@@ -500,6 +501,11 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
             raise InconsistentDataError(
                 f"section {name!r} has height {h} > 0, so it has infinite order,"
                 " but mw_free_rank is 0"
+            )
+        if not h and _gamma_tuple(cfg, fibers, sections[name].components) not in torsion:
+            raise InconsistentDataError(
+                f"section {name!r} has height 0, so it is torsion, but its dual"
+                " classes name no element of the torsion table"
             )
     return table
 

@@ -5,7 +5,9 @@ pass/fail line for each.  Every comparison is exact: the arithmetic is
 rational throughout, so there are no tolerances anywhere.
 """
 
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -45,7 +47,7 @@ from ajimage import mwgroup, nslattice
 from ajimage.kodaira import dual_class_of, incidence_class
 from ajimage.nslattice import SYM_F, SYM_O, theta
 
-from oracles import abelian_order_multiset, coset_orders, det_cofactor, phi0
+from oracles import DATA, abelian_order_multiset, coset_orders, det_cofactor, phi0
 
 ALL_KINDS = (
     ["I2", "I3", "I4", "I5", "I6", "I7"]
@@ -295,3 +297,19 @@ def test_readme_library_use_block_prints_its_comments(capsys):
     exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert out.splitlines() == [line.split("  # ", 1)[1] for line in prints]
+
+
+def test_readme_configuration_snippet_prints_the_shipped_document(tmp_path):
+    # the README's "Configuration files" command runs as written, from outside
+    # the checkout, and prints the shipped document byte for byte
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+    snippet = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    src = str(DATA.parents[1])
+    env = dict(os.environ, PATH=os.pathsep.join([str(Path(sys.executable).parent),
+                                                 os.environ.get("PATH", "")]),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(["sh", "-c", snippet], capture_output=True, cwd=tmp_path, env=env,
+                         timeout=60)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (DATA / "fourlines_type2.json").read_bytes()

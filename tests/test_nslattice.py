@@ -184,6 +184,19 @@ def _torsion_entries(cfg, **changes):
     ))
 
 
+def _unlisted_torsion_section(rank):
+    """<P, P> = 2 + 0 - 1 - 1 = 0, so s is torsion of class (2 | 2), which
+    the trivial torsion table does not list; this once built with heights
+    {"s": 0}."""
+    i4 = FiberKind("I", 4)
+    return SurfaceConfig(1, (("a", i4), ("b", i4)),
+                         (SectionProfile("s", 0, {"a": 2, "b": 2}),), rank)
+
+
+UNLISTED_TORSION = ("section 's' has height 0, so it is torsion, but its dual classes name"
+                    " no element of the torsion table")
+
+
 T1 = four_line_surface().torsion_table[0]
 REJECTIONS = [
     pytest.param(lambda cfg: (replace(cfg, chi=0), ()),
@@ -243,6 +256,10 @@ REJECTIONS = [
                  InconsistentDataError,
                  "section 's' has height -1 < 0; the height pairing is positive semidefinite",
                  id="negative-height"),
+    pytest.param(lambda cfg: (_unlisted_torsion_section(0), ()),
+                 InconsistentDataError, UNLISTED_TORSION, id="unlisted-torsion-section-rank-0"),
+    pytest.param(lambda cfg: (_unlisted_torsion_section(1), ()),
+                 InconsistentDataError, UNLISTED_TORSION, id="unlisted-torsion-section-rank-1"),
 ]
 
 
@@ -607,26 +624,54 @@ def _least_chi(kinds, mw_rank):
     return max(1, -(-euler // 12), -(-rank // 10))
 
 
-# sections of height zero: every (chi, kinds, components, s.O) on a few small
-# fiber lists where 2 chi + 2 s.O + sum_v (A_v^{-1})_kk = 0 with s.O >= 0
+def _multiples(kinds, comps):
+    """The components of j s for j = 1, 2, ... up to the order of s, for the
+    section s through comps: j s has class j times that of s in each fiber,
+    and class_to_simple names its component."""
+    data = [fiber_data(k) for k in kinds]
+    classes = [dual_class_of(d, k) for d, k in zip(data, comps)]
+    multiples = [tuple(comps)]
+    while any(multiples[-1]):
+        j = len(multiples) + 1
+        multiples.append(tuple(d.class_to_simple[d.group.scale(j, c)]
+                               for d, c in zip(data, classes)))
+    return multiples[:-1]
+
+
+def _forced_s_dot_o(chi, kinds, comps):
+    """The s.O that height zero forces on a section through comps."""
+    return -section_height(chi, dict(enumerate(kinds)), 0, dict(enumerate(comps))) / 2
+
+
+# sections of height zero: every (chi, kinds, components of the multiples j s,
+# s.O) on a few small fiber lists where 2 chi + 2 s.O + sum_v (A_v^{-1})_kk = 0
+# and every multiple j s (j below the order of s) has an integral s.O >= 0
 ZERO_HEIGHT = [
-    (chi, kinds, comps, int(-at_zero / 2))
+    (chi, kinds, multiples, int(forced[0]))
     for kinds in (("I0*", "I2", "I2", "I2"), ("I4", "I4"), ("I3", "I3", "I3"), ("I2",) * 8,
                   ("I6", "I3", "I2"), ("III*", "I2"), ("IV*", "IV"))
     for chi in range(_least_chi(kinds, 0), 3)
     for comps in product(*((0,) + fiber_data(k).simple for k in kinds))
-    for at_zero in [section_height(chi, dict(enumerate(kinds)), 0, dict(enumerate(comps)))]
-    if at_zero <= 0 and (at_zero / 2).denominator == 1
+    if _forced_s_dot_o(chi, kinds, comps) >= 0
+    for multiples in [_multiples(kinds, comps)]
+    for forced in [[_forced_s_dot_o(chi, kinds, m) for m in multiples]]
+    if all(f.denominator == 1 and f >= 0 for f in forced)
 ]
 
 
 @st.composite
 def rank_tables(draw):
     """A table with no section, one section of positive height, or one of
-    height zero."""
+    height zero with the cyclic torsion table its multiples make."""
     mode = draw(st.sampled_from(["none", "positive", "zero"]))
+    torsion = {}
     if mode == "zero":
-        chi, kinds, comps, s_dot_o = draw(st.sampled_from(ZERO_HEIGHT))
+        chi, kinds, multiples, s_dot_o = draw(st.sampled_from(ZERO_HEIGHT))
+        comps = multiples[0]
+        torsion = {"torsion_group": AbelianGroup((len(multiples) + 1,)), "torsion_table": tuple(
+            TorsionSectionSpec(f"t{j}", {f"v{i}": k for i, k in enumerate(m)}, (j,))
+            for j, m in enumerate(multiples, 1)
+        )}
     else:
         kinds = tuple(draw(st.lists(st.sampled_from(RANK_KINDS), max_size=4)))
         chi = _least_chi(kinds, 1) + draw(st.integers(0, 1))
@@ -638,7 +683,8 @@ def rank_tables(draw):
     sections = () if mode == "none" else (
         SectionProfile("s", s_dot_o, {fid: k for (fid, _), k in zip(fibers, comps)}),
     )
-    return mode, build_table(SurfaceConfig(chi, fibers, sections, int(mode == "positive")))
+    return mode, build_table(SurfaceConfig(chi, fibers, sections, int(mode == "positive"),
+                                           **torsion))
 
 
 @settings(max_examples=100, deadline=None)
@@ -675,14 +721,17 @@ def one_section_surfaces(draw):
 @settings(max_examples=100, deadline=None)
 @given(one_section_surfaces())
 @example(_one_section(2, ("I9", "I9"), (4, 4), 0, 1))  # 4 - 20/9 - 20/9 = -4/9
-@example(_one_section(1, ("I3", "I3", "I3"), (1, 1, 1), 0, 0))  # 2 - 3 * 2/3 = 0
+# 2 - 3 * 2/3 = 0: a torsion section, and no torsion table lists it
+@example(_one_section(1, ("I3", "I3", "I3"), (1, 1, 1), 0, 0))
 @example(_one_section(1, ("I3", "I3", "I3"), (1, 1, 1), 0, 1))
 @example(_one_section(1, ("I2",), (0,), 1, 0))  # 2 + 2 = 4 on free rank 0
 def test_build_table_accepts_exactly_the_possible_heights(cfg):
+    # these surfaces have no torsion table, so a section of height 0 (a
+    # torsion section, never O itself) is refused like a negative height
     s = cfg.sections[0]
     h = section_height(cfg.chi, dict(cfg.fibers), s.s_dot_o, s.components)
-    if h < 0 or h > 0 and cfg.mw_free_rank < 1:
-        with pytest.raises(InconsistentDataError, match=f"^section 's' has height {h} "):
+    if h <= 0 or cfg.mw_free_rank < 1:
+        with pytest.raises(InconsistentDataError, match=f"^section 's' has height {h}[ ,]"):
             build_table(cfg)
         return
     table = build_table(cfg)
