@@ -141,9 +141,8 @@ def test_image_json_deterministic(capsys):
                             "torsion_name": None, "str": "2*P_o + 0"}
 
 
-def test_image_from_config_file(tmp_path, capsys):
-    path = tmp_path / "surface.json"
-    path.write_bytes((DATA / "fourlines_type2.json").read_bytes())
+def test_image_from_config_file(capsys):
+    path = DATA / "fourlines_type2.json"
     code, out, _ = run(capsys, "image", "--config", str(path))
     assert code == 0
     assert f"config: file:{path}" in out
