@@ -2,15 +2,25 @@
 
 `is_divisible` returns an n-th root of a point n*P_o + t in Z x T, solving
 each cyclic factor of the torsion group by gcd arithmetic, or None when the
-point has none; the witness is the answer, with no separate yes/no flag.  `d2n_cover_exists` decides whether a
-dihedral cover of order 2n branched along a four-line-plus-cubic
-arrangement exists with one rule for every type and every n: exactly when
-P_{E+} - P_{E-} is n-divisible in Z x (Z/2)^2.  Both points are read off
-`fourlines.bundled_derivation` of the type's splitting shape
+point has none; the witness is the answer, with no separate yes/no flag.
+
+A dihedral cover of order 2n branched along a four-line-plus-cubic
+arrangement exists exactly when P_{E+} - P_{E-} is n-divisible in
+Z x (Z/2)^2, with one rule for every type and every n.  Both points are read
+off `fourlines.bundled_derivation` of the type's splitting shape
 (`ArrangementType.variant`: collinear for Type I, non-collinear for Type
-II), and every reason in the verdict is rendered from them.  For odd n this
-is the same as n-divisibility of P_{E+} alone, since 2 is invertible on the
-odd part.
+II).  For odd n this is the same as n-divisibility of P_{E+} alone, since 2
+is invertible on the odd part.
+
+`CoverSpectrum` decides the rule for every n at once.  Write
+P_{E+} - P_{E-} = a*P_o + t with t = (t_i) on the cyclic factors Z/m_i.  It
+is n-divisible exactly when n | a and gcd(n, m_i) | t_i for every i.  When
+a != 0 the n >= 3 that pass are finitely many divisors of |a|.  When a = 0
+only the gcds matter, and gcd(n, m_i) depends on n mod m_i alone, so the
+set is a set of residues modulo the exponent of the torsion group.
+`cover_spectrum` is that set, built once per type, and `d2n_cover_exists`
+reads membership in it, then renders the witness and every reason from the
+two points.
 
 `verify_ns_relation` is the supporting check that two formal divisor
 classes really are equal in the Neron-Severi group: it compares their
@@ -25,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import SchemaError
 from .fourlines import bundled_derivation, four_line_surface
@@ -87,6 +97,34 @@ def is_divisible(q: MWPoint, n: int, torsion_group: AbelianGroup) -> MWPoint | N
 
 
 @dataclass(frozen=True)
+class CoverSpectrum:
+    """The n >= 3 for which a point a*P_o + t is n-divisible: n is a member
+    exactly when n mod `modulus` lies in `residues`, where modulus 0 leaves
+    n as it is (a != 0, and `residues` is the finite set itself)."""
+    modulus: int
+    residues: frozenset[int]
+
+    @classmethod
+    def of(cls, q: MWPoint, torsion_group: AbelianGroup) -> "CoverSpectrum":
+        factors = torsion_group.invariant_factors
+        coords = torsion_group.reduce(q.torsion) if q.torsion else torsion_group.zero()
+
+        def torsion_divides(n: int) -> bool:  # gcd(n, m) | t on every factor Z/m
+            return all(t % gcd(n, m) == 0 for t, m in zip(coords, factors))
+
+        a = abs(q.free_coeff)
+        if a:
+            divisors = {d for k in range(1, isqrt(a) + 1) if a % k == 0 for d in (k, a // k)}
+            return cls(0, frozenset(n for n in divisors if n >= 3 and torsion_divides(n)))
+        # the factors form a divisibility chain, so the last is the exponent
+        exponent = factors[-1] if factors else 1
+        return cls(exponent, frozenset(r for r in range(exponent) if torsion_divides(r)))
+
+    def __contains__(self, n: int) -> bool:
+        return (n % self.modulus if self.modulus else n) in self.residues
+
+
+@dataclass(frozen=True)
 class CoverVerdict:
     arrangement_type: ArrangementType
     n: int
@@ -99,10 +137,12 @@ class CoverVerdict:
 
 
 @cache
-def _cover_points(atype: ArrangementType) -> tuple[MWPoint, str, str, AbelianGroup]:
+def _cover_points(
+    atype: ArrangementType,
+) -> tuple[MWPoint, str, str, AbelianGroup, CoverSpectrum]:
     """P_{E+} - P_{E-} on the type's bundled surface, its rendering, the
-    first reason of every verdict (it does not depend on n), and the
-    surface's torsion group."""
+    first reason of every verdict (it does not depend on n), the surface's
+    torsion group, and the n for which a cover exists."""
     plus, minus = (bundled_derivation(atype.variant, name).point for name in ("E+", "E-"))
     group = four_line_surface().torsion_group
     torsion = group.add(plus.torsion, group.neg(minus.torsion))
@@ -111,28 +151,35 @@ def _cover_points(atype: ArrangementType) -> tuple[MWPoint, str, str, AbelianGro
         f"on the bundled {atype.variant} surface P_{{E+}} = {plus} and P_{{E-}} = {minus},"
         f" so P_{{E+}} - P_{{E-}} = {diff}"
     )
-    return diff, str(diff), points, group
+    return diff, str(diff), points, group, CoverSpectrum.of(diff, group)
+
+
+def cover_spectrum(arrangement_type: "str | ArrangementType") -> CoverSpectrum:
+    """Every n >= 3 for which a dihedral cover of order 2n exists."""
+    return _cover_points(ArrangementType.parse(arrangement_type))[4]
 
 
 def d2n_cover_exists(arrangement_type: "str | ArrangementType", n: int) -> CoverVerdict:
     """Does a dihedral cover of order 2n exist for this arrangement type?
 
-    Exactly when P_{E+} - P_{E-} is n-divisible in the Mordell-Weil group.
+    Exactly when n lies in the type's `cover_spectrum`, that is when
+    P_{E+} - P_{E-} is n-divisible in the Mordell-Weil group.
     """
     atype = ArrangementType.parse(arrangement_type)
     if n < 3:
         raise SchemaError(f"dihedral covers need n >= 3, got {n}")
-    diff, diff_text, points, group = _cover_points(atype)
-    witness = is_divisible(diff, n, group)
+    diff, diff_text, points, group, spectrum = _cover_points(atype)
+    exists = n in spectrum
+    witness = is_divisible(diff, n, group) if exists else None
     rule = (
         f"a cover of order {2 * n} exists exactly when P_{{E+}} - P_{{E-}} is"
         f" {n}-divisible in the Mordell-Weil group"
     )
-    if witness:
+    if exists:
         last = f"{diff_text} = {n}*({witness}), so the cover exists"
     else:
         last = f"no point X satisfies {n}*X = {diff_text}, so no cover exists"
-    return CoverVerdict(atype, n, witness is not None, (points, rule, last), witness)
+    return CoverVerdict(atype, n, exists, (points, rule, last), witness)
 
 
 class RelationStatus(Enum):

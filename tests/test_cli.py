@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ajimage import cli, dihedral, fourlines, mwgroup
 from ajimage.configio import MAX_DIGITS, bundled_config, loads_config, render_number
@@ -480,12 +481,49 @@ def test_demo_reports_a_golden_mismatch(capsys, monkeypatch, index):
 
 
 def test_demo_flags_broken_math(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "d2n_cover_exists",
-                        lambda atype, n: (_ for _ in ()).throw(RuntimeError("solver down")))
+    # the demo's cover check observes the two spectra and decides no single n
+    calls = []
+    monkeypatch.setattr(cli, "cover_spectrum",
+                        lambda atype: (_ for _ in ()).throw(RuntimeError("solver down")))
+    monkeypatch.setattr(cli, "d2n_cover_exists", lambda *a: calls.append(a))
     code, out, _ = run(capsys, "demo")
     assert code == 1
     assert any(line.startswith("FAIL") and "dihedral cover table" in line
                and "solver down" in line for line in out.splitlines())
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+# strings lean on what the quoter escapes: quotes, backslashes, control
+# characters, non-ASCII and lone surrogates
+_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfffé'),
+                          st.characters(exclude_categories=())))
+_scalars = st.one_of(
+    st.none(), st.booleans(), _text, st.integers(),
+    st.integers(min_value=2**64, max_value=2**300), st.integers(max_value=-2**64),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(_text, inner)),
+    max_leaves=30,
+)
+
+
+@given(_values)
+def test_json_writer_matches_the_stdlib(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    0.5, Fraction(1, 2), {1: "a"}, {"a": [1, {"b": 1.0}]}, [(Fraction(3),)], {None: 1},
+])
+def test_json_writer_refuses_what_json_would_coerce(value):
+    # a float or Fraction never reaches stdout, and no key is coerced to str
+    with pytest.raises(TypeError):
+        cli._dumps(value)
 
 
 # ---------------------------------------------------------------------------

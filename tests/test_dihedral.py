@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 
 from ajimage.dihedral import (
     ArrangementType,
+    CoverSpectrum,
     CoverVerdict,
     RelationStatus,
+    cover_spectrum,
     d2n_cover_exists,
     is_divisible,
     verify_ns_relation,
@@ -101,18 +103,20 @@ def test_cover_decision_table():
 
 def test_cover_table_from_computed_points():
     # one rule for both types: P_{E+} - P_{E-} is n-divisible, with both
-    # points computed on the type's bundled surface
-    for atype, variant, want in (("I", "collinear", set(range(3, 61))),
+    # points computed on the type's bundled surface; the type's cover set
+    # decides it, and each verdict reads membership
+    for atype, variant, want in (("I", "collinear", set(range(3, 3000))),
                                  ("II", "noncollinear", {4})):
         t = relation_table(variant)
         plus, minus = (abel_jacobi_image(t, name, "s_o") for name in ("E+", "E-"))
         diff = MWPoint(plus.free_coeff - minus.free_coeff,
                        Z22.add(plus.torsion, Z22.neg(minus.torsion)))
+        spectrum = cover_spectrum(atype)
         got = set()
-        for n in range(3, 61):
+        for n in range(3, 3000):
             verdict = d2n_cover_exists(atype, n)
             witness = is_divisible(diff, n, Z22)
-            assert verdict.exists == (witness is not None)
+            assert (n in spectrum) == verdict.exists == (witness is not None), (atype, n)
             assert verdict.witness == witness
             if n % 2:  # 2 is invertible on the odd part: dividing P_{E+} is the same
                 assert verdict.exists == (is_divisible(plus, n, Z22) is not None)
@@ -124,6 +128,20 @@ def test_cover_table_from_computed_points():
         assert got == want
     assert str(d2n_cover_exists("II", 4).witness) == "1*P_o + 0"
     assert str(d2n_cover_exists("I", 5).witness) == "O"
+
+
+@given(st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=12),
+       st.data())
+def test_cover_spectrum_matches_is_divisible(a, m1, data):
+    # Z/m1 x Z/m2 with m1 | m2 <= 12; a factor 1 drops out of the group.
+    # a = 0 is a branch of its own (a residue set), so every draw checks it
+    m2 = data.draw(st.sampled_from(range(m1, 13, m1)))
+    group = AbelianGroup(tuple(m for m in (m1, m2) if m > 1))
+    t = data.draw(st.sampled_from(list(group_elements(group))))
+    for q in (MWPoint(a, t), MWPoint(0, t)):
+        spectrum = CoverSpectrum.of(q, group)
+        for n in range(3, 200):
+            assert (n in spectrum) == (is_divisible(q, n, group) is not None), (q, n)
 
 
 def test_cover_verdict_reasons():
