@@ -480,7 +480,7 @@ _DEMO_CHECKS = [
     ("dihedral cover table",
      lambda: tuple(map(cover_spectrum, ("I", "II"))),
      (CoverSpectrum(2, frozenset({0, 1})), CoverSpectrum(0, frozenset({4}))),
-     "n = 3..50: type I always, type II only n = 4"),
+     "type I every n >= 3, type II exactly {4}"),
     ("arrangement pipeline",
      lambda: [(arr.q_params, classify_type(arr).value, str(image_of(arr)))
               for arr in (generate_arrangement(2, 3, sign) for sign in (1, -1))],

@@ -8,14 +8,14 @@ go through the projection phi0 away from the trivial lattice
 <O, F, Theta_{v, i>=1}>:
 
     phi0(D) = D - d O - (d chi + O.D) F - sum_v Theta_v A_v^{-1} c(v, D)
-    phi0(D).phi0(D) = D^2 - 2 d (D.O) - d^2 chi - sum_v c^T A_v^{-1} c
-    phi0(D).phi0(s) = D.s - d (s.O) - d chi - O.D - sum_v c(v,s)^T A_v^{-1} c(v,D)
-    <P, P> = 2 chi + 2 s_P.O + sum_v (A_v^{-1})_kk   (s_P meets Theta_{v,k})
+    <P, P> = -phi0(s_P).phi0(s_P),
     n^2 = -phi0(D).phi0(D) / <P_o, P_o>,   n = -phi0(D).phi0(s_o) / <P_o, P_o>.
 
-It solves gamma_v = -A_v^{-1} c(v, D) once per fiber with nonzero c(v, D)
-and reads everything else off those solves: the quadratic route to n adds
-c^T gamma_v, the linear route gamma_v[k - 1]; the record keeps the gamma
+Each phi0 pairing is `nslattice._phi0_pairing`, the one polarized form,
+except the quadratic route's phi0(D).phi0(D) (`_phi0_self`, deferred).
+
+It solves gamma_v = -A_v^{-1} c(v, D) once per fiber with nonzero c(v, D):
+the quadratic route adds c^T gamma_v, the record keeps the gamma
 vectors as solved, and their classes in the component groups R_v^dual / R_v
 are read off c(v, D) through each fiber's Smith class rows.  Both kill the
 trivial lattice, so the image of a divisor equals the image of its attached
@@ -37,7 +37,7 @@ from operator import mul
 
 from .errors import InconsistentDataError, MissingIntersectionError
 from .kodaira import dual_class_of, incidence_class
-from .nslattice import DivisorProfile, IntersectionTable, SectionProfile, _s_dot_o
+from .nslattice import DivisorProfile, IntersectionTable, SectionProfile, _phi0_pairing, _s_dot_o
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,7 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     route = "pairing" if n_lin is not None else "torsion" if len(kept) < len(signs) else "open"
     name, coords = table.torsion[residual]
     point = MWPoint(n, coords, name)
-    s_dot_o = _s_dot_o(table.cfg.chi, table.fibers, components,
-                       (n_sq * h.numerator, h.denominator))
+    s_dot_o = _s_dot_o(table.cfg.chi, table.fibers, components, n_sq * h)
     if s_dot_o < 0 and (n or not point.torsion_is_zero()):
         raise InconsistentDataError(
             f"height identity gives s(D).O = {s_dot_o}, which no section attains;"
@@ -188,9 +187,8 @@ def abel_jacobi_image(table: IntersectionTable, divisor: str, generator: str) ->
 
 def _solves(table: IntersectionTable, d: DivisorProfile) -> dict[str, tuple[Fraction, ...]]:
     """gamma_v = -A_v^{-1} c(v, D) for every fiber with c(v, D) != 0, one
-    Fraction per integer dot product: the library's one A^{-1} c product,
-    which the phi0 closed forms, the record's gamma vectors and
-    `fourlines.ns_relation` read."""
+    Fraction per integer dot product, which the quadratic route, the
+    record's gamma vectors and `fourlines.ns_relation` read."""
     out = {}
     for fid, c in d.c.items():
         if any(c):
@@ -200,21 +198,16 @@ def _solves(table: IntersectionTable, d: DivisorProfile) -> dict[str, tuple[Frac
 
 
 def _phi0_self(table: IntersectionTable, d: DivisorProfile, gammas) -> Fraction:
+    """The quadratic route phi0(D).phi0(D) over the record's own solves, not
+    `nslattice._phi0_pairing`: through the form derive runs faster, and since
+    the benchmark keeps every latency, pipeline-wide peak RSS then passes its
+    bound.  It moves with the integer solves (ROADMAP items 1 and 2); until
+    then it checks the linear n independently."""
     if d.d_squared is None:
         raise MissingIntersectionError(f"divisor {d.name!r}: D^2 required for phi0_self")
     total = Fraction(d.d_squared) - 2 * d.d * d.d_dot_o - d.d * d.d * table.cfg.chi
     for fid, g in gammas.items():
         total += sum(map(mul, d.c[fid], g))
-    return total
-
-
-def _phi0_cross(table: IntersectionTable, d: DivisorProfile, s: SectionProfile,
-                gammas) -> Fraction:
-    total = Fraction(d.d_dot_section[s.name]) - d.d * s.s_dot_o - d.d * table.cfg.chi - d.d_dot_o
-    for fid, g in gammas.items():
-        k = s.components.get(fid, 0)
-        if k:
-            total += g[k - 1]
     return total
 
 
@@ -245,7 +238,7 @@ def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionP
         )
     if gen.name not in d.d_dot_section:
         return h, self_pairing, int(n_sq), None
-    n_lin = -_phi0_cross(table, d, gen, gammas) / h
+    n_lin = -_phi0_pairing(table.cfg.chi, table.fibers, d, gen, d.d_dot_section[gen.name]) / h
     # n^2 is an integer square, so this also makes n_lin an integer
     if n_lin * n_lin != n_sq:
         raise InconsistentDataError(

@@ -23,11 +23,11 @@ So x.y = x^T G y, and the pairings of x with the generators are
 G x (`IntersectionTable.profile`).  G is built on first use.
 
 `build_table` validates every profile once; `mwgroup.derive` then reads
-registered names only and holds the closed forms of the derivation.  The
-height identity they share lives here: `IntersectionTable.heights` holds
-each registered section's height, computed once per table by `_height`,
-and `_s_dot_o` solves the identity for s.O, once for each torsion section
-(height zero) and once for the section attached to a divisor.  The rank of
+registered names only.  Shioda's phi0 pairing is written once, polarized,
+in `_phi0_pairing`: the heights (`IntersectionTable.heights`), `_s_dot_o`
+(each torsion section's s.O and derive's s(D).O), the section-torsion and
+D.D' checks and derive's linear n read it; only derive's quadratic route
+waits to move onto it (`mwgroup._phi0_self`).  The rank of
 the generators' Gram block is read off Shioda-Tate in closed form
 (`IntersectionTable.generator_rank`, from those heights); this module runs
 no elimination.
@@ -309,9 +309,9 @@ class IntersectionTable:
 
     @cached_property
     def heights(self) -> dict[str, Fraction]:
-        """<P, P> of each registered section, computed once per table."""
-        return {name: Fraction(*_height(self.cfg.chi, s.s_dot_o, self.fibers, s.components))
-                for name, s in self.sections.items()}
+        """<P, P> = -phi0(s).phi0(s) of each registered section, once per table."""
+        chi, fibers = self.cfg.chi, self.fibers
+        return {name: -_phi0_pairing(chi, fibers, s, s, -chi) for name, s in self.sections.items()}
 
     @cached_property
     def generator_rank(self) -> int:
@@ -326,35 +326,40 @@ class IntersectionTable:
         return trivial + sum(h != 0 for h in self.heights.values())
 
 
-def _a_inv_sum(num: int, fibers: dict[str, ReducibleFiberData], components: Mapping[str, int],
-               other: Mapping[str, int]) -> tuple[int, int]:
-    """num + sum_v (A_v^{-1})_kl, k and l the components of v in `components`
-    and `other` (Theta_{v,0} adds nothing), as one integer numerator over one
-    denominator, read off each matrix's numerators."""
-    den = 1
-    for fid, k in components.items():
-        l = other.get(fid, 0)
-        if k and l:
-            a_inv = fibers[fid].a_inv
-            num, den = num * a_inv.den + a_inv.num[k - 1][l - 1] * den, den * a_inv.den
-    return num, den
-
-
-def _height(chi: int, s_dot_o: int, fibers: dict[str, ReducibleFiberData],
-            components: Mapping[str, int]) -> tuple[int, int]:
-    """<P, P> = 2 chi + 2 s.O + sum_v (A_v^{-1})_kk of a section that meets
-    Theta_{v,k} in each fiber v."""
-    return _a_inv_sum(2 * chi + 2 * s_dot_o, fibers, components, components)
+def _phi0_pairing(chi: int, fibers: dict[str, ReducibleFiberData], x, y, x_dot_y) -> Fraction:
+    """phi0(x).phi0(y) = x.y - d_x (y.O) - d_y (x.O) - d_x d_y chi - sum_v c(v,y)^T A_v^-1 c(v,x)
+    of two validated profiles, x.y given.  A section reads as d = 1, D.O = s.O and
+    c(v) = e_k: its component k picks row k of the symmetric A_v^{-1}.  The sum is
+    kept in integers over each fiber's a_inv.den; one Fraction is built at the end."""
+    (dx, xo, xc), (dy, yo, yc) = (
+        (1, p.s_dot_o, p.components) if isinstance(p, SectionProfile) else (p.d, p.d_dot_o, p.c)
+        for p in (x, y))
+    num, den = x_dot_y - dx * yo - dy * xo - dx * dy * chi, 1
+    for fid, data in fibers.items():
+        u, w, rows = xc.get(fid, 0), yc.get(fid, 0), data.a_inv.num
+        if type(u) is int:  # a component index goes second
+            u, w = w, u
+        if type(u) is int:
+            term = rows[u - 1][w - 1] if u and w else 0
+        elif type(w) is int:
+            term = sum(map(mul, rows[w - 1], u)) if w else 0
+        else:
+            term = sum(b * sum(map(mul, row, u)) for b, row in zip(w, rows) if b)
+        if term:
+            num, den = num * data.a_inv.den - term * den, den * data.a_inv.den
+    return Fraction(num, den)
 
 
 def _s_dot_o(chi: int, fibers: dict[str, ReducibleFiberData], components: Mapping[str, int],
-             height: tuple[int, int] = (0, 1)) -> int | Fraction:
-    """The height identity solved for the s.O of a section with these
-    components and height num/den (zero by default), in integers.  A
-    Fraction comes back only when s.O is not an integer, for a message."""
-    num, den = _height(chi, 0, fibers, components)
-    s_num, s_den = height[0] * den - num * height[1], 2 * den * height[1]
-    return Fraction(s_num, s_den) if s_num % s_den else s_num // s_den
+             height: int | Fraction = 0) -> int | Fraction:
+    """The height identity <P, P> = -phi0(s)^2 solved for the s.O of a section
+    with these components and height (zero by default): phi0(s)^2 falls by 2
+    per unit of s.O.  A Fraction comes back only when s.O is not an integer."""
+    s = SectionProfile("", 0, components)
+    p = _phi0_pairing(chi, fibers, s, s, -chi)
+    num = height.numerator * p.denominator + p.numerator * height.denominator
+    den = 2 * p.denominator * height.denominator
+    return Fraction(num, den) if num % den else num // den
 
 
 # the types of a profile's entries when no entry needs reading: a table is
@@ -389,7 +394,9 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     registered section's height (`IntersectionTable.heights`) must be >= 0,
     and positive only when mw_free_rank >= 1: a section of positive height
     has infinite order.  A section of height 0 is torsion, so its dual
-    classes must be those of a torsion-table entry.  Every
+    classes must be those of a torsion-table entry.  A registered D.D' or
+    D^2 must agree with the phi0 pairing where free rank 0 or 1 pins it down
+    (`_check_divisor_pairings`).  Every
     integer field of the configuration and of a profile is read exactly
     (`exact.exact_int`): a float or a bool is refused with a TypeError, a
     non-integral rational with a SchemaError.  A section or divisor named O
@@ -507,7 +514,57 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
                 f"section {name!r} has height 0, so it is torsion, but its dual"
                 " classes name no element of the torsion table"
             )
+    _check_divisor_pairings(table)
     return table
+
+
+def _check_divisor_pairings(table: IntersectionTable) -> None:
+    """Refuse a registered D.D' (or D^2) that the phi0 pairing rules out.
+
+    On free rank 0, phi0 vanishes, so every registered D^2 and D.D' must give
+    phi0(D).phi0(D') = 0.  On free rank 1 with one section s of positive
+    height, phi0 maps into the line through phi0(s), so every registered D.D'
+    with D != D' must satisfy phi0(D).phi0(D') phi0(s)^2 =
+    (phi0(D).phi0(s)) (phi0(D').phi0(s)).  That needs D.s and D'.s; when
+    either is not registered, D.D' is left unchecked.  Other tables are not
+    checked."""
+    cfg, divisors, sections = table.cfg, table.divisors, table.sections
+    rank, chi, fibers = cfg.mw_free_rank, cfg.chi, table.fibers
+    if len(divisors) <= rank:  # nothing registered to check
+        return
+    if rank == 1 and len(sections) == 1:
+        (s,) = sections.values()
+        if not table.heights[s.name]:
+            return
+        why = f"phi0 has rank 1 along {s.name!r}"
+    elif rank == 0:
+        why = "phi0 vanishes on free rank 0"
+    else:
+        return
+    along = {}  # phi0(D).phi0(s) of each divisor checked on rank 1
+    names = list(divisors)
+    for i, a in enumerate(names):
+        da = divisors[a]
+        for b in names[i + rank:]:  # D^2 too on rank 0
+            db = divisors[b]
+            value = da.d_squared if a == b else da.d_dot_divisor.get(b, db.d_dot_divisor.get(a))
+            if value is None:
+                continue
+            forced = 0
+            if rank:
+                if s.name not in da.d_dot_section or s.name not in db.d_dot_section:
+                    continue
+                for d in (da, db):
+                    if d.name not in along:
+                        along[d.name] = _phi0_pairing(chi, fibers, d, s, d.d_dot_section[s.name])
+                forced = -along[a] * along[b] / table.heights[s.name]
+            pairing = _phi0_pairing(chi, fibers, da, db, value)
+            if pairing != forced:
+                who = f"divisor {a!r}" if a == b else f"divisors {a!r} and {b!r}"
+                raise InconsistentDataError(
+                    f"{who}: {a}.{b} = {value} is registered, but {why}, which forces"
+                    f" {a}.{b} = {value - pairing + forced}"
+                )
 
 
 def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tuple, tuple]:
@@ -540,11 +597,11 @@ def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tup
                 f"{who}: height-zero condition gives s.O = {t_dot_o}, not a nonnegative integer"
             )
         for s in sections.values():
-            num, den = _a_inv_sum(cfg.chi + s.s_dot_o + t_dot_o, fibers, s.components, components)
-            if num % den:
+            forced = -_phi0_pairing(cfg.chi, fibers, s, SectionProfile("", t_dot_o, components), 0)
+            if forced.denominator != 1:
                 raise InconsistentDataError(
                     f"sections {s.name!r} and {t.name!r}: <P, t> = 0 forces"
-                    f" {s.name}.{t.name} = {Fraction(num, den)}, not an integer"
+                    f" {s.name}.{t.name} = {forced}, not an integer"
                 )
         tup = _gamma_tuple(cfg, fibers, components)
         coords = group.reduce(coords)

@@ -154,7 +154,7 @@ def phi0(table, divisor):
     """phi0(D) = D - d O - (d chi + O.D) F - sum_v Theta_v A_v^{-1} c(v, D) as a
     formal class of a registered divisor, so that pairing it through the
     table's generic pairing code can be compared with the closed forms
-    mwgroup._phi0_self / _phi0_cross."""
+    nslattice._phi0_pairing and mwgroup._phi0_self."""
     d = table.divisors[divisor]
     chi = table.cfg.chi
     out = {divisor_sym(d.name): Fraction(1), SYM_O: Fraction(-d.d),

@@ -427,7 +427,7 @@ def test_demo_all_pass(capsys):
     assert out.count("PASS") == 11 and "FAIL" not in out
     assert "all 11 checks passed" in out
     assert "P_(E+) = 2*P_o + 0" in out
-    assert "type II only n = 4" in out
+    assert "type II exactly {4}" in out
 
 
 def test_demo_json(capsys):

@@ -65,8 +65,11 @@ def phi0_self(table, name):
 
 
 def phi0_cross(table, name, section):
+    """phi0(D).phi0(s) through the one closed form, which
+    test_phi0_pairing_on_drawn_surfaces checks against oracles.phi0."""
     d = table.divisors[name]
-    return mwgroup._phi0_cross(table, d, table.sections[section], mwgroup._solves(table, d))
+    return nslattice._phi0_pairing(table.cfg.chi, table.fibers, d, table.sections[section],
+                                   d.d_dot_section[section])
 
 
 # --- table construction and base pairings ---
@@ -145,11 +148,13 @@ def test_divisor_pairings_must_be_symmetric():
     minus = eminus_profile("noncollinear")  # registers E-.E+ = 5
     with pytest.raises(InconsistentDataError, match="'E-' and 'E\\+' register different pairings 5 and 7"):
         build_table(cfg, [plus, minus])
-    # a value given once, or equal on both sides, is accepted and read both ways
+    # a value given once, or equal on both sides, is accepted and read both
+    # ways; the phi0 pairing forces 5 here, and refuses a lone 7
+    plus = replace(plus, d_dot_divisor={"E-": 5})
     t = build_table(cfg, [plus, replace(minus, d_dot_divisor={})])
-    assert t.pair(divisor_sym("E+"), divisor_sym("E-")) == 7
-    assert t.pair(divisor_sym("E-"), divisor_sym("E+")) == 7
-    build_table(cfg, [plus, replace(minus, d_dot_divisor={"E+": 7})])
+    assert t.pair(divisor_sym("E+"), divisor_sym("E-")) == 5
+    assert t.pair(divisor_sym("E-"), divisor_sym("E+")) == 5
+    build_table(cfg, [plus, replace(minus, d_dot_divisor={"E+": 5})])
 
 
 def test_validation_errors():
@@ -260,6 +265,19 @@ REJECTIONS = [
                  InconsistentDataError, UNLISTED_TORSION, id="unlisted-torsion-section-rank-0"),
     pytest.param(lambda cfg: (_unlisted_torsion_section(1), ()),
                  InconsistentDataError, UNLISTED_TORSION, id="unlisted-torsion-section-rank-1"),
+    # the derivations 2 P_o and -2 P_o force E+.E- = 5; a lone 7 once built
+    # and made verify_ns_relation refuse a relation that holds
+    pytest.param(lambda cfg: (cfg, [replace(eplus_profile("noncollinear"), d_dot_divisor={"E-": 7}),
+                                    replace(eminus_profile("noncollinear"), d_dot_divisor={})]),
+                 InconsistentDataError,
+                 "divisors 'E+' and 'E-': E+.E- = 7 is registered, but phi0 has rank 1 along"
+                 " 's_o', which forces E+.E- = 5", id="divisor-pairing-off-the-phi0-line"),
+    # d = 1, D.O = 0 and no fiber components: O + F has D^2 = 1
+    pytest.param(lambda cfg: (replace(cfg, sections=(), mw_free_rank=0),
+                              [DivisorProfile("D", 1, 0, {}, d_squared=3)]),
+                 InconsistentDataError,
+                 "divisor 'D': D.D = 3 is registered, but phi0 vanishes on free rank 0,"
+                 " which forces D.D = 1", id="self-pairing-off-zero-phi0-on-rank-0"),
 ]
 
 
@@ -958,3 +976,74 @@ def test_height_bilinear_in_random_combinations():
         assert phi0_cross(t, "kD", "s_o") == k * phi0_cross(
             table_with(s), "s_o", "s_o"
         )
+
+
+# --- one phi0 pairing, on drawn surfaces ---
+
+PAIRING_KINDS = ("I2", "I3", "I5", "I0*", "I3*", "IV*", "III*", "I30", "I33", "I37", "I31*")
+
+
+def _positive_s_dot_o(kinds):
+    """An s.O that gives every section on these kinds a positive height: a
+    fiber's local contribution is at most m_v / 4 + 1, and 2 chi >= 2."""
+    return sum(fiber_data(k).m for k in kinds) // 8 + len(kinds)
+
+
+@st.composite
+def pairing_draws(draw):
+    """A surface with trivial torsion, on free rank 1 with one generator s or
+    on free rank 0 with no section, and the profiles of two classes
+    D = k s + noise and D' = k' s + noise (noise in the trivial lattice).
+    Returns the section-only table, both profiles, the true D.D', an offset
+    of D.D' by 0 or +-1, and whether D'.s stays registered."""
+    kinds = tuple(draw(st.lists(st.sampled_from(PAIRING_KINDS), min_size=1, max_size=3)))
+    rank = draw(st.integers(0, 1))
+    chi = _least_chi(kinds, rank) + draw(st.integers(0, 1))
+    fibers = tuple((f"v{i}", FiberKind.parse(k)) for i, k in enumerate(kinds))
+    sections = () if not rank else (SectionProfile(
+        "s", _positive_s_dot_o(kinds) + draw(st.integers(0, 2)),
+        {fid: draw(st.sampled_from((0,) + fiber_data(k).simple)) for (fid, _), k in
+         zip(fibers, kinds)}),)
+    base = build_table(SurfaceConfig(chi, fibers, sections, rank))
+    trivial = [SYM_O, SYM_F] + [theta(fid, i) for fid, _ in fibers
+                                for i in range(1, base.fibers[fid].m)]
+
+    def drawn_class():
+        noise = draw(st.dictionaries(st.sampled_from(trivial), st.integers(-3, 3), max_size=4))
+        return FormalClass({**noise, section_sym("s"): draw(st.integers(-3, 3)) * rank})
+
+    x, y = drawn_class(), drawn_class()
+    profiles = profile_from_class(base, x, "D"), profile_from_class(base, y, "D'")
+    right = int(base.pair_class(x, y))
+    return base, profiles, right, draw(st.sampled_from((0, 1, -1))), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairing_draws())
+def test_phi0_pairing_on_drawn_surfaces(case):
+    base, (d, d2), right, offset, keep = case
+    cfg, chi = base.cfg, base.cfg.chi
+    # build_table accepts exactly the true D.D' wherever the form pins it down
+    wrong = [replace(d, d_dot_divisor={"D'": right + offset}),
+             d2 if keep else replace(d2, d_dot_section={})]
+    if offset and (keep or not cfg.mw_free_rank):
+        with pytest.raises(InconsistentDataError, match=f"which forces D.D' = {right}$"):
+            build_table(cfg, wrong)
+    else:
+        build_table(cfg, wrong)
+    # the form against the Gram pairing of the oracle's phi0 classes; the
+    # generator is registered again as the divisor S for its phi0 class, and
+    # the form reads it as the section
+    divisors = [replace(d, d_dot_divisor={"D'": right}), d2]
+    pairs = [("D", "D"), ("D", "D'"), ("D'", "D'")]
+    if cfg.mw_free_rank:
+        divisors = [replace(p, d_dot_divisor={**p.d_dot_divisor, "S": p.d_dot_section["s"]})
+                    for p in divisors] + [section_as_divisor(base, "s", "S")]
+        pairs += [("D", "S"), ("D'", "S"), ("S", "S")]
+    table = build_table(cfg, divisors)
+    profile = {**table.divisors, "S": table.sections.get("s")}
+    sym = {"D": divisor_sym("D"), "D'": divisor_sym("D'"), "S": section_sym("s")}
+    for a, b in pairs:
+        xy = table.pair(sym[a], sym[b])
+        form = nslattice._phi0_pairing(chi, table.fibers, profile[a], profile[b], xy)
+        assert form == table.pair_class(phi0(table, a), phi0(table, b)), (a, b)
