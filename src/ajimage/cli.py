@@ -441,7 +441,8 @@ def _collinear_relation() -> tuple:
 
 def _rejects_non_square() -> bool:
     """Whether derive rejects a synthetic (E+)^2 = 2 as not a perfect square."""
-    bad = replace(eplus_profile("collinear"), d_squared=2)
+    # without E+.s_o, build_table leaves E+^2 unchecked and derive refuses it
+    bad = replace(eplus_profile("collinear"), d_squared=2, d_dot_section={})
     try:
         derive(build_table(four_line_surface(), [bad]), "E+", GENERATOR)
     except InconsistentDataError as exc:

@@ -25,9 +25,10 @@ G x (`IntersectionTable.profile`).  G is built on first use.
 `build_table` validates every profile once; `mwgroup.derive` then reads
 registered names only.  Shioda's phi0 pairing is written once, polarized,
 in `_phi0_pairing`: the heights (`IntersectionTable.heights`), `_s_dot_o`
-(each torsion section's s.O and derive's s(D).O), the section-torsion and
-D.D' checks and derive's linear n read it; only derive's quadratic route
-waits to move onto it (`mwgroup._phi0_self`).  The rank of
+(each torsion section's s.O and derive's s(D).O), the section-torsion
+check, the phi0-line rule on every registered D^2, D.D' and D.s
+(`_check_divisor_pairings`) and derive's linear n read it; only derive's
+quadratic route waits to move onto it (`mwgroup._phi0_self`).  The rank of
 the generators' Gram block is read off Shioda-Tate in closed form
 (`IntersectionTable.generator_rank`, from those heights); this module runs
 no elimination.
@@ -108,19 +109,6 @@ class FormalClass:
     def of(sym: tuple) -> "FormalClass":
         return FormalClass({sym: 1})
 
-    def __add__(self, other: "FormalClass") -> "FormalClass":
-        out = dict(self.coeffs)
-        for sym, c in other.coeffs.items():
-            out[sym] = out.get(sym, 0) + c
-        return FormalClass(out)
-
-    def __sub__(self, other: "FormalClass") -> "FormalClass":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "FormalClass":
-        s = exact_number(scalar, "FormalClass")
-        return FormalClass({sym: s * c for sym, c in self.coeffs.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalClass) and self.coeffs == other.coeffs
 
@@ -178,7 +166,8 @@ class SurfaceConfig:
 
     @property
     def ns_rank(self) -> int:
-        """Shioda-Tate rank 2 + sum_v (m_v - 1) + free rank, from the kinds alone."""
+        """Shioda-Tate rank from the kinds alone: the trivial lattice's
+        2 + sum_v (m_v - 1), plus the free rank."""
         return 2 + sum(_components(kind) - 1 for _, kind in self.fibers) + self.mw_free_rank
 
 
@@ -220,9 +209,9 @@ class IntersectionTable:
     @cached_property
     def _gram(self) -> list[list]:
         index, chi, n = self._index, self.cfg.chi, len(self._basis)
-        # O, F and the Theta's pair with everything; among sections and
-        # divisors an entry is a gap (None) until something registers it
-        known = 2 + sum(data.m - 1 for data in self.fibers.values())
+        # O, F and the Theta's (the trivial lattice) pair with everything; among
+        # sections and divisors an entry is a gap (None) until something registers it
+        known = self.cfg.ns_rank - self.cfg.mw_free_rank
         g = [[0] * n if i < known else [0] * known + [None] * (n - known) for i in range(n)]
 
         def put(a, b, value):
@@ -300,9 +289,6 @@ class IntersectionTable:
         yv = self._vector(y)
         return Fraction(sum(map(mul, yv.values(), self._gram_x(x, list(yv)))))
 
-    def pair(self, a: tuple, b: tuple) -> Fraction:
-        return self.pair_class(FormalClass.of(a), FormalClass.of(b))
-
     def profile(self, x: FormalClass) -> list:
         """G x on the generators: the pairings of x with each of generators()."""
         return self._gram_x(x, range(len(self.generators())))
@@ -315,14 +301,14 @@ class IntersectionTable:
 
     @cached_property
     def generator_rank(self) -> int:
-        """Rank of the generators' Gram block by Shioda-Tate: 2 + sum_v (m_v - 1)
-        for the trivial lattice (every A_v is invertible), plus 1 for a single
+        """Rank of the generators' Gram block by Shioda-Tate: the trivial
+        lattice's full rank (every A_v is invertible), plus 1 for a single
         section of nonzero height (its Schur complement is -<P, P>).  Two
         sections need their pairing, which nothing registers."""
         names = list(self.sections)
         if len(names) > 1:
             raise self._gap(*(self._index[section_sym(name)] for name in names[:2]))
-        trivial = 2 + sum(data.m - 1 for data in self.fibers.values())
+        trivial = self.cfg.ns_rank - self.cfg.mw_free_rank
         return trivial + sum(h != 0 for h in self.heights.values())
 
 
@@ -394,8 +380,9 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     registered section's height (`IntersectionTable.heights`) must be >= 0,
     and positive only when mw_free_rank >= 1: a section of positive height
     has infinite order.  A section of height 0 is torsion, so its dual
-    classes must be those of a torsion-table entry.  A registered D.D' or
-    D^2 must agree with the phi0 pairing where free rank 0 or 1 pins it down
+    classes must be those of a torsion-table entry.  Every registered D^2,
+    D.D' and D.s must agree with the phi0 pairing wherever a height-0
+    section, free rank 0 or the phi0 line of free rank 1 pins it down
     (`_check_divisor_pairings`).  Every
     integer field of the configuration and of a profile is read exactly
     (`exact.exact_int`): a float or a bool is refused with a TypeError, a
@@ -519,52 +506,54 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
 
 
 def _check_divisor_pairings(table: IntersectionTable) -> None:
-    """Refuse a registered D.D' (or D^2) that the phi0 pairing rules out.
+    """Refuse a registered D^2, D.D' or D.s that the phi0 pairing rules out.
 
-    On free rank 0, phi0 vanishes, so every registered D^2 and D.D' must give
-    phi0(D).phi0(D') = 0.  On free rank 1 with one section s of positive
-    height, phi0 maps into the line through phi0(s), so every registered D.D'
-    with D != D' must satisfy phi0(D).phi0(D') phi0(s)^2 =
-    (phi0(D).phi0(s)) (phi0(D').phi0(s)).  That needs D.s and D'.s; when
-    either is not registered, D.D' is left unchecked.  Other tables are not
-    checked."""
-    cfg, divisors, sections = table.cfg, table.divisors, table.sections
-    rank, chi, fibers = cfg.mw_free_rank, cfg.chi, table.fibers
-    if len(divisors) <= rank:  # nothing registered to check
-        return
-    if rank == 1 and len(sections) == 1:
-        (s,) = sections.values()
-        if not table.heights[s.name]:
-            return
-        why = f"phi0 has rank 1 along {s.name!r}"
-    elif rank == 0:
-        why = "phi0 vanishes on free rank 0"
-    else:
-        return
-    along = {}  # phi0(D).phi0(s) of each divisor checked on rank 1
+    Each registered pairing x.y of a divisor x (y = x, another divisor or a
+    section) must give phi0(x).phi0(y) = 0 when y is a section of height 0
+    (it is torsion, so phi0(y) = 0) or when the free rank is 0 (phi0
+    vanishes).  On free rank 1, phi0 maps into a line, so for every section s
+    of positive height that x and y both register, phi0(x).phi0(y) must be
+    -(phi0(x).phi0(s)) (phi0(y).phi0(s)) / <s, s>; for y = s that holds for
+    any x.s.  Every other pairing is unchecked: a missing x.s or y.s leaves
+    nothing to compare, and free rank >= 2 pins nothing down."""
+    divisors, sections, heights = table.divisors, table.sections, table.heights
+    chi, fibers, rank = table.cfg.chi, table.fibers, table.cfg.mw_free_rank
+    lines = [s for s, h in heights.items() if h] if rank == 1 else []
+    along = {}  # (divisor, section) -> phi0(D).phi0(s), each read once
+
+    def phi0_along(d: DivisorProfile, s: str) -> Fraction:
+        if (d.name, s) not in along:
+            along[d.name, s] = _phi0_pairing(chi, fibers, d, sections[s], d.d_dot_section[s])
+        return along[d.name, s]
+
+    def check(x: DivisorProfile, y, value: int, forced: Fraction, why: str) -> None:
+        pairing = _phi0_pairing(chi, fibers, x, y, value)
+        if pairing != forced:
+            a, b = x.name, y.name
+            who = (f"divisor {a!r}" if a == b or isinstance(y, SectionProfile)
+                   else f"divisors {a!r} and {b!r}")
+            raise InconsistentDataError(
+                f"{who}: {a}.{b} = {value} is registered, but {why}, which forces"
+                f" {a}.{b} = {value - pairing + forced}"
+            )
+
     names = list(divisors)
     for i, a in enumerate(names):
-        da = divisors[a]
-        for b in names[i + rank:]:  # D^2 too on rank 0
-            db = divisors[b]
-            value = da.d_squared if a == b else da.d_dot_divisor.get(b, db.d_dot_divisor.get(a))
+        x = divisors[a]
+        for t, value in x.d_dot_section.items():
+            if not heights[t]:
+                check(x, sections[t], value, 0, f"phi0 vanishes on the height-0 section {t!r}")
+        for b in names[i:]:
+            y = divisors[b]
+            value = x.d_squared if a == b else x.d_dot_divisor.get(b, y.d_dot_divisor.get(a))
             if value is None:
                 continue
-            forced = 0
-            if rank:
-                if s.name not in da.d_dot_section or s.name not in db.d_dot_section:
-                    continue
-                for d in (da, db):
-                    if d.name not in along:
-                        along[d.name] = _phi0_pairing(chi, fibers, d, s, d.d_dot_section[s.name])
-                forced = -along[a] * along[b] / table.heights[s.name]
-            pairing = _phi0_pairing(chi, fibers, da, db, value)
-            if pairing != forced:
-                who = f"divisor {a!r}" if a == b else f"divisors {a!r} and {b!r}"
-                raise InconsistentDataError(
-                    f"{who}: {a}.{b} = {value} is registered, but {why}, which forces"
-                    f" {a}.{b} = {value - pairing + forced}"
-                )
+            if not rank:
+                check(x, y, value, 0, "phi0 vanishes on free rank 0")
+            for s in lines:
+                if s in x.d_dot_section and s in y.d_dot_section:
+                    forced = -phi0_along(x, s) * phi0_along(y, s) / heights[s]
+                    check(x, y, value, forced, f"phi0 has rank 1 along {s!r}")
 
 
 def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tuple, tuple]:

@@ -9,10 +9,12 @@ divisibility witnesses without sharing their formulas, and the
 symbol-by-symbol pairing checks the intersection table's Gram matrix.
 The torsion closure check adds every pair of elements, where the library
 adds only the generators, and the matrix layout prints a matrix's Fraction
-entries, where the library reads its integer numerators.  The section, torsion and class profiles at the
-end build test inputs that no library path needs, and the config writer
-renders a document the way the shipped files are stored, which the library
-only ever reads.
+entries, where the library reads its integer numerators.  The section,
+torsion and class profiles at the end build test inputs that no library
+path needs; `pair` reads one symbol pair and `plus` adds terms to a class,
+which no library path does either; and the config writer renders a
+document the way the shipped files are stored, which the library only
+ever reads.
 """
 
 import json
@@ -303,6 +305,19 @@ def torsion_profile(cfg, spec):
     s_dot_o = -section_height(cfg.chi, dict(cfg.fibers), 0, spec.components) / 2
     assert s_dot_o.denominator == 1 and s_dot_o >= 0, "oracle: not a torsion section"
     return SectionProfile(spec.name, int(s_dot_o), dict(spec.components))
+
+
+def pair(table, a, b):
+    """The intersection number of two symbols, through the table's pair_class."""
+    return table.pair_class(FormalClass.of(a), FormalClass.of(b))
+
+
+def plus(cls, terms):
+    """cls + sum of c * sym over terms {sym: c}, as one coefficient dict."""
+    coeffs = dict(cls.coeffs)
+    for sym, c in terms.items():
+        coeffs[sym] = coeffs.get(sym, 0) + c
+    return FormalClass(coeffs)
 
 
 def profile_from_class(table, cls, name):

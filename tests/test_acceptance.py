@@ -212,7 +212,8 @@ def test_structural_properties_on_random_profiles():
 
 
 def test_impossible_self_intersection_is_rejected():
-    bad = replace(eplus_profile("collinear"), d_squared=2)
+    # with E+.s_o registered, build_table refuses E+^2 = 2 itself
+    bad = replace(eplus_profile("collinear"), d_squared=2, d_dot_section={})
     table = build_table(four_line_surface(), [bad])
     with pytest.raises(InconsistentDataError, match="not a perfect square"):
         derive(table, "E+", GENERATOR)

@@ -153,8 +153,9 @@ def test_image_from_config_file(capsys):
 def test_image_rejects_inconsistent_config(tmp_path, capsys):
     raw = shipped_document("fourlines_type1")
     for div in raw["divisors"]:
-        if div["name"] == "E+":
+        if div["name"] == "E+":  # without E+.s_o, derive is what refuses E+^2 = 2
             div["D_squared"] = 2
+            del div["D_dot_section"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     code, _, err = run(capsys, "image", "--config", str(path))

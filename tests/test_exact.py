@@ -149,7 +149,6 @@ DOORS = {
     "AbelianGroup": lambda x: AbelianGroup((x, 4)),
     "FiberKind": lambda x: FiberKind("I", x),
     "FormalClass": lambda x: FormalClass({SYM_O: x}),
-    "FormalClass scalar": lambda x: x * FormalClass.of(SYM_O),
     "QMatrix": lambda x: QMatrix([[x]]),
     "smith_normal_form": lambda x: smith_normal_form([[x, 0], [0, 2]]),
     "generate_arrangement s1": lambda x: generate_arrangement(x, 3, -1),

@@ -33,6 +33,7 @@ from ajimage.nslattice import (
 
 from oracles import (
     inverse_adjugate,
+    pair,
     pair_class_reference,
     pair_reference,
     phi0,
@@ -77,69 +78,69 @@ def phi0_cross(table, name, section):
 
 def test_base_pairings():
     t = table_with()
-    assert t.pair(SYM_O, SYM_O) == -1
-    assert t.pair(SYM_O, SYM_F) == 1
-    assert t.pair(SYM_F, SYM_F) == 0
-    assert t.pair(theta("inf", 1), theta("inf", 1)) == -2
-    assert t.pair(theta("inf", 1), theta("inf", 4)) == 1
-    assert t.pair(theta("inf", 1), theta("inf", 2)) == 0
-    assert t.pair(theta("inf", 1), theta("1", 1)) == 0
-    assert t.pair(SYM_O, theta("inf", 1)) == 0
-    assert t.pair(SYM_O, theta("inf", 0)) == 1
-    assert t.pair(SYM_F, theta("inf", 2)) == 0
+    assert pair(t, SYM_O, SYM_O) == -1
+    assert pair(t, SYM_O, SYM_F) == 1
+    assert pair(t, SYM_F, SYM_F) == 0
+    assert pair(t, theta("inf", 1), theta("inf", 1)) == -2
+    assert pair(t, theta("inf", 1), theta("inf", 4)) == 1
+    assert pair(t, theta("inf", 1), theta("inf", 2)) == 0
+    assert pair(t, theta("inf", 1), theta("1", 1)) == 0
+    assert pair(t, SYM_O, theta("inf", 1)) == 0
+    assert pair(t, SYM_O, theta("inf", 0)) == 1
+    assert pair(t, SYM_F, theta("inf", 2)) == 0
     with pytest.raises(KeyError) as exc:
-        t.pair(theta("nope", 1), SYM_O)
+        pair(t, theta("nope", 1), SYM_O)
     assert exc.value.args == ("Theta[nope,1] is not a symbol of this table",)
 
 
 def test_derived_identity_component_rows():
     t = table_with()
     # Theta_0 rows follow from the fiber relation
-    assert t.pair(theta("inf", 0), theta("inf", 0)) == -2
-    assert t.pair(theta("inf", 0), theta("inf", 4)) == 1
-    assert t.pair(theta("inf", 0), theta("inf", 1)) == 0
-    assert t.pair(theta("1", 0), theta("1", 1)) == 2
-    assert t.pair(theta("1", 0), theta("2", 0)) == 0
-    assert t.pair(SYM_F, theta("1", 0)) == 0
+    assert pair(t, theta("inf", 0), theta("inf", 0)) == -2
+    assert pair(t, theta("inf", 0), theta("inf", 4)) == 1
+    assert pair(t, theta("inf", 0), theta("inf", 1)) == 0
+    assert pair(t, theta("1", 0), theta("1", 1)) == 2
+    assert pair(t, theta("1", 0), theta("2", 0)) == 0
+    assert pair(t, SYM_F, theta("1", 0)) == 0
 
 
 def test_section_rows():
     t = table_with()
     s = section_sym("s_o")
-    assert t.pair(s, SYM_O) == 0
-    assert t.pair(s, SYM_F) == 1
-    assert t.pair(s, s) == -1
-    assert t.pair(s, theta("inf", 1)) == 1
-    assert t.pair(s, theta("inf", 2)) == 0
-    assert t.pair(s, theta("inf", 0)) == 0
-    assert t.pair(s, theta("1", 1)) == 1
-    assert t.pair(s, theta("2", 1)) == 0
-    assert t.pair(s, theta("2", 0)) == 1
+    assert pair(t, s, SYM_O) == 0
+    assert pair(t, s, SYM_F) == 1
+    assert pair(t, s, s) == -1
+    assert pair(t, s, theta("inf", 1)) == 1
+    assert pair(t, s, theta("inf", 2)) == 0
+    assert pair(t, s, theta("inf", 0)) == 0
+    assert pair(t, s, theta("1", 1)) == 1
+    assert pair(t, s, theta("2", 1)) == 0
+    assert pair(t, s, theta("2", 0)) == 1
 
 
 def test_divisor_rows():
     t = table_with(variant="noncollinear")
     ep = divisor_sym("E+")
-    assert t.pair(ep, SYM_O) == 0
-    assert t.pair(ep, SYM_F) == 3
-    assert t.pair(ep, theta("inf", 1)) == 1
-    assert t.pair(ep, theta("inf", 4)) == 0
-    assert t.pair(ep, theta("inf", 0)) == 0  # 3 - (1+1+1+0 weighted) = 0
-    assert t.pair(ep, theta("1", 1)) == 0
-    assert t.pair(ep, theta("1", 0)) == 3
-    assert t.pair(ep, section_sym("s_o")) == 0
-    assert t.pair(ep, ep) == 1
-    assert t.pair(ep, divisor_sym("E-")) == 5
-    assert t.pair(divisor_sym("E-"), section_sym("s_o")) == 2
+    assert pair(t, ep, SYM_O) == 0
+    assert pair(t, ep, SYM_F) == 3
+    assert pair(t, ep, theta("inf", 1)) == 1
+    assert pair(t, ep, theta("inf", 4)) == 0
+    assert pair(t, ep, theta("inf", 0)) == 0  # 3 - (1+1+1+0 weighted) = 0
+    assert pair(t, ep, theta("1", 1)) == 0
+    assert pair(t, ep, theta("1", 0)) == 3
+    assert pair(t, ep, section_sym("s_o")) == 0
+    assert pair(t, ep, ep) == 1
+    assert pair(t, ep, divisor_sym("E-")) == 5
+    assert pair(t, divisor_sym("E-"), section_sym("s_o")) == 2
 
 
 def test_missing_pairings_raise():
     t = table_with(DivisorProfile("D", d=2, d_dot_o=0, c={}))
     d = divisor_sym("D")
     with pytest.raises(MissingIntersectionError):
-        t.pair(d, d)
+        pair(t, d, d)
     with pytest.raises(MissingIntersectionError):
-        t.pair(d, section_sym("s_o"))
+        pair(t, d, section_sym("s_o"))
 
 
 def test_divisor_pairings_must_be_symmetric():
@@ -152,8 +153,8 @@ def test_divisor_pairings_must_be_symmetric():
     # ways; the phi0 pairing forces 5 here, and refuses a lone 7
     plus = replace(plus, d_dot_divisor={"E-": 5})
     t = build_table(cfg, [plus, replace(minus, d_dot_divisor={})])
-    assert t.pair(divisor_sym("E+"), divisor_sym("E-")) == 5
-    assert t.pair(divisor_sym("E-"), divisor_sym("E+")) == 5
+    assert pair(t, divisor_sym("E+"), divisor_sym("E-")) == 5
+    assert pair(t, divisor_sym("E-"), divisor_sym("E+")) == 5
     build_table(cfg, [plus, replace(minus, d_dot_divisor={"E+": 5})])
 
 
@@ -200,6 +201,15 @@ def _unlisted_torsion_section(rank):
 
 UNLISTED_TORSION = ("section 's' has height 0, so it is torsion, but its dual classes name"
                     " no element of the torsion table")
+
+
+def _d_dot_t1(value):
+    """Free rank 0 with t1 as the one section, and D = O + F (d = 1, D.O = 0,
+    D^2 = 1) registering D.t1: t1 has height 0, so phi0(D).phi0(t1) = 0 forces
+    D.t1 = t1.O + 1 = 1."""
+    cfg = four_line_surface()
+    return (replace(cfg, sections=(torsion_profile(cfg, cfg.torsion_table[0]),), mw_free_rank=0),
+            [DivisorProfile("D", 1, 0, {}, d_squared=1, d_dot_section={"t1": value})])
 
 
 T1 = four_line_surface().torsion_table[0]
@@ -278,6 +288,18 @@ REJECTIONS = [
                  InconsistentDataError,
                  "divisor 'D': D.D = 3 is registered, but phi0 vanishes on free rank 0,"
                  " which forces D.D = 1", id="self-pairing-off-zero-phi0-on-rank-0"),
+    # the type1 E+ has phi0(E+).phi0(s_o) = 0, so phi0(E+)^2 = 0 forces E+^2 = 3;
+    # E+^2 = 2 once built and reached derive
+    pytest.param(lambda cfg: (cfg, [replace(eplus_profile("collinear"), d_squared=2)]),
+                 InconsistentDataError,
+                 "divisor 'E+': E+.E+ = 2 is registered, but phi0 has rank 1 along 's_o',"
+                 " which forces E+.E+ = 3", id="self-pairing-off-the-phi0-line"),
+    pytest.param(lambda cfg: _d_dot_t1(0), InconsistentDataError,
+                 "divisor 'D': D.t1 = 0 is registered, but phi0 vanishes on the height-0"
+                 " section 't1', which forces D.t1 = 1", id="torsion-pairing-0"),
+    pytest.param(lambda cfg: _d_dot_t1(7), InconsistentDataError,
+                 "divisor 'D': D.t1 = 7 is registered, but phi0 vanishes on the height-0"
+                 " section 't1', which forces D.t1 = 1", id="torsion-pairing-7"),
 ]
 
 
@@ -287,6 +309,10 @@ def test_build_table_rejections(edit, error, message):
     with pytest.raises(error) as exc:
         build_table(cfg, divisors)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_forced_torsion_pairing_builds():
+    assert pair(build_table(*_d_dot_t1(1)), divisor_sym("D"), section_sym("t1")) == 1
 
 
 def test_profiles_refuse_floats_at_the_table():
@@ -627,7 +653,7 @@ def test_height_distinct_sections_need_data():
     cfg = four_line_surface()
     t = build_table(replace(cfg, sections=cfg.sections + (s_other,)))
     with pytest.raises(MissingIntersectionError, match="s_o.other"):
-        t.pair(section_sym("s_o"), section_sym("other"))
+        pair(t, section_sym("s_o"), section_sym("other"))
 
 
 # --- the rank of the generators ---
@@ -795,19 +821,22 @@ def test_n_of_sign_undetermined():
 
 
 def test_n_of_rejects_non_square():
-    bad = DivisorProfile(
-        "E+", 3, 0, {"inf": (1, 1, 1, 0)}, d_squared=2, d_dot_section={"s_o": 0}
-    )
+    # no E+.s_o, so build_table leaves E+^2 unchecked
+    bad = DivisorProfile("E+", 3, 0, {"inf": (1, 1, 1, 0)}, d_squared=2)
     with pytest.raises(InconsistentDataError, match="not a perfect square"):
         n_of(table_with(bad), "E+", "s_o")
 
 
 def test_n_of_rejects_linear_mismatch():
+    # the linear n = 0 against n^2 = 4: E+^2 = 1 is off the phi0 line through
+    # phi0(s_o), so build_table refuses it before derive can read either
     bad = DivisorProfile(
         "E+", 3, 0, {"inf": (1, 1, 1, 0)}, d_squared=1, d_dot_section={"s_o": 1}
     )
-    with pytest.raises(InconsistentDataError, match="disagrees"):
-        n_of(table_with(bad), "E+", "s_o")
+    with pytest.raises(InconsistentDataError) as exc:
+        table_with(bad)
+    assert str(exc.value) == ("divisor 'E+': E+.E+ = 1 is registered, but phi0 has rank 1"
+                              " along 's_o', which forces E+.E+ = 3")
 
 
 def test_n_of_needs_rank_one():
@@ -831,19 +860,18 @@ def test_formal_class_holds_exact_coefficients():
     cls = FormalClass({s: Fraction(2), SYM_O: Fraction(1, 2)})
     assert cls == FormalClass({s: 2, SYM_O: Fraction(1, 2)})
     assert type(cls.coeffs[s]) is int and type(cls.coeffs[SYM_O]) is Fraction
-    assert type((2 * cls).coeffs[SYM_O]) is int
+    assert type(FormalClass({SYM_O: 2 * cls.coeffs[SYM_O]}).coeffs[SYM_O]) is int
     assert type(FormalClass.of(s).coeffs[s]) is int
     assert repr(cls) == "1/2*O + 2*s_o"
-    assert repr(FormalClass({s: Fraction(-3)}) + FormalClass.of(SYM_F)) == "1*F + -3*s_o"
+    assert repr(FormalClass({s: Fraction(-3), SYM_F: 1})) == "1*F + -3*s_o"
     # pairings still come back as Fractions
     t = table_with(variant="noncollinear")
     value = t.pair_class(cls, FormalClass.of(SYM_F))
     assert type(value) is Fraction and value == Fraction(5, 2)
     # a float is refused, not stored as its binary expansion
-    for build in (lambda x: FormalClass({s: x}), lambda x: x * FormalClass.of(s)):
-        for x in (0.1, 2.0):
-            with pytest.raises(TypeError, match=f"float {x!r}"):
-                build(x)
+    for x in (0.1, 2.0):
+        with pytest.raises(TypeError, match=f"float {x!r}"):
+            FormalClass({s: x})
 
 
 # --- profile_from_class and random-profile properties ---
@@ -864,8 +892,8 @@ def test_profile_from_class_round_trip():
     t2 = table_with(prof, variant="noncollinear")
     x = divisor_sym("X")
     for sym in t.generators():
-        assert t2.pair(x, sym) == t.pair_class(cls, FormalClass.of(sym))
-    assert t2.pair(x, x) == t.pair_class(cls, cls)
+        assert pair(t2, x, sym) == t.pair_class(cls, FormalClass.of(sym))
+    assert pair(t2, x, x) == t.pair_class(cls, cls)
 
 
 @st.composite
@@ -945,7 +973,7 @@ def test_gram_matches_symbolic_reference_on_every_symbol_pair():
         syms += [divisor_sym(name) for name in table.divisors]
         for a in syms:
             for b in syms:
-                got = _outcome(table.pair, a, b)
+                got = _outcome(lambda x, y: pair(table, x, y), a, b)
                 assert got == _outcome(lambda x, y: pair_reference(table, x, y), a, b), (a, b)
 
 
@@ -994,8 +1022,8 @@ def pairing_draws(draw):
     """A surface with trivial torsion, on free rank 1 with one generator s or
     on free rank 0 with no section, and the profiles of two classes
     D = k s + noise and D' = k' s + noise (noise in the trivial lattice).
-    Returns the section-only table, both profiles, the true D.D', an offset
-    of D.D' by 0 or +-1, and whether D'.s stays registered."""
+    Returns the section-only table, both profiles, the true D.D', offsets
+    of D.D' and of D'^2 by 0 or +-1, and whether D'.s stays registered."""
     kinds = tuple(draw(st.lists(st.sampled_from(PAIRING_KINDS), min_size=1, max_size=3)))
     rank = draw(st.integers(0, 1))
     chi = _least_chi(kinds, rank) + draw(st.integers(0, 1))
@@ -1015,19 +1043,28 @@ def pairing_draws(draw):
     x, y = drawn_class(), drawn_class()
     profiles = profile_from_class(base, x, "D"), profile_from_class(base, y, "D'")
     right = int(base.pair_class(x, y))
-    return base, profiles, right, draw(st.sampled_from((0, 1, -1))), draw(st.booleans())
+    offsets = draw(st.sampled_from((0, 1, -1))), draw(st.sampled_from((0, 1, -1)))
+    return base, profiles, right, offsets, draw(st.booleans())
 
 
 @settings(max_examples=60, deadline=None)
 @given(pairing_draws())
 def test_phi0_pairing_on_drawn_surfaces(case):
-    base, (d, d2), right, offset, keep = case
+    base, (d, d2), right, (offset, square_offset), keep = case
     cfg, chi = base.cfg, base.cfg.chi
-    # build_table accepts exactly the true D.D' wherever the form pins it down
-    wrong = [replace(d, d_dot_divisor={"D'": right + offset}),
-             d2 if keep else replace(d2, d_dot_section={})]
-    if offset and (keep or not cfg.mw_free_rank):
+    pinned = keep or not cfg.mw_free_rank
+    # build_table accepts exactly the true D.D' and D'^2 wherever the form
+    # pins them down: on free rank 0, or on rank 1 with D'.s registered
+    lone = d2 if keep else replace(d2, d_dot_section={})
+    wrong = [replace(d, d_dot_divisor={"D'": right + offset}), lone]
+    if offset and pinned:
         with pytest.raises(InconsistentDataError, match=f"which forces D.D' = {right}$"):
+            build_table(cfg, wrong)
+    else:
+        build_table(cfg, wrong)
+    wrong = [replace(lone, d_squared=d2.d_squared + square_offset)]
+    if square_offset and pinned:
+        with pytest.raises(InconsistentDataError, match=f"which forces D'.D' = {d2.d_squared}$"):
             build_table(cfg, wrong)
     else:
         build_table(cfg, wrong)
@@ -1044,6 +1081,6 @@ def test_phi0_pairing_on_drawn_surfaces(case):
     profile = {**table.divisors, "S": table.sections.get("s")}
     sym = {"D": divisor_sym("D"), "D'": divisor_sym("D'"), "S": section_sym("s")}
     for a, b in pairs:
-        xy = table.pair(sym[a], sym[b])
+        xy = pair(table, sym[a], sym[b])
         form = nslattice._phi0_pairing(chi, table.fibers, profile[a], profile[b], xy)
         assert form == table.pair_class(phi0(table, a), phi0(table, b)), (a, b)
