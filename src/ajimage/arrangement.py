@@ -24,12 +24,21 @@ the q's u-product, which is +-1 by construction).  The sign chosen for
 the q's u-product is the whole classification: +1 makes q_1, q_2, q_3
 collinear (Type I), -1 makes them non-collinear (Type II).  Public entry
 points read their numbers through `exact.exact_number`.
+
+Points and lines keep the normalized Fractions they were built from (the
+public `coords` and `coeffs`, which printing reads).  Every incidence
+predicate (`Line.contains`, `cubic_form`/`on_cubic`, `collinear` and the
+concurrency test of the tangents) reads instead the primitive integer
+triple proportional to them, computed once per object on first use, so
+the checks run in integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Union
 
 from .dihedral import ArrangementType
@@ -56,6 +65,15 @@ def _normalize(coords: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, .
     raise SchemaError("projective coordinates must not all vanish")
 
 
+def _primitive(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The primitive integer triple proportional to coords: the denominators
+    cleared with their lcm, then the gcd divided out."""
+    scale = lcm(*(c.denominator for c in coords))
+    ints = tuple(c.numerator * (scale // c.denominator) for c in coords)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of the projective plane, stored in normalized form."""
@@ -65,6 +83,10 @@ class ProjPoint:
     def __post_init__(self):
         coords = tuple(_rat(c, "ProjPoint") for c in self.coords)
         object.__setattr__(self, "coords", _normalize(coords))
+
+    @cached_property
+    def _ints(self) -> tuple[int, int, int]:
+        return _primitive(self.coords)
 
     @staticmethod
     def of(x: Rat, y: Rat, z: Rat) -> "ProjPoint":
@@ -83,8 +105,12 @@ class Line:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _normalize(tuple(_rat(c, "Line") for c in self.coeffs)))
 
+    @cached_property
+    def _ints(self) -> tuple[int, int, int]:
+        return _primitive(self.coeffs)
+
     def contains(self, p: ProjPoint) -> bool:
-        return sum(a * x for a, x in zip(self.coeffs, p.coords)) == 0
+        return sum(a * x for a, x in zip(self._ints, p._ints)) == 0
 
     @staticmethod
     def through(p: ProjPoint, q: ProjPoint) -> "Line":
@@ -111,8 +137,10 @@ def _cross(a, b):
     )
 
 
-def cubic_form(p: ProjPoint) -> Fraction:
-    x, y, z = p.coords
+def cubic_form(p: ProjPoint) -> int:
+    """The cubic's form at p's primitive integer triple; it vanishes exactly
+    when p is on the cubic."""
+    x, y, z = p._ints
     return x**3 + x**2 * z - y**2 * z
 
 
@@ -161,13 +189,13 @@ def tangent_line_at(t: Rat) -> Line:
     return Line((-(3 * t * t - 1), 2 * t, (t * t - 1) ** 2))
 
 
-def _triple(a, b, c) -> Fraction:
-    """Determinant of the 3x3 matrix with rows a, b, c: a . (b x c)."""
+def _triple(a, b, c) -> int:
+    """Determinant of the 3x3 matrix with integer rows a, b, c: a . (b x c)."""
     return sum(x * y for x, y in zip(a, _cross(b, c)))
 
 
 def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
-    return _triple(a.coords, b.coords, c.coords) == 0
+    return _triple(a._ints, b._ints, c._ints) == 0
 
 
 @dataclass(frozen=True)
@@ -245,7 +273,7 @@ def generate_arrangement(s1: Rat, s2: Rat, sign: int = 1) -> Arrangement:
     q_points = tuple(param_point(t) for t in q_params)
     p_points = tuple(param_point(t) for t in p_params)
     tangents = tuple(tangent_line_at(t) for t in q_params)
-    if _triple(*(line.coeffs for line in tangents)) == 0:
+    if _triple(*(line._ints for line in tangents)) == 0:
         raise DegenerateArrangementError("L_1, L_2 and L_3 are concurrent")
     l0 = Line.through(p_points[0], p_points[1])
     corners = {
@@ -270,7 +298,10 @@ def _validate(arr: Arrangement) -> None:
     """Re-check every claimed incidence on raw coordinates.
 
     The construction above argues through u-arithmetic; this pass trusts
-    nothing but determinants and line evaluations.
+    nothing but determinants and line evaluations.  Those read each point's
+    and line's primitive integer triple, which clears the denominators of
+    its stored normalized Fractions and is proportional to them, so every
+    test is exact and runs in integers.
     """
     l0, l1, l2, l3 = arr.lines
     tangents = (l1, l2, l3)

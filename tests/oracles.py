@@ -14,7 +14,10 @@ torsion and class profiles at the end build test inputs that no library
 path needs; `pair` reads one symbol pair and `plus` adds terms to a class,
 which no library path does either; and the config writer renders a
 document the way the shipped files are stored, which the library only
-ever reads.
+ever reads.  The arrangement incidences are evaluated on the stored
+normalized Fractions, where the library reads integer triples, and
+`drawn_arrangement` caps the redraws of a degenerate draw, so that a
+generator that refuses every draw fails a test instead of hanging it.
 """
 
 import json
@@ -24,7 +27,12 @@ from itertools import product
 from pathlib import Path
 
 from ajimage import configio
-from ajimage.errors import InconsistentDataError, MissingIntersectionError
+from ajimage.arrangement import generate_arrangement
+from ajimage.errors import (
+    DegenerateArrangementError,
+    InconsistentDataError,
+    MissingIntersectionError,
+)
 from ajimage.kodaira import fiber_data
 from ajimage.mwgroup import MWPoint
 from ajimage.nslattice import (
@@ -337,6 +345,45 @@ def profile_from_class(table, cls, name):
     return DivisorProfile(
         name, pairing[SYM_F], pairing[SYM_O], c, table.pair_class(cls, cls), d_dot_section
     )
+
+
+# Consecutive refusals after which drawn_arrangement gives up.  The tests'
+# draws are refused at most 7.5% of the time, and never more than 4 times
+# in a row over 20 000 draws, so only a broken generator reaches the cap.
+MAX_REFUSALS = 100
+
+
+def drawn_arrangement(draw, sign):
+    """generate_arrangement(s1, s2, sign) for the first (s1, s2) = draw()
+    that it accepts, failing with the last draw named after MAX_REFUSALS
+    consecutive refusals."""
+    for _ in range(MAX_REFUSALS):
+        s1, s2 = draw()
+        try:
+            return generate_arrangement(s1, s2, sign)
+        except DegenerateArrangementError as exc:
+            refusal = exc
+    raise AssertionError(
+        f"{MAX_REFUSALS} consecutive draws refused; the last, s1 = {s1}, s2 = {s2},"
+        f" sign = {sign}: {refusal}"
+    )
+
+
+def on_line_reference(line, point):
+    """Does the line's stored Fraction equation vanish at the point's stored
+    Fractions?"""
+    return sum(a * x for a, x in zip(line.coeffs, point.coords)) == 0
+
+
+def on_cubic_reference(point):
+    """Does z*y^2 = x^3 + x^2*z hold on the point's stored Fractions?"""
+    x, y, z = point.coords
+    return z * y * y == x * x * x + x * x * z
+
+
+def collinear_reference(a, b, c):
+    """Do three points' stored Fractions have a zero cofactor determinant?"""
+    return det_cofactor([a.coords, b.coords, c.coords]) == 0
 
 
 DATA = Path(configio.__file__).parent / "data"

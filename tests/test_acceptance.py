@@ -21,7 +21,6 @@ from ajimage import (
     AbelianGroup,
     DivisorProfile,
     InconsistentDataError,
-    DegenerateArrangementError,
     FormalClass,
     MWPoint,
     QMatrix,
@@ -35,7 +34,6 @@ from ajimage import (
     eplus_profile,
     fiber_data,
     four_line_surface,
-    generate_arrangement,
     image_of,
     ns_relation,
     param_of_u,
@@ -47,7 +45,14 @@ from ajimage import mwgroup, nslattice
 from ajimage.kodaira import dual_class_of, incidence_class
 from ajimage.nslattice import SYM_F, SYM_O, theta
 
-from oracles import DATA, abelian_order_multiset, coset_orders, det_cofactor, phi0
+from oracles import (
+    DATA,
+    abelian_order_multiset,
+    coset_orders,
+    det_cofactor,
+    drawn_arrangement,
+    phi0,
+)
 
 ALL_KINDS = (
     ["I2", "I3", "I4", "I5", "I6", "I7"]
@@ -131,17 +136,16 @@ def test_arrangement_pipeline_and_collinearity_oracle():
         t = Fraction(rng.randint(-40, 40), rng.randint(1, 15))
         return t if t not in (1, -1) else draw_param()
 
-    produced = 0
-    while produced < 100:
-        s1, s2 = draw_param(), draw_param()
+    def draw():
+        # s1 and s2 may not be the inflection (None): redraw such a pair
+        while True:
+            s1, s2 = draw_param(), draw_param()
+            if s1 is not None and s2 is not None:
+                return s1, s2
+
+    for produced in range(100):
         sign = 1 if produced % 2 == 0 else -1
-        if s1 is None or s2 is None:
-            continue
-        try:
-            arr = generate_arrangement(s1, s2, sign)
-        except DegenerateArrangementError:
-            continue
-        produced += 1
+        arr = drawn_arrangement(draw, sign)
         det = det_cofactor([p.coords for p in arr.q_points])
         if sign == 1:
             assert det == 0 and classify_type(arr).value == "I"
@@ -255,13 +259,10 @@ def test_bundled_tables_built_once_per_shape(monkeypatch, capsys):
     try:
         rng = random.Random(17)
         for sign in (1, -1) * 20:
-            while True:
-                s1, s2 = (Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in "12")
-                try:
-                    arr = generate_arrangement(s1, s2, sign)
-                    break
-                except DegenerateArrangementError:
-                    continue
+            arr = drawn_arrangement(
+                lambda: tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in "12"),
+                sign,
+            )
             assert image_of(arr) == MWPoint(0 if sign == 1 else 2, (0, 0))
         for atype in ("I", "II"):
             for n in range(3, 51):

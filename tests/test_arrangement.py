@@ -2,9 +2,11 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ajimage import fourlines
@@ -27,6 +29,13 @@ from ajimage.arrangement import (
 from ajimage.dihedral import ArrangementType
 from ajimage.errors import DegenerateArrangementError, InconsistentDataError, SchemaError
 from ajimage.mwgroup import MWPoint
+
+from oracles import (
+    collinear_reference,
+    drawn_arrangement,
+    on_cubic_reference,
+    on_line_reference,
+)
 
 
 def rand_param(rng):
@@ -214,14 +223,9 @@ def test_projective_point_needs_a_nonzero_coordinate():
 
 def test_generated_pipeline_seeded():
     rng = random.Random(123)
-    done = 0
-    while done < 100:
-        s1, s2 = rand_param(rng), rand_param(rng)
+    for done in range(100):
         sign = 1 if done % 2 == 0 else -1
-        try:
-            arr = generate_arrangement(s1, s2, sign)
-        except DegenerateArrangementError:
-            continue
+        arr = drawn_arrangement(lambda: (rand_param(rng), rand_param(rng)), sign)
         tag = classify_type(arr)
         if sign == 1:
             assert tag is ArrangementType.TYPE_I
@@ -231,7 +235,38 @@ def test_generated_pipeline_seeded():
             assert tag is ArrangementType.TYPE_II
             assert not collinear(*arr.q_points)
             assert image_of(arr) == MWPoint(2, (0, 0), None)
-        done += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(-30, 30, max_denominator=12), st.fractions(-30, 30, max_denominator=12),
+       st.sampled_from([1, -1]))
+def test_integer_triples_agree_with_fractions(s1, s2, sign):
+    # the predicates read each point's and line's integer triple; the
+    # oracles evaluate the stored Fractions instead
+    try:
+        arr = generate_arrangement(s1, s2, sign)
+    except DegenerateArrangementError:
+        assume(False)
+    points = arr.q_points + arr.p_points + tuple(arr.corners.values())
+    for ints, fracs in [(p._ints, p.coords) for p in points] + [
+        (line._ints, line.coeffs) for line in arr.lines
+    ]:
+        # primitive, and proportional to the Fractions (fracs[0] is 1 or 0)
+        assert all(type(x) is int for x in ints) and gcd(*ints) == 1
+        k = next(i for i, f in enumerate(fracs) if f)
+        assert all(x * fracs[k] == f * ints[k] for x, f in zip(ints, fracs))
+    for line in arr.lines:
+        for p in points:
+            assert line.contains(p) == on_line_reference(line, p)
+    for p in points:
+        assert on_cubic(p) == on_cubic_reference(p)
+    for triple in combinations(points, 3):
+        assert collinear(*triple) == collinear_reference(*triple)
+    # as_dict prints p_ij as the meet of L_i and L_j, which are not concurrent
+    # with the third tangent
+    tangents = arr.lines[1:]
+    for (i, j), corner in arr.corners.items():
+        assert [line.contains(corner) for line in tangents] == [k in (i, j) for k in (1, 2, 3)]
 
 
 def test_divisor_profile_for(monkeypatch):
