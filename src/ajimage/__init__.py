@@ -6,10 +6,10 @@ in the Mordell-Weil group as n * P_o + torsion, entirely in rational
 arithmetic.  On top of that sit dihedral-cover existence decisions and an
 exact plane-geometry generator for nodal-cubic + four-line arrangements.
 
-Entry points: :func:`build_table` / :func:`abel_jacobi_image` for the core
-pipeline, :func:`generate_arrangement` / :func:`image_of` for the geometric
-front end, :func:`d2n_cover_exists` for cover decisions, and
-:mod:`ajimage.cli` for the command line.
+Entry points: :func:`build_table` / :func:`derive` for the core pipeline,
+:func:`generate_arrangement` / :func:`image_of` for the geometric front end,
+:func:`d2n_cover_exists` for cover decisions, and :mod:`ajimage.cli` for the
+command line.
 """
 
 from .arrangement import (

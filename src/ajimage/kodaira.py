@@ -51,7 +51,20 @@ from typing import Iterable
 from .exact import QMatrix, exact_int, smith_normal_form
 
 _KIND_RE = re.compile(r"^(I)(\d+)(\*?)$|^(II|III|IV)(\*?)$")
-_FAMILIES = ("I", "I*", "II*", "III", "III*", "IV", "IV*")
+# multiplicities (Theta_0 first) and edges {(i, j): weight, i < j} of the
+# kinds that take no index
+_FIXED_GRAPHS = {
+    "II*": ((1, 2, 3, 4, 5, 6, 4, 2, 3),
+            {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1, (5, 6): 1, (6, 7): 1,
+             (5, 8): 1}),
+    "III": ((1, 1), {(0, 1): 2}),
+    "III*": ((1, 2, 3, 4, 3, 2, 1, 2),
+             {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1, (5, 6): 1, (3, 7): 1}),
+    "IV": ((1, 1, 1), {(0, 1): 1, (0, 2): 1, (1, 2): 1}),
+    "IV*": ((1, 2, 3, 2, 1, 2, 1),
+            {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (2, 5): 1, (5, 6): 1}),
+}
+_FAMILIES = ("I", "I*", *_FIXED_GRAPHS)
 
 
 @dataclass(frozen=True)
@@ -186,25 +199,7 @@ def _graph(kind: FiberKind):
         for a, b in zip(chain, chain[1:]):
             edges[(a, b)] = 1
         return mults, edges
-    if fam == "III":
-        return [1, 1], {(0, 1): 2}
-    if fam == "IV":
-        return [1, 1, 1], {(0, 1): 1, (0, 2): 1, (1, 2): 1}
-    if fam == "IV*":
-        mults = [1, 2, 3, 2, 1, 2, 1]
-        edges = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (2, 5): 1, (5, 6): 1}
-        return mults, edges
-    if fam == "III*":
-        mults = [1, 2, 3, 4, 3, 2, 1, 2]
-        edges = {(i, i + 1): 1 for i in range(6)}
-        edges[(3, 7)] = 1
-        return mults, edges
-    if fam == "II*":
-        mults = [1, 2, 3, 4, 5, 6, 4, 2, 3]
-        edges = {(i, i + 1): 1 for i in range(7)}
-        edges[(5, 8)] = 1
-        return mults, edges
-    raise ValueError(f"no component data for {kind}")
+    return _FIXED_GRAPHS[fam]
 
 
 def _components(kind: FiberKind) -> int:
@@ -213,7 +208,7 @@ def _components(kind: FiberKind) -> int:
         return kind.n
     if kind.family == "I*":
         return kind.n + 5
-    return {"III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[kind.family]
+    return len(_FIXED_GRAPHS[kind.family][0])
 
 
 def _euler(kind: FiberKind) -> int:

@@ -11,22 +11,21 @@ go through the projection phi0 away from the trivial lattice
     <P, P> = -phi0(s_P).phi0(s_P),
     n^2 = -phi0(D).phi0(D) / <P_o, P_o>,   n = -phi0(D).phi0(s_o) / <P_o, P_o>.
 
-Each phi0 pairing is `nslattice._phi0_pairing`, the one polarized form,
-except the quadratic route's phi0(D).phi0(D) (`_phi0_self`, deferred).
+Each phi0 pairing is `nslattice._phi0_pairing`, the one polarized form.
 `build_table` holds every registered D^2 to the phi0 line, so the two
 routes agree whenever D.s_o is registered and derive does not compare them.
 
-It solves gamma_v = -A_v^{-1} c(v, D) once per fiber with nonzero c(v, D):
-the quadratic route adds c^T gamma_v, the record keeps the gamma
-vectors as solved, and their classes in the component groups R_v^dual / R_v
-are read off c(v, D) through each fiber's Smith class rows.  Both kill the
-trivial lattice, so the image of a divisor equals the image of its attached
-Mordell-Weil point, which is what makes torsion resolvable from intersection
-data alone: the residual class(D) - n * class(s_o), formed fiber by fiber,
-is looked up in the table's torsion dict (zero included) at each sign of n
-the data allows, and a sign that misses is excluded.  The height identity
-<P, P> then fixes the bookkeeping s(D).O of the attached section
-(`nslattice._s_dot_o`, which also forces each torsion section's s.O).
+The record keeps gamma_v = -A_v^{-1} c(v, D), solved once per fiber with
+nonzero c(v, D), and their classes in the component groups R_v^dual / R_v,
+read off c(v, D) through each fiber's Smith class rows.  phi0 and the class
+map both kill the trivial lattice, so the image of a divisor equals the
+image of its attached Mordell-Weil point, which is what makes torsion
+resolvable from intersection data alone: the residual class(D) - n *
+class(s_o), formed fiber by fiber, is looked up in the table's torsion dict
+(zero included) at each sign of n the data allows, and a sign that misses
+is excluded.  The height identity <P, P> then fixes the bookkeeping s(D).O
+of the attached section (`nslattice._s_dot_o`, which also forces each
+torsion section's s.O).
 `abel_jacobi_image` returns the record's point; the CLI renders the record.
 """
 
@@ -39,7 +38,7 @@ from operator import mul
 
 from .errors import InconsistentDataError, MissingIntersectionError
 from .kodaira import dual_class_of, incidence_class
-from .nslattice import DivisorProfile, IntersectionTable, SectionProfile, _phi0_pairing, _s_dot_o
+from .nslattice import DivisorProfile, IntersectionTable, _phi0_pairing, _s_dot_o
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,10 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     """Full decomposition P_D = n * P_o + torsion of a registered divisor
     along a registered generator section.
 
-    Reads n^2 off the quadratic route and, when D.s_o is registered, n off
-    the linear route, resolves torsion, and verifies the section bookkeeping.
+    Reads n^2 = -phi0(D).phi0(D) / <P_o, P_o>, which must be a perfect
+    square, and, when D.s_o is registered, n = -phi0(D).phi0(s_o) / <P_o, P_o>,
+    both off `nslattice._phi0_pairing`; then resolves torsion and verifies
+    the section bookkeeping.
 
     The two routes agree without a check here.  derive requires D^2, free
     rank 1 and a generator s_o of positive height, so when D.s_o is
@@ -146,11 +147,32 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     """
     d = table.divisors[divisor]
     gen = table.sections[generator]
+    chi, fibers = table.cfg.chi, table.fibers
+    if table.cfg.mw_free_rank != 1:
+        raise InconsistentDataError(
+            f"free coefficient needs Mordell-Weil free rank 1, not {table.cfg.mw_free_rank}"
+        )
+    h = table.heights[generator]
+    if h <= 0:
+        raise InconsistentDataError(
+            f"generator {generator!r} has height {h}; a free generator needs positive height"
+        )
+    if d.d_squared is None:
+        raise MissingIntersectionError(f"divisor {divisor!r}: D^2 required for phi0_self")
+    self_pairing = _phi0_pairing(chi, fibers, d, d, d.d_squared)
+    n_sq = -self_pairing / h
+    if n_sq < 0 or n_sq.denominator != 1 or isqrt(n_sq.numerator) ** 2 != n_sq.numerator:
+        raise InconsistentDataError(
+            f"n^2 = {n_sq} not a perfect square => inconsistent intersection data"
+        )
+    n_sq = n_sq.numerator
+    n_lin = None
+    if generator in d.d_dot_section:
+        n_lin = int(-_phi0_pairing(chi, fibers, d, gen, d.d_dot_section[generator]) / h)
     gammas = _solves(table, d)
-    h, self_pairing, n_sq, n_lin = _free_coefficient(table, d, gen, gammas)
     # one pass over the fibers, in config order
     vectors, classes, parts, components = [], [], [], {}
-    for fid, data in table.fibers.items():
+    for fid, data in fibers.items():
         cls = incidence_class(data, d.c[fid])
         vectors.append(gammas[fid] if fid in gammas else (Fraction(0),) * (data.m - 1))
         classes.append(cls)
@@ -180,7 +202,7 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     route = "pairing" if n_lin is not None else "torsion" if len(kept) < len(signs) else "open"
     name, coords = table.torsion[residual]
     point = MWPoint(n, coords, name)
-    s_dot_o = _s_dot_o(table.cfg.chi, table.fibers, components, n_sq * h)
+    s_dot_o = _s_dot_o(chi, fibers, components, n_sq * h)
     if s_dot_o < 0 and (n or not point.torsion_is_zero()):
         raise InconsistentDataError(
             f"height identity gives s(D).O = {s_dot_o}, which no section attains;"
@@ -197,56 +219,11 @@ def abel_jacobi_image(table: IntersectionTable, divisor: str, generator: str) ->
 
 def _solves(table: IntersectionTable, d: DivisorProfile) -> dict[str, tuple[Fraction, ...]]:
     """gamma_v = -A_v^{-1} c(v, D) for every fiber with c(v, D) != 0, one
-    Fraction per integer dot product, which the quadratic route, the
-    record's gamma vectors and `fourlines.ns_relation` read."""
+    Fraction per integer dot product, which the record's gamma vectors and
+    `fourlines.ns_relation` read."""
     out = {}
     for fid, c in d.c.items():
         if any(c):
             a_inv = table.fibers[fid].a_inv
             out[fid] = tuple(Fraction(-sum(map(mul, row, c)), a_inv.den) for row in a_inv.num)
     return out
-
-
-def _phi0_self(table: IntersectionTable, d: DivisorProfile, gammas) -> Fraction:
-    """The quadratic route phi0(D).phi0(D) over the record's own solves, not
-    `nslattice._phi0_pairing`: through the form derive runs faster, and since
-    the benchmark keeps every latency, pipeline-wide peak RSS then passes its
-    bound.  It moves with the integer solves (ROADMAP items 1 and 2); until
-    then D^2 is held to the form only by `build_table`'s phi0-line rule."""
-    if d.d_squared is None:
-        raise MissingIntersectionError(f"divisor {d.name!r}: D^2 required for phi0_self")
-    total = Fraction(d.d_squared) - 2 * d.d * d.d_dot_o - d.d * d.d * table.cfg.chi
-    for fid, g in gammas.items():
-        total += sum(map(mul, d.c[fid], g))
-    return total
-
-
-def _free_coefficient(table: IntersectionTable, d: DivisorProfile, gen: SectionProfile,
-                      gammas) -> tuple[Fraction, Fraction, int, int | None]:
-    """<P_o, P_o> (from `table.heights`), phi0(D).phi0(D), n^2 and the
-    linear n of D along a rank-one generator; the linear n is None when D.s_o
-    is not registered.
-
-    Quadratic route always runs: n^2 = -phi0(D).phi0(D) / <P_o, P_o> must be
-    a perfect square.  When D.s_o is registered, the linear route
-    n = -phi0(D).phi0(s_o) / <P_o, P_o> agrees with it (see `derive`).
-    """
-    if table.cfg.mw_free_rank != 1:
-        raise InconsistentDataError(
-            f"free coefficient needs Mordell-Weil free rank 1, not {table.cfg.mw_free_rank}"
-        )
-    h = table.heights[gen.name]
-    if h <= 0:
-        raise InconsistentDataError(
-            f"generator {gen.name!r} has height {h}; a free generator needs positive height"
-        )
-    self_pairing = _phi0_self(table, d, gammas)
-    n_sq = -self_pairing / h
-    if n_sq < 0 or n_sq.denominator != 1 or isqrt(n_sq.numerator) ** 2 != n_sq.numerator:
-        raise InconsistentDataError(
-            f"n^2 = {n_sq} not a perfect square => inconsistent intersection data"
-        )
-    if gen.name not in d.d_dot_section:
-        return h, self_pairing, int(n_sq), None
-    n_lin = -_phi0_pairing(table.cfg.chi, table.fibers, d, gen, d.d_dot_section[gen.name]) / h
-    return h, self_pairing, int(n_sq), int(n_lin)

@@ -27,9 +27,8 @@ registered names only.  Shioda's phi0 pairing is written once, polarized,
 in `_phi0_pairing`: the heights (`IntersectionTable.heights`), `_s_dot_o`
 (each torsion section's s.O and derive's s(D).O), the section-torsion
 check, the phi0-line rule on every registered D^2, D.D' and D.s
-(`_check_divisor_pairings`) and derive's linear n read it; only derive's
-quadratic route waits to move onto it (`mwgroup._phi0_self`).  The rank of
-the generators' Gram block is read off Shioda-Tate in closed form
+(`_check_divisor_pairings`) and derive's n^2 and linear n all read it.  The
+rank of the generators' Gram block is read off Shioda-Tate in closed form
 (`IntersectionTable.generator_rank`, from those heights); this module runs
 no elimination.
 
@@ -242,7 +241,7 @@ class IntersectionTable:
             for other, value in d.d_dot_section.items():
                 put(sym, section_sym(other), value)
             for other, value in d.d_dot_divisor.items():
-                if other in self.divisors and other != name:
+                if other in self.divisors:
                     put(sym, divisor_sym(other), value)
             put(sym, sym, d.d_squared)
         return g
@@ -387,7 +386,8 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     integer field of the configuration and of a profile is read exactly
     (`exact.exact_int`): a float or a bool is refused with a TypeError, a
     non-integral rational with a SchemaError.  A section or divisor named O
-    or F is refused.
+    or F is refused, and so is a divisor whose D.divisor names itself (its
+    self-pairing is D^2).
     """
     chi, rank = exact_int(cfg.chi, "chi"), exact_int(cfg.mw_free_rank, "mw_free_rank")
     if chi is not cfg.chi or rank is not cfg.mw_free_rank:
@@ -476,6 +476,11 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
         # d_dot_divisor may mention divisors not registered in this table;
         # profiles are reusable and unused pairings are harmless.  Two
         # registered divisors that name each other must agree.
+        if d.name in d.d_dot_divisor:
+            raise SchemaError(
+                f"{who}: D_dot_divisor names the divisor itself; its self-pairing"
+                " is D^2, registered as D_squared"
+            )
         for other, value in d.d_dot_divisor.items():
             back = divisors_map[other].d_dot_divisor.get(d.name) if other in divisors_map else None
             if back is not None and back != value:

@@ -9,15 +9,18 @@ divisibility witnesses without sharing their formulas, and the
 symbol-by-symbol pairing checks the intersection table's Gram matrix.
 The torsion closure check adds every pair of elements, where the library
 adds only the generators, and the matrix layout prints a matrix's Fraction
-entries, where the library reads its integer numerators.  The section,
-torsion and class profiles at the end build test inputs that no library
-path needs; `pair` reads one symbol pair and `plus` adds terms to a class,
-which no library path does either; and the config writer renders a
-document the way the shipped files are stored, which the library only
-ever reads.  The arrangement incidences are evaluated on the stored
-normalized Fractions, where the library reads integer triples, and
-`drawn_arrangement` caps the redraws of a degenerate draw, so that a
-generator that refuses every draw fails a test instead of hanging it.
+entries, where the library reads its integer numerators.  The local height
+contributions, and the s.O of a section's multiples, come from Shioda's
+closed forms, where the library reads A_v^{-1} and solves the height
+identity (`nslattice._s_dot_o`).  The section, torsion and class profiles
+at the end build test inputs that no library path needs; `pair` reads one
+symbol pair and `plus` adds terms to a class, which no library path does
+either; and the config writer renders a document the way the shipped files
+are stored, which the library only ever reads.  The arrangement incidences
+are evaluated on the stored normalized Fractions, where the library reads
+integer triples, and `drawn_arrangement` caps the redraws of a degenerate
+draw, so that a generator that refuses every draw fails a test instead of
+hanging it.
 """
 
 import json
@@ -33,7 +36,7 @@ from ajimage.errors import (
     InconsistentDataError,
     MissingIntersectionError,
 )
-from ajimage.kodaira import fiber_data
+from ajimage.kodaira import FiberKind, fiber_data
 from ajimage.mwgroup import MWPoint
 from ajimage.nslattice import (
     SYM_F,
@@ -163,8 +166,8 @@ def abelian_order_multiset(factors):
 def phi0(table, divisor):
     """phi0(D) = D - d O - (d chi + O.D) F - sum_v Theta_v A_v^{-1} c(v, D) as a
     formal class of a registered divisor, so that pairing it through the
-    table's generic pairing code can be compared with the closed forms
-    nslattice._phi0_pairing and mwgroup._phi0_self."""
+    table's generic pairing code can be compared with the closed form
+    nslattice._phi0_pairing."""
     d = table.divisors[divisor]
     chi = table.cfg.chi
     out = {divisor_sym(d.name): Fraction(1), SYM_O: Fraction(-d.d),
@@ -306,6 +309,46 @@ def section_height(chi, kinds, s_dot_o, components):
          for fid, k in components.items() if k),
         Fraction(0),
     )
+
+
+# contr_v of a non-identity simple component of the kinds whose value does
+# not depend on which one (Shioda 1990, (8.16))
+_CONTRIBUTION = {"III": Fraction(1, 2), "IV": Fraction(2, 3), "IV*": Fraction(4, 3),
+                 "III*": Fraction(3, 2)}
+
+
+def contribution(kind, j, k=1):
+    """contr_v(kP) for the section P through component j of a fiber of this
+    kind, from Shioda's closed forms (On the Mordell-Weil lattices, 1990,
+    (8.16)), not from A_v^{-1}.  kP meets the component of k times j's class.
+    On I_n that is a = kj mod n, with contr a (n - a) / n.  On I*_n, Theta_1
+    (at Theta_0's end of the chain) has contr 1 and order 2; Theta_2 and
+    Theta_3 have contr 1 + n/4, order 4 for odd n (twice either is Theta_1)
+    and 2 for even n.  III and III* have order 2, IV and IV* order 3."""
+    kind = FiberKind.parse(kind)
+    fam, n = kind.family, kind.n
+    if fam == "I":
+        a = k * j % n
+        return Fraction(a * (n - a), n)
+    if not j:
+        return Fraction(0)
+    if fam != "I*":
+        return _CONTRIBUTION[fam] if k % (3 if fam in ("IV", "IV*") else 2) else Fraction(0)
+    if k % 2:
+        return Fraction(1) if j == 1 else 1 + Fraction(n, 4)
+    return Fraction(int(j > 1 and n % 2 == 1 and k % 4 == 2))
+
+
+def multiple_s_dot_o(chi, kinds, section, k):
+    """s(kP).O of the k-th multiple of a section P by the height identity
+    <kP, kP> = k^2 <P, P>, with <Q, Q> = 2 chi + 2 s(Q).O - sum_v contr_v(Q)
+    and every contr_v from `contribution`.  kinds maps fiber ids to kinds."""
+    def local(m):
+        return sum((contribution(kinds[fid], j, m) for fid, j in section.components.items()),
+                   Fraction(0))
+
+    height = 2 * chi + 2 * section.s_dot_o - local(1)
+    return (k * k * height - 2 * chi + local(k)) / 2
 
 
 def torsion_profile(cfg, spec):

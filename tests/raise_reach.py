@@ -43,8 +43,6 @@ ALLOWLIST = {
         "catalog self-check: the simple components of a Kodaira fiber are distinct classes",
     ("kodaira", "catalog for {kind}: simple components miss some classes"):
         "catalog self-check: the simple components of a Kodaira fiber cover the group",
-    ("kodaira", "no component data for {kind}"):
-        "_graph's fall-through: FiberKind refuses every family _graph does not draw",
 }
 
 

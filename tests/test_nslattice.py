@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ajimage import mwgroup, nslattice
+from ajimage import nslattice
 from ajimage.configio import BUNDLED, bundled_config
 from ajimage.errors import InconsistentDataError, MissingIntersectionError, SchemaError
 from ajimage.exact import smith_normal_form
@@ -32,7 +32,9 @@ from ajimage.nslattice import (
 )
 
 from oracles import (
+    contribution,
     inverse_adjugate,
+    multiple_s_dot_o,
     pair,
     pair_class_reference,
     pair_reference,
@@ -59,10 +61,10 @@ F_LIKE = DivisorProfile("F_like", d=0, d_dot_o=1, c={}, d_squared=0)
 
 
 def phi0_self(table, name):
-    """The closed form phi0(D).phi0(D) of a registered divisor, which derive
-    reads only when n^2 comes out a perfect square."""
+    """phi0(D).phi0(D) of a registered divisor through the one closed form,
+    which derive reads for n^2."""
     d = table.divisors[name]
-    return mwgroup._phi0_self(table, d, mwgroup._solves(table, d))
+    return nslattice._phi0_pairing(table.cfg.chi, table.fibers, d, d, d.d_squared)
 
 
 def phi0_cross(table, name, section):
@@ -243,6 +245,12 @@ REJECTIONS = [
                  SchemaError, "divisor 'E+': unknown section 'nope'", id="divisor-unknown-section"),
     pytest.param(lambda cfg: (cfg, [eplus_profile("collinear")] * 2),
                  SchemaError, "duplicate divisor name 'E+'", id="duplicate-divisor-name"),
+    # E+.E+ in D.divisor was once dropped, and the table built with E+^2 = 1
+    pytest.param(lambda cfg: (cfg, [replace(eplus_profile("noncollinear"),
+                                            d_dot_divisor={"E-": 5, "E+": 99})]),
+                 SchemaError, "divisor 'E+': D_dot_divisor names the divisor itself; its"
+                 " self-pairing is D^2, registered as D_squared",
+                 id="divisor-pairing-with-itself"),
     pytest.param(lambda cfg: (_torsion_entries(cfg, t1=(T1.components, (1,))), ()),
                  SchemaError, "torsion section 't1': coords do not match torsion_group",
                  id="torsion-coords-length"),
@@ -1011,46 +1019,50 @@ def test_height_bilinear_in_random_combinations():
 PAIRING_KINDS = ("I2", "I3", "I5", "I0*", "I3*", "IV*", "III*", "I30", "I33", "I37", "I31*")
 
 
-def _positive_s_dot_o(kinds):
-    """An s.O that gives every section on these kinds a positive height: a
-    fiber's local contribution is at most m_v / 4 + 1, and 2 chi >= 2."""
-    return sum(fiber_data(k).m for k in kinds) // 8 + len(kinds)
+def _least_s_dot_o(chi, kinds, comps):
+    """The least s.O >= 0 that gives a section through comps a positive
+    height 2 chi + 2 s.O - sum_v contr_v."""
+    local = sum(contribution(kind, j) for kind, j in zip(kinds, comps))
+    return max(0, floor(local / 2 - chi) + 1)
 
 
 @st.composite
-def pairing_draws(draw):
-    """A surface with trivial torsion, on free rank 1 with one generator s or
-    on free rank 0 with no section, and the profiles of two classes
-    D = k s + noise and D' = k' s + noise (noise in the trivial lattice).
+def pairing_draws(draw, kinds=PAIRING_KINDS, ranks=(0, 1)):
+    """A surface with trivial torsion, on free rank 1 with one generator s
+    (s.O at most 2 above the least that gives a positive height) or on free
+    rank 0 with no section, and the profiles of two classes D = k s + noise
+    and D' = k' s + noise (noise in the trivial lattice, k and k' in -3..3).
     Returns the section-only table, both profiles, the true D.D', offsets
-    of D.D' and of D'^2 by 0 or +-1, and whether D'.s stays registered."""
-    kinds = tuple(draw(st.lists(st.sampled_from(PAIRING_KINDS), min_size=1, max_size=3)))
-    rank = draw(st.integers(0, 1))
+    of D.D' and of D'^2 by 0 or +-1, whether D'.s stays registered, and
+    (k, k')."""
+    kinds = tuple(draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)))
+    rank = draw(st.sampled_from(ranks))
     chi = _least_chi(kinds, rank) + draw(st.integers(0, 1))
     fibers = tuple((f"v{i}", FiberKind.parse(k)) for i, k in enumerate(kinds))
+    comps = [draw(st.sampled_from((0,) + fiber_data(k).simple)) for k in kinds]
     sections = () if not rank else (SectionProfile(
-        "s", _positive_s_dot_o(kinds) + draw(st.integers(0, 2)),
-        {fid: draw(st.sampled_from((0,) + fiber_data(k).simple)) for (fid, _), k in
-         zip(fibers, kinds)}),)
+        "s", _least_s_dot_o(chi, kinds, comps) + draw(st.integers(0, 2)),
+        {fid: j for (fid, _), j in zip(fibers, comps)}),)
     base = build_table(SurfaceConfig(chi, fibers, sections, rank))
     trivial = [SYM_O, SYM_F] + [theta(fid, i) for fid, _ in fibers
                                 for i in range(1, base.fibers[fid].m)]
 
     def drawn_class():
         noise = draw(st.dictionaries(st.sampled_from(trivial), st.integers(-3, 3), max_size=4))
-        return FormalClass({**noise, section_sym("s"): draw(st.integers(-3, 3)) * rank})
+        k = draw(st.integers(-3, 3)) * rank
+        return k, FormalClass({**noise, section_sym("s"): k})
 
-    x, y = drawn_class(), drawn_class()
+    (k, x), (k2, y) = drawn_class(), drawn_class()
     profiles = profile_from_class(base, x, "D"), profile_from_class(base, y, "D'")
     right = int(base.pair_class(x, y))
     offsets = draw(st.sampled_from((0, 1, -1))), draw(st.sampled_from((0, 1, -1)))
-    return base, profiles, right, offsets, draw(st.booleans())
+    return base, profiles, right, offsets, draw(st.booleans()), (k, k2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(pairing_draws())
 def test_phi0_pairing_on_drawn_surfaces(case):
-    base, (d, d2), right, (offset, square_offset), keep = case
+    base, (d, d2), right, (offset, square_offset), keep, _ = case
     cfg, chi = base.cfg, base.cfg.chi
     pinned = keep or not cfg.mw_free_rank
     # build_table accepts exactly the true D.D' and D'^2 wherever the form
@@ -1084,3 +1096,58 @@ def test_phi0_pairing_on_drawn_surfaces(case):
         xy = pair(table, sym[a], sym[b])
         form = nslattice._phi0_pairing(chi, table.fibers, profile[a], profile[b], xy)
         assert form == table.pair_class(phi0(table, a), phi0(table, b)), (a, b)
+
+
+def test_contribution_closed_form_matches_the_adjugate():
+    # contr_v(kP) = -(A_v^{-1})_jj on the component j that kP meets, which
+    # the catalog's class arithmetic names; A_v^{-1} from the adjugate
+    for kind in RANK_KINDS + ("I4", "I7", "I1*", "I2*", "I4*"):
+        data = fiber_data(kind)
+        inv = inverse_adjugate(data.a.num)
+        for j in (0,) + data.simple:
+            for k in range(-4, 5):
+                jk = data.class_to_simple[data.group.reduce(k * x for x in dual_class_of(data, j))]
+                want = -inv[jk - 1][jk - 1] if jk else 0
+                assert contribution(kind, j, k) == want, (kind, j, k)
+
+
+# every fiber has 30 or more components, so each derive reads large A_v^{-1}
+WIDE_KINDS = ("I30", "I33", "I37", "I25*", "I31*")
+
+
+def _multiple_case(chi, kind, j, s_dot_o, k):
+    """pairing_draws' shape for D' = k s with D'.s registered, on one fiber of
+    this kind and a section s through its component j."""
+    section = SectionProfile("s", s_dot_o, {"v0": j})
+    base = build_table(SurfaceConfig(chi, (("v0", FiberKind.parse(kind)),), (section,), 1))
+    d = profile_from_class(base, FormalClass({section_sym("s"): k}), "D'")
+    return base, (None, d), None, None, True, (None, k)
+
+
+# 80 examples cap the test at about 1 s (10-15 ms each on a 2-CPU x86_64 host)
+@settings(max_examples=80, deadline=None)
+@given(pairing_draws(WIDE_KINDS, ranks=(1,)))
+# random draws rarely land next to the refusal: s(2P).O is -1 and 0 here
+@example(_multiple_case(4, "I30", 13, 0, 2))
+@example(_multiple_case(4, "I30", 12, 0, 2))
+def test_derive_on_drawn_wide_surfaces(case):
+    # D' = k s + noise: derive gives k P_o, or with D'.s absent |k| P_o when
+    # torsion cannot tell the signs apart; s(D').O is the s.O of kP_o, and
+    # a negative one on a point other than O is refused
+    base, (_, d), _, _, keep, (_, k) = case
+    cfg = base.cfg
+    table = build_table(cfg, [d if keep else replace(d, d_dot_section={})])
+    s_dot_o = multiple_s_dot_o(cfg.chi, dict(cfg.fibers), base.sections["s"], k)
+    if k and s_dot_o < 0:
+        with pytest.raises(InconsistentDataError) as exc:
+            derive(table, "D'", "s")
+        assert str(exc.value).startswith(f"height identity gives s(D).O = {s_dot_o},")
+        return
+    der = derive(table, "D'", "s")
+    free, cls = der.free, phi0(table, "D'")
+    assert free.phi0_self == table.pair_class(cls, cls)
+    assert (free.n_squared, der.s_dot_o, der.point.torsion) == (k * k, s_dot_o, ())
+    if keep:
+        assert (free.n, free.sign_route) == (k, "pairing")
+    else:
+        assert (free.n, free.sign_route) in ((k, "torsion"), (abs(k), "open"))
