@@ -215,7 +215,10 @@ class Arrangement:
     p_points: tuple[ProjPoint, ProjPoint, ProjPoint]
     lines: tuple[Line, Line, Line, Line]
     corners: dict[tuple[int, int], ProjPoint]
-    type_tag: ArrangementType
+
+    @property
+    def type_tag(self) -> ArrangementType:
+        return ArrangementType.TYPE_I if self.sign == 1 else ArrangementType.TYPE_II
 
     def as_dict(self) -> dict:
         """JSON-ready rendering; all rationals as exact 'p/q' strings."""
@@ -248,6 +251,14 @@ def generate_arrangement(s1: Rat, s2: Rat, sign: int = 1) -> Arrangement:
     with i != j makes the third coordinate sign * u_j, so two q's (sign +1)
     or two p's (sign -1) coincide, and u_i = u_i^-2 gives u_i^3 = 1, so
     u_i = 1 over Q, which u_of never returns and the u_3 check refuses.
+
+    On sign -1 the tangents are never concurrent either.  The tangent at u,
+    scaled by (1 - u)^4, is (-2(u-1)^2(u^2+4u+1), -2(u-1)^3(u+1), 16u^2); at
+    u_3 = -1/(u_1 u_2) the three have determinant (u1 u2)^-4 times
+    128 (u1-u2)(u1+u2)(u1u2^2-1)(u1u2^2+1)(u1^2u2-1)(u1^2u2+1), and each
+    factor makes two q's coincide (u1 = u2, u1u2^2 = -1, u1^2u2 = -1) or a q
+    equal a p (u1 = -u2, u1u2^2 = 1, u1^2u2 = 1), both excluded above.  Sign
+    +1 leaves one more factor, so the concurrency check stays.
     """
     s1, s2, sign = _rat(s1, "s1"), _rat(s2, "s2"), exact_number(sign, "sign")
     if sign not in (1, -1):
@@ -288,7 +299,6 @@ def generate_arrangement(s1: Rat, s2: Rat, sign: int = 1) -> Arrangement:
         p_points=p_points,
         lines=(l0,) + tangents,
         corners=corners,
-        type_tag=ArrangementType.TYPE_I if sign == 1 else ArrangementType.TYPE_II,
     )
     _validate(arr)
     return arr
@@ -301,7 +311,8 @@ def _validate(arr: Arrangement) -> None:
     nothing but determinants and line evaluations.  Those read each point's
     and line's primitive integer triple, which clears the denominators of
     its stored normalized Fractions and is proportional to them, so every
-    test is exact and runs in integers.
+    test is exact and runs in integers.  The "q_i lies on" raises stay as
+    runtime re-checks of generate_arrangement's proof that they cannot fire.
     """
     l0, l1, l2, l3 = arr.lines
     tangents = (l1, l2, l3)
@@ -325,11 +336,7 @@ def _validate(arr: Arrangement) -> None:
         for j, line in enumerate(tangents, start=1):
             if i != j and line.contains(q):
                 raise DegenerateArrangementError(f"q_{i} lies on L_{j}")
-    got = collinear(*arr.q_points)
-    if got != (arr.sign == 1):
-        raise InconsistentDataError(
-            "collinearity of the tangency points disagrees with the chosen sign"
-        )
+    classify_type(arr)
 
 
 def classify_type(arr: Arrangement) -> ArrangementType:

@@ -106,19 +106,16 @@ class CoverSpectrum:
 
     @classmethod
     def of(cls, q: MWPoint, torsion_group: AbelianGroup) -> "CoverSpectrum":
-        factors = torsion_group.invariant_factors
-        coords = torsion_group.reduce(q.torsion) if q.torsion else torsion_group.zero()
-
-        def torsion_divides(n: int) -> bool:  # gcd(n, m) | t on every factor Z/m
-            return all(t % gcd(n, m) == 0 for t, m in zip(coords, factors))
-
         a = abs(q.free_coeff)
         if a:
             divisors = {d for k in range(1, isqrt(a) + 1) if a % k == 0 for d in (k, a // k)}
-            return cls(0, frozenset(n for n in divisors if n >= 3 and torsion_divides(n)))
-        # the factors form a divisibility chain, so the last is the exponent
-        exponent = factors[-1] if factors else 1
-        return cls(exponent, frozenset(r for r in range(exponent) if torsion_divides(r)))
+            return cls(0, frozenset(
+                n for n in divisors if n >= 3 and is_divisible(q, n, torsion_group)))
+        # the factors form a divisibility chain, so the last is the exponent e;
+        # n = r + 2e has gcd(n, m) = gcd(r, m) on every factor and n >= 2
+        exponent = (torsion_group.invariant_factors or (1,))[-1]
+        return cls(exponent, frozenset(
+            r for r in range(exponent) if is_divisible(q, r + 2 * exponent, torsion_group)))
 
     def __contains__(self, n: int) -> bool:
         return (n % self.modulus if self.modulus else n) in self.residues
@@ -128,12 +125,13 @@ class CoverSpectrum:
 class CoverVerdict:
     arrangement_type: ArrangementType
     n: int
-    exists: bool
     reasons: tuple[str, ...]
     witness: MWPoint | None = None
 
     def __bool__(self):
-        return self.exists
+        return self.witness is not None
+
+    exists = property(__bool__)
 
 
 @cache
@@ -169,17 +167,16 @@ def d2n_cover_exists(arrangement_type: "str | ArrangementType", n: int) -> Cover
     if n < 3:
         raise SchemaError(f"dihedral covers need n >= 3, got {n}")
     diff, diff_text, points, group, spectrum = _cover_points(atype)
-    exists = n in spectrum
-    witness = is_divisible(diff, n, group) if exists else None
+    witness = is_divisible(diff, n, group) if n in spectrum else None
     rule = (
         f"a cover of order {2 * n} exists exactly when P_{{E+}} - P_{{E-}} is"
         f" {n}-divisible in the Mordell-Weil group"
     )
-    if exists:
+    if witness:
         last = f"{diff_text} = {n}*({witness}), so the cover exists"
     else:
         last = f"no point X satisfies {n}*X = {diff_text}, so no cover exists"
-    return CoverVerdict(atype, n, exists, (points, rule, last), witness)
+    return CoverVerdict(atype, n, (points, rule, last), witness)
 
 
 class RelationStatus(Enum):

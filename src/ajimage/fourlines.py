@@ -120,7 +120,7 @@ def ns_relation(variant: str) -> tuple[FormalClass, FormalClass]:
     """
     table = bundled_table(variant)
     eplus, gen = table.divisors["E+"], table.sections[GENERATOR]
-    n = bundled_derivation(variant, "E+").free.n
+    n = bundled_derivation(variant, "E+").point.free_coeff
     # E+ - n s_o: s_o has d = 1, s.O and c(v, s_o) = e_k at its component k
     rest = DivisorProfile("E+ - n s_o", eplus.d - n, eplus.d_dot_o - n * gen.s_dot_o, {
         fid: tuple(x - n * (i == gen.components.get(fid, 0)) for i, x in enumerate(c, 1))

@@ -70,14 +70,13 @@ def classes_str(classes) -> str:
 
 @dataclass(frozen=True)
 class FreeCoefficient:
-    """n, how its sign was fixed, and the two numbers it was read from.
+    """n's sign route and the two numbers n was read from; n is point.free_coeff.
 
     sign_route is "pairing" when the registered D.s_o fixed the sign,
     "torsion" when only one sign leaves a residual in the torsion table, and
     "open" when both signs resolve to the same torsion element (n = |n|).
     `derive` builds it once, after deciding the sign."""
 
-    n: int
     n_squared: int
     sign_route: str  # "pairing", "torsion" or "open"
     height: Fraction  # <P_o, P_o>
@@ -92,7 +91,7 @@ class FreeCoefficient:
 class Derivation:
     """Everything P_D = n * P_o + t is decided from, in one record."""
 
-    free: FreeCoefficient  # n, n^2, sign route, <P_o, P_o>, phi0(D).phi0(D)
+    free: FreeCoefficient  # n^2, sign route, <P_o, P_o>, phi0(D).phi0(D)
     gamma_vectors: tuple[tuple[Fraction, ...], ...]  # -A_v^{-1} c(v, D), config fiber order
     gamma_classes: tuple[tuple[int, ...], ...]  # their component-group classes
     torsion_residual: tuple[tuple[int, ...], ...]  # gamma_classes - n * classes of s_o
@@ -208,7 +207,7 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
             f"height identity gives s(D).O = {s_dot_o}, which no section attains;"
             " intersection data is inconsistent"
         )
-    free = FreeCoefficient(n, n_sq, route, h, self_pairing)
+    free = FreeCoefficient(n_sq, route, h, self_pairing)
     return Derivation(free, tuple(vectors), tuple(classes), residual, s_dot_o, point)
 
 

@@ -386,8 +386,8 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     integer field of the configuration and of a profile is read exactly
     (`exact.exact_int`): a float or a bool is refused with a TypeError, a
     non-integral rational with a SchemaError.  A section or divisor named O
-    or F is refused, and so is a divisor whose D.divisor names itself (its
-    self-pairing is D^2).
+    or F is refused, and so is a torsion entry named O, F or 0 or named
+    twice, and a divisor whose D.divisor names itself (its self-pairing is D^2).
     """
     chi, rank = exact_int(cfg.chi, "chi"), exact_int(cfg.mw_free_rank, "mw_free_rank")
     if chi is not cfg.chi or rank is not cfg.mw_free_rank:
@@ -565,8 +565,10 @@ def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tup
     """Check the torsion table; return {dual class tuple: (name, reduced
     coords)} over every element of the torsion group, zero as (None, zero).
 
-    Each entry t has height zero, which forces its t.O, and is orthogonal to
-    every registered section s under the height pairing, which forces
+    No two entries share a name, and none is named O or F (the zero section
+    and the fiber) or 0 (`MWPoint` prints zero torsion so).  Each entry t
+    has height zero, which forces its t.O, and is orthogonal to every
+    registered section s under the height pairing, which forces
     s.t = chi + s.O + t.O + sum_v (A_v^{-1})_{k_s, k_t}; that sum must be an
     integer.  Once every nonzero element is listed exactly once, closure is
     checked on the generators: class(a + e_i) = class(a) + class(e_i) for
@@ -578,8 +580,14 @@ def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tup
     zero = _gamma_tuple(cfg, fibers, {})
     seen_tuples = {zero: (None, group.zero())}
     flat = {}  # reduced coordinates -> class tuple flattened over the fibers
+    names: set[str] = set()
     for t in cfg.torsion_table:
         who = f"torsion section {t.name!r}"
+        if t.name in _NAMES_OF_O_AND_F or t.name == "0":
+            raise SchemaError(f"torsion section name {t.name!r} is reserved")
+        if t.name in names:
+            raise SchemaError(f"duplicate torsion section name {t.name!r}")
+        names.add(t.name)
         components = _int_map(t.components, f"{who}: components")
         coords = _ints(t.coords, f"{who}: coords")
         check_components(components, who)

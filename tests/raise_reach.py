@@ -30,13 +30,11 @@ PACKAGE = ROOT / "src" / "ajimage"
 # braces) -> why no tier-1 test reaches that raise.  _validate's fault
 # detectors are not listed: tampering tests reach them.
 ALLOWLIST = {
-    ("arrangement", "q_{i} lies on L_0"):
-        "cannot fire: generate_arrangement's docstring proves no q_i equals a p_j",
-    ("arrangement", "q_{i} lies on L_{j}"):
-        "cannot fire: the tangent at q_j meets the cubic only at q_j and p_j,"
-        " and no q_i equals a p_j (generate_arrangement's docstring)",
     ("arrangement", "L_1, L_2 and L_3 are concurrent"):
-        "no input found: a search over s = p/q with |p| <= 12, q <= 6 and both signs hit none",
+        "cannot fire on sign -1 (generate_arrangement's docstring factors the"
+        " determinant); on sign +1 it needs a rational point of"
+        " y^2 = pi^6 + 34 pi^3 + 1 with pi = u1 u2, and a search over pi = a/b,"
+        " |a|, b <= 3000, found only pi = 1, where u1 = u2 = 1 or u is irrational",
     ("kodaira", "catalog graph for {kind} breaks the fiber relation"):
         "catalog self-check: every graph of _graph satisfies the fiber relation",
     ("kodaira", "catalog for {kind}: simple components not distinct"):

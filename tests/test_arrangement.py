@@ -6,6 +6,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -215,6 +216,37 @@ def test_no_tangency_point_is_a_residual_point(s1, s2, sign):
     assert not set(us) & {u**-2 for u in us}
 
 
+def test_concurrency_determinant_factors():
+    # generate_arrangement's concurrency proof, in sympy: the cubic's point at
+    # u is (1 - u)^3 P(t) = (4u(1 - u) : 4u(1 + u) : (1 - u)^3), and its
+    # tangent is the gradient there over -4u, a polynomial row of degree 4
+    u, u1, u2, x, y, z = sympy.symbols("u u1 u2 x y z")
+    form = x**3 + x**2 * z - y**2 * z
+    point = {x: 4 * u * (1 - u), y: 4 * u * (1 + u), z: (1 - u) ** 3}
+    assert sympy.expand(form.subs(point)) == 0
+    grad = [sympy.expand(sympy.diff(form, v).subs(point)) for v in (x, y, z)]
+    row = [sympy.quo(g, -4 * u, u) for g in grad]
+    assert all(sympy.expand(g + 4 * u * r) == 0 for g, r in zip(grad, row))
+
+    def numerator(sign):  # the determinant at u3 = sign/(u1 u2), times (u1 u2)^4
+        rows = [[c.subs(u, w) for c in row] for w in (u1, u2, sign / (u1 * u2))]
+        return sympy.expand(sympy.cancel(sympy.Matrix(rows).det() * (u1 * u2) ** 4))
+
+    # sign -1: every factor makes two q's coincide or a q equal a p
+    assert numerator(-1) == sympy.expand(
+        128 * (u1 - u2) * (u1 + u2) * (u1 * u2**2 - 1) * (u1 * u2**2 + 1)
+        * (u1**2 * u2 - 1) * (u1**2 * u2 + 1))
+    # sign +1: one further factor, in sigma = u1 + u2 and pi = u1 u2
+    # pi sigma^2 + (pi^3 + 1) sigma - 8 pi^2, of discriminant pi^6 + 34 pi^3 + 1
+    sigma, pi = u1 + u2, u1 * u2
+    rest = pi * sigma**2 + (pi**3 + 1) * sigma - 8 * pi**2
+    assert numerator(1) == sympy.expand(
+        128 * (u1 - u2) * (u1 * u2**2 - 1) * (u1**2 * u2 - 1) * rest)
+    s, p = sympy.symbols("s p")
+    quadratic = p * s**2 + (p**3 + 1) * s - 8 * p**2
+    assert sympy.expand(sympy.discriminant(quadratic, s) - (p**6 + 34 * p**3 + 1)) == 0
+
+
 def test_projective_point_needs_a_nonzero_coordinate():
     with pytest.raises(SchemaError) as exc:
         ProjPoint.of(0, 0, 0)
@@ -291,9 +323,10 @@ def test_divisor_profile_for(monkeypatch):
 
 
 def test_classify_detects_tampered_tag():
+    # the tag follows the sign, so a flipped sign is a tampered tag
     arr = generate_arrangement(2, 3, +1)
     with pytest.raises(InconsistentDataError, match="classif"):
-        classify_type(replace(arr, type_tag=ArrangementType.TYPE_II))
+        classify_type(replace(arr, sign=-1))
 
 
 def test_validate_detects_off_cubic_point():
@@ -311,26 +344,44 @@ def _other_residuals(arr):
     return replace(arr, p_points=points, lines=arr.lines[:1] + lines)
 
 
+def _q1_at_p2(arr):
+    # q_1 := p_2 and L_1 := L_0: L_1 still holds q_1 and p_1, so q_1 on L_0
+    # is the first incidence that fails
+    return replace(arr, q_points=arr.p_points[1:2] + arr.q_points[1:],
+                   lines=(arr.lines[0],) * 2 + arr.lines[2:])
+
+
+def _q2_at_q1(arr):
+    # q_2 := q_1 and L_2 := the line through q_1 and p_2, which holds q_1
+    q1, p2 = arr.q_points[0], arr.p_points[1]
+    return replace(arr, q_points=(q1, q1, arr.q_points[2]),
+                   lines=arr.lines[:2] + (Line.through(q1, p2), arr.lines[3]))
+
+
 TAMPERED = [
     pytest.param(lambda arr: replace(arr, p_points=(ProjPoint.of(1, 1, 1),) + arr.p_points[1:]),
-                 "residual point (1 : 1 : 1) left the cubic", id="residual-off-cubic"),
+                 InconsistentDataError, "residual point (1 : 1 : 1) left the cubic",
+                 id="residual-off-cubic"),
     pytest.param(lambda arr: replace(arr, lines=(arr.lines[0], arr.lines[2], arr.lines[1],
                                                  arr.lines[3])),
-                 "L_1 misses its contact points", id="swapped-tangents"),
-    pytest.param(_other_residuals, "p_1, p_2, p_3 are not collinear", id="residuals-not-collinear"),
+                 InconsistentDataError, "L_1 misses its contact points", id="swapped-tangents"),
+    pytest.param(_other_residuals, InconsistentDataError, "p_1, p_2, p_3 are not collinear",
+                 id="residuals-not-collinear"),
     pytest.param(lambda arr: replace(arr, lines=(Line((0, 0, 1)),) + arr.lines[1:]),
-                 "L_0 misses a residual point", id="wrong-transversal"),
-    pytest.param(lambda arr: replace(arr, sign=-1),
-                 "collinearity of the tangency points disagrees with the chosen sign",
+                 InconsistentDataError, "L_0 misses a residual point", id="wrong-transversal"),
+    pytest.param(_q1_at_p2, DegenerateArrangementError, "q_1 lies on L_0", id="q-on-transversal"),
+    pytest.param(_q2_at_q1, DegenerateArrangementError, "q_1 lies on L_2", id="q-on-other-tangent"),
+    pytest.param(lambda arr: replace(arr, sign=-1), InconsistentDataError,
+                 "arrangement tagged Type II but its tangency points classify as Type I",
                  id="wrong-sign"),
 ]
 
 
-@pytest.mark.parametrize("tamper, message", TAMPERED)
-def test_validate_detects_tampering(tamper, message):
+@pytest.mark.parametrize("tamper, error, message", TAMPERED)
+def test_validate_detects_tampering(tamper, error, message):
     # _validate trusts nothing the construction claims: each edit of a valid
     # arrangement fails the one incidence it breaks
-    with pytest.raises(InconsistentDataError) as exc:
+    with pytest.raises(error) as exc:
         _validate(tamper(generate_arrangement(2, 3, +1)))
     assert str(exc.value) == message
 

@@ -4,8 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from ajimage.arrangement import (
     Line,
@@ -239,8 +241,9 @@ def test_qmatrix_rejects_bad_shapes():
 
 
 # ---------------------------------------------------------------------------
-# sympy as a differential oracle: it shares no code with the library, and it
-# is only a test tool, so these tests skip where it is not installed
+# sympy as a differential oracle: it shares no code with the library.  It is
+# a declared test dependency, imported like hypothesis, so a broken install
+# fails the suite instead of skipping these tests
 
 
 _rng = random.Random(2018)
@@ -254,9 +257,6 @@ SYMPY_KINDS = (
 
 @pytest.mark.parametrize("kind", SYMPY_KINDS)
 def test_catalog_matches_sympy(kind):
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors
-
     data = fiber_data(kind)
     a = sympy.Matrix(data.a.num)
     factors = invariant_factors(-a, domain=sympy.ZZ)
@@ -268,9 +268,6 @@ def test_catalog_matches_sympy(kind):
 
 
 def test_smith_invariant_factors_match_sympy():
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors
-
     rng = random.Random(7)
     deficient = 0
     for _ in range(300):

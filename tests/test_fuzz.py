@@ -8,6 +8,7 @@ past CPython's int/str conversion limit, and zero denominators.
 """
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -95,7 +96,8 @@ def test_any_mutated_config_exits_0_1_or_2(mutations):
         try:
             for key in path[:-1]:
                 target = target[key]
-            target[path[-1]] = value
+            # a copy: sampled_from hands every example the same [] and {}
+            target[path[-1]] = copy.deepcopy(value)
         except (KeyError, IndexError, TypeError):  # an earlier mutation replaced the parent
             continue
     with tempfile.TemporaryDirectory() as tmp:

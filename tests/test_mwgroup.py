@@ -92,7 +92,7 @@ def test_gamma_bar_of_section_profile_matches_divisor_route():
     assert der.gamma_classes == tuple(
         dual_class_of(t.fibers[fid], components.get(fid, 0)) for fid, _ in t.cfg.fibers
     )
-    assert der.free.n == 1 and is_zero(der.torsion_residual)
+    assert der.point.free_coeff == 1 and is_zero(der.torsion_residual)
 
 
 def test_gamma_additivity():
@@ -156,7 +156,7 @@ def test_resolve_torsion_returns_table_entry():
     for spec in cfg.torsion_table:
         t = table_with(torsion_divisor(base, spec))
         der = derive(t, spec.name, "s_o")
-        assert der.free.n == 0
+        assert der.point.free_coeff == 0
         assert der.point.torsion_name == spec.name
         assert der.point.torsion == spec.coords
 
@@ -204,7 +204,7 @@ def test_abel_jacobi_section_round_trips():
 def test_derivation_record_type2():
     der = derive(table_with(variant="noncollinear"), "E+", "s_o")
     assert der.free.height == Fraction(1, 2) and der.free.phi0_self == -2
-    assert (der.free.n, der.free.n_squared, der.free.sign_determined) == (2, 4, True)
+    assert (der.point.free_coeff, der.free.n_squared, der.free.sign_determined) == (2, 4, True)
     assert is_zero(der.gamma_classes) and is_zero(der.torsion_residual)
     assert der.point.torsion_is_zero() and der.s_dot_o == 0
     assert der.point == abel_jacobi_image(table_with(variant="noncollinear"), "E+", "s_o")
@@ -455,7 +455,8 @@ def test_derivation_record_goldens(config, divisor):
     if config == "wide_i34_i29star":
         vectors = hashlib.sha256(repr(vectors).encode()).hexdigest()
     got = (
-        (free.n, free.n_squared, free.sign_determined, str(free.height), str(free.phi0_self)),
+        (der.point.free_coeff, free.n_squared, free.sign_determined, str(free.height),
+         str(free.phi0_self)),
         vectors, der.gamma_classes, der.torsion_residual, der.s_dot_o, der.point,
     )
     assert got == RECORD_GOLDENS[config, divisor]
@@ -485,7 +486,7 @@ def test_torsion_fixes_the_sign_on_one_i3_fiber():
     table = config_table("i3_sign_by_torsion")
     for name, n in (("P1", 1), ("M2", -2)):
         der = derive(table, name, "s_o")
-        assert (der.free.n, der.free.sign_route, der.point) == (n, "torsion", MWPoint(n, (), None))
+        assert (der.free.sign_route, der.point) == ("torsion", MWPoint(n, (), None))
         assert der.torsion_residual == ((0,),)
 
 

@@ -192,6 +192,12 @@ def _torsion_entries(cfg, **changes):
     ))
 
 
+def _renamed_torsion(cfg, *names):
+    """The bundled torsion table with its entries renamed, in order."""
+    return replace(cfg, torsion_table=tuple(
+        replace(t, name=name) for t, name in zip(cfg.torsion_table, names)))
+
+
 def _unlisted_torsion_section(rank):
     """<P, P> = 2 + 0 - 1 - 1 = 0, so s is torsion of class (2 | 2), which
     the trivial torsion table does not list; this once built with heights
@@ -251,6 +257,13 @@ REJECTIONS = [
                  SchemaError, "divisor 'E+': D_dot_divisor names the divisor itself; its"
                  " self-pairing is D^2, registered as D_squared",
                  id="divisor-pairing-with-itself"),
+    # MWPoint prints a torsion point by its entry's name, so O, F and 0 would
+    # read as the zero point or the fiber, and a repeated name as one point
+    *(pytest.param(lambda cfg, name=name: (_renamed_torsion(cfg, name, "t2", "t3"), ()),
+                   SchemaError, f"torsion section name {name!r} is reserved",
+                   id=f"torsion-named-{name}") for name in ("O", "F", "0")),
+    pytest.param(lambda cfg: (_renamed_torsion(cfg, "t1", "t3", "t3"), ()),
+                 SchemaError, "duplicate torsion section name 't3'", id="duplicate-torsion-name"),
     pytest.param(lambda cfg: (_torsion_entries(cfg, t1=(T1.components, (1,))), ()),
                  SchemaError, "torsion section 't1': coords do not match torsion_group",
                  id="torsion-coords-length"),
@@ -623,11 +636,11 @@ def test_phi0_cross_goldens():
     for prof, s_o in ((O_LIKE, 0), (F_LIKE, 1)):
         t = table_with(replace(prof, d_dot_section={"s_o": s_o}))
         assert phi0_cross(t, prof.name, "s_o") == 0
-        free = derive(t, prof.name, "s_o").free
-        assert (free.n, free.sign_determined) == (0, True)
+        der = derive(t, prof.name, "s_o")
+        assert (der.point.free_coeff, der.free.sign_determined) == (0, True)
         # without D.s_o the linear route does not run and the sign stays open
-        free = derive(table_with(prof), prof.name, "s_o").free
-        assert (free.n, free.sign_route) == (0, "open")
+        der = derive(table_with(prof), prof.name, "s_o")
+        assert (der.point.free_coeff, der.free.sign_route) == (0, "open")
 
 
 def test_phi0_cross_on_section_profile_gives_minus_height():
@@ -795,15 +808,17 @@ def test_build_table_accepts_exactly_the_possible_heights(cfg):
 
 
 def n_of(table, name, generator):
-    return derive(table, name, generator).free
+    """The free coefficient's record, with n read off the point."""
+    der = derive(table, name, generator)
+    return der.point.free_coeff, der.free
 
 
 def test_n_of_goldens():
-    res = n_of(table_with(variant="noncollinear"), "E+", "s_o")
-    assert (res.n, res.n_squared, res.sign_determined) == (2, 4, True)
+    n, res = n_of(table_with(variant="noncollinear"), "E+", "s_o")
+    assert (n, res.n_squared, res.sign_determined) == (2, 4, True)
     assert res.phi0_self == -2 and res.height == Fraction(1, 2)
-    res0 = n_of(table_with(variant="collinear"), "E+", "s_o")
-    assert (res0.n, res0.n_squared, res0.sign_determined) == (0, 0, True)
+    n0, res0 = n_of(table_with(variant="collinear"), "E+", "s_o")
+    assert (n0, res0.n_squared, res0.sign_determined) == (0, 0, True)
     assert res0.phi0_self == 0
 
 
@@ -814,18 +829,18 @@ def test_n_of_generator_multiples():
             "two", d=1, d_dot_o=0, c={}, d_squared=-1, d_dot_section={"s_o": 0}
         )
     )
-    res = n_of(t, "two", "s_o")
-    assert (res.n, res.n_squared, res.sign_determined) == (2, 4, True)
+    n, res = n_of(t, "two", "s_o")
+    assert (n, res.n_squared, res.sign_determined) == (2, 4, True)
     # the generator itself round-trips to n = 1
     tt = table_with(section_as_divisor(table_with(), "s_o"))
-    res1 = n_of(tt, "s_o", "s_o")
-    assert (res1.n, res1.n_squared) == (1, 1)
+    n1, res1 = n_of(tt, "s_o", "s_o")
+    assert (n1, res1.n_squared) == (1, 1)
 
 
 def test_n_of_sign_undetermined():
     t = table_with(replace(eplus_profile("noncollinear"), d_dot_section={}))
-    res = n_of(t, "E+", "s_o")
-    assert (res.n, res.sign_determined) == (2, False)
+    n, res = n_of(t, "E+", "s_o")
+    assert (n, res.sign_determined) == (2, False)
 
 
 def test_n_of_rejects_non_square():
@@ -1148,6 +1163,6 @@ def test_derive_on_drawn_wide_surfaces(case):
     assert free.phi0_self == table.pair_class(cls, cls)
     assert (free.n_squared, der.s_dot_o, der.point.torsion) == (k * k, s_dot_o, ())
     if keep:
-        assert (free.n, free.sign_route) == (k, "pairing")
+        assert (der.point.free_coeff, free.sign_route) == (k, "pairing")
     else:
-        assert (free.n, free.sign_route) in ((k, "torsion"), (abs(k), "open"))
+        assert (der.point.free_coeff, free.sign_route) in ((k, "torsion"), (abs(k), "open"))
