@@ -72,7 +72,6 @@ from .kodaira import (
 )
 from .mwgroup import (
     Derivation,
-    FreeCoefficient,
     MWPoint,
     abel_jacobi_image,
     derive,
@@ -101,7 +100,6 @@ __all__ = [
     "DivisorProfile",
     "FiberKind",
     "FormalClass",
-    "FreeCoefficient",
     "GENERATOR",
     "InconsistentDataError",
     "IntersectionTable",

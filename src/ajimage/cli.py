@@ -217,7 +217,7 @@ def cmd_image(args) -> int:
     divisor = _lookup(table.divisors, args.divisor, "divisor")
 
     der = derive(table, divisor.name, gen.name)
-    free, point = der.free, der.point
+    point = der.point
     torsion_name = point.torsion_name or "0"
 
     gamma_report = {}
@@ -233,11 +233,11 @@ def cmd_image(args) -> int:
         "source": source,
         "divisor": divisor.name,
         "generator": gen.name,
-        "height": render_number(free.height),
-        "phi0_self": render_number(free.phi0_self),
-        "n_squared": free.n_squared,
+        "height": render_number(der.height),
+        "phi0_self": render_number(der.phi0_self),
+        "n_squared": der.n_squared,
         "n": point.free_coeff,
-        "sign_determined": free.sign_determined,
+        "sign_determined": der.sign_determined,
         "gamma": gamma_report,
         "torsion_residual": {
             "classes": [list(p) for p in der.torsion_residual],
@@ -258,17 +258,17 @@ def cmd_image(args) -> int:
             "open": f"(sign undetermined: {replace(point, free_coeff=-point.free_coeff)}"
                     f" fits the data as well; register {pairing} to fix it)" if point.free_coeff
                     else "(sign undetermined; both signs give the same decomposition)",
-        }[free.sign_route]
+        }[der.sign_route]
         return [
             f"config: {source}",
             f"surface: chi = {surface.chi}; fibers {fibers_str};"
             f" free rank {surface.mw_free_rank};"
             f" torsion {surface.torsion_group.describe()}",
-            f"generator: {gen.name}  (height <P_o, P_o> = {free.height})",
+            f"generator: {gen.name}  (height <P_o, P_o> = {der.height})",
             f"divisor: {divisor.name}  (d = D.F = {divisor.d}, D.O = {divisor.d_dot_o},"
             f" D^2 = {divisor.d_squared})",
-            f"phi0(D).phi0(D) = {free.phi0_self}",
-            f"n^2 = -phi0(D).phi0(D) / height = {free.n_squared}",
+            f"phi0(D).phi0(D) = {der.phi0_self}",
+            f"n^2 = -phi0(D).phi0(D) / height = {der.n_squared}",
             f"n = {point.free_coeff}  {sign_note}",
             "gamma trace  (-A_v^{-1} c(v, D) per fiber, then its component-group class):",
             *(f"  fiber {fid} [{g['kind']}]: ({', '.join(map(str, g['vector']))})"
@@ -470,7 +470,7 @@ _DEMO_CHECKS = [
      lambda: bundled_derivation("collinear", "E+").point,
      MWPoint(0, (0, 0)), "fourlines_type1: P_(E+) = O"),
     ("generator height",
-     lambda: bundled_derivation("collinear", "E+").free.height,
+     lambda: bundled_derivation("collinear", "E+").height,
      Fraction(1, 2), "<P_o, P_o> = 1/2"),
     ("class relation, collinear", _collinear_relation, (RelationStatus.HOLDS, 3, 3),
      "collinear class relation verifies on every generator pairing; both sides square to 3"),

@@ -25,7 +25,8 @@ class(s_o), formed fiber by fiber, is looked up in the table's torsion dict
 (zero included) at each sign of n the data allows, and a sign that misses
 is excluded.  The height identity <P, P> then fixes the bookkeeping s(D).O
 of the attached section (`nslattice._s_dot_o`, which also forces each
-torsion section's s.O).
+torsion section's s.O).  The record stores each number once; n^2 and
+phi0(D).phi0(D) = -n^2 <P_o, P_o> are read off its point and height.
 `abel_jacobi_image` returns the record's point; the CLI renders the record.
 """
 
@@ -69,34 +70,32 @@ def classes_str(classes) -> str:
 
 
 @dataclass(frozen=True)
-class FreeCoefficient:
-    """n's sign route and the two numbers n was read from; n is point.free_coeff.
+class Derivation:
+    """What P_D = n * P_o + t is decided from, built once by derive; n is point.free_coeff.
 
     sign_route is "pairing" when the registered D.s_o fixed the sign,
     "torsion" when only one sign leaves a residual in the torsion table, and
-    "open" when both signs resolve to the same torsion element (n = |n|).
-    `derive` builds it once, after deciding the sign."""
+    "open" when both signs resolve to the same torsion element (n = |n|)."""
 
-    n_squared: int
     sign_route: str  # "pairing", "torsion" or "open"
     height: Fraction  # <P_o, P_o>
-    phi0_self: Fraction  # phi0(D).phi0(D)
-
-    @property
-    def sign_determined(self) -> bool:
-        return self.sign_route != "open"
-
-
-@dataclass(frozen=True)
-class Derivation:
-    """Everything P_D = n * P_o + t is decided from, in one record."""
-
-    free: FreeCoefficient  # n^2, sign route, <P_o, P_o>, phi0(D).phi0(D)
     gamma_vectors: tuple[tuple[Fraction, ...], ...]  # -A_v^{-1} c(v, D), config fiber order
     gamma_classes: tuple[tuple[int, ...], ...]  # their component-group classes
     torsion_residual: tuple[tuple[int, ...], ...]  # gamma_classes - n * classes of s_o
     s_dot_o: int  # s(D).O of the attached section, from the height identity
     point: MWPoint
+
+    @property
+    def n_squared(self) -> int:
+        return self.point.free_coeff ** 2
+
+    @property
+    def phi0_self(self) -> Fraction:  # phi0(D).phi0(D)
+        return -self.n_squared * self.height
+
+    @property
+    def sign_determined(self) -> bool:
+        return self.sign_route != "open"
 
 
 def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation:
@@ -113,7 +112,8 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
     registered `build_table` has held D^2 to the phi0 line through phi0(s_o):
     phi0(D).phi0(D) = -(phi0(D).phi0(s_o))^2 / <P_o, P_o>.  Dividing by
     -<P_o, P_o> gives n^2 = n_lin^2 for n_lin = -phi0(D).phi0(s_o) / <P_o, P_o>.
-    n^2 is an integer square, so n_lin = +-sqrt(n^2) is an integer.
+    n^2 is an integer square, so n_lin = +-sqrt(n^2) is an integer, and the
+    record's n_squared, read off the point, is n^2 on this route too.
 
     The signs of n the data allows are listed once: n itself when D.s_o is
     registered, else +-|n|.  A sign whose residual names no torsion section
@@ -158,8 +158,7 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
         )
     if d.d_squared is None:
         raise MissingIntersectionError(f"divisor {divisor!r}: D^2 required for phi0_self")
-    self_pairing = _phi0_pairing(chi, fibers, d, d, d.d_squared)
-    n_sq = -self_pairing / h
+    n_sq = -_phi0_pairing(chi, fibers, d, d, d.d_squared) / h
     if n_sq < 0 or n_sq.denominator != 1 or isqrt(n_sq.numerator) ** 2 != n_sq.numerator:
         raise InconsistentDataError(
             f"n^2 = {n_sq} not a perfect square => inconsistent intersection data"
@@ -207,8 +206,7 @@ def derive(table: IntersectionTable, divisor: str, generator: str) -> Derivation
             f"height identity gives s(D).O = {s_dot_o}, which no section attains;"
             " intersection data is inconsistent"
         )
-    free = FreeCoefficient(n_sq, route, h, self_pairing)
-    return Derivation(free, tuple(vectors), tuple(classes), residual, s_dot_o, point)
+    return Derivation(route, h, tuple(vectors), tuple(classes), residual, s_dot_o, point)
 
 
 def abel_jacobi_image(table: IntersectionTable, divisor: str, generator: str) -> MWPoint:

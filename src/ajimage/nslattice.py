@@ -386,8 +386,8 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     integer field of the configuration and of a profile is read exactly
     (`exact.exact_int`): a float or a bool is refused with a TypeError, a
     non-integral rational with a SchemaError.  A section or divisor named O
-    or F is refused, and so is a torsion entry named O, F or 0 or named
-    twice, and a divisor whose D.divisor names itself (its self-pairing is D^2).
+    or F is refused, and so is a torsion entry named O, F, 0, twice or like
+    a section of another point, and a divisor whose D.divisor names itself.
     """
     chi, rank = exact_int(cfg.chi, "chi"), exact_int(cfg.mw_free_rank, "mw_free_rank")
     if chi is not cfg.chi or rank is not cfg.mw_free_rank:
@@ -438,10 +438,7 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
         who = f"section {s.name!r}"
         s = SectionProfile(s.name, exact_int(s.s_dot_o, f"{who}: s.O"),
                            _int_map(s.components, f"{who}: components"))
-        if s.name in _NAMES_OF_O_AND_F:
-            raise SchemaError(f"section name {s.name!r} is reserved")
-        if s.name in sections:
-            raise SchemaError(f"duplicate section name {s.name!r}")
+        _check_name(s.name, "section", _NAMES_OF_O_AND_F, sections)
         if s.s_dot_o < 0:
             raise SchemaError(f"section {s.name!r}: s.O must be >= 0")
         check_components(s.components, who)
@@ -452,10 +449,7 @@ def build_table(cfg: SurfaceConfig, divisors: Iterable[DivisorProfile] = ()) -> 
     divisors_map: dict[str, DivisorProfile] = {}
     for d in divisors:
         who = f"divisor {d.name!r}"
-        if d.name in _NAMES_OF_O_AND_F:
-            raise SchemaError(f"divisor name {d.name!r} is reserved")
-        if d.name in divisors_map:
-            raise SchemaError(f"duplicate divisor name {d.name!r}")
+        _check_name(d.name, "divisor", _NAMES_OF_O_AND_F, divisors_map)
         for fid, cvec in d.c.items():
             if fid not in fibers:
                 raise SchemaError(f"{who}: unknown fiber id {fid!r}")
@@ -561,12 +555,21 @@ def _check_divisor_pairings(table: IntersectionTable) -> None:
                     check(x, y, value, forced, f"phi0 has rank 1 along {s!r}")
 
 
+def _check_name(name: str, kind: str, reserved, taken) -> None:
+    """Refuse a reserved name, or a name already taken by one of its kind."""
+    if name in reserved:
+        raise SchemaError(f"{kind} name {name!r} is reserved")
+    if name in taken:
+        raise SchemaError(f"duplicate {kind} name {name!r}")
+
+
 def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tuple, tuple]:
     """Check the torsion table; return {dual class tuple: (name, reduced
     coords)} over every element of the torsion group, zero as (None, zero).
 
     No two entries share a name, and none is named O or F (the zero section
-    and the fiber) or 0 (`MWPoint` prints zero torsion so).  Each entry t
+    and the fiber), 0 (`MWPoint` prints zero torsion so) or like a section
+    of other dual classes or s.O (it prints the entry's name).  Each entry t
     has height zero, which forces its t.O, and is orthogonal to every
     registered section s under the height pairing, which forces
     s.t = chi + s.O + t.O + sum_v (A_v^{-1})_{k_s, k_t}; that sum must be an
@@ -583,10 +586,7 @@ def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tup
     names: set[str] = set()
     for t in cfg.torsion_table:
         who = f"torsion section {t.name!r}"
-        if t.name in _NAMES_OF_O_AND_F or t.name == "0":
-            raise SchemaError(f"torsion section name {t.name!r} is reserved")
-        if t.name in names:
-            raise SchemaError(f"duplicate torsion section name {t.name!r}")
+        _check_name(t.name, "torsion section", (*_NAMES_OF_O_AND_F, "0"), names)
         names.add(t.name)
         components = _int_map(t.components, f"{who}: components")
         coords = _ints(t.coords, f"{who}: coords")
@@ -606,6 +606,9 @@ def _validate_torsion_table(cfg, fibers, sections, check_components) -> dict[tup
                     f" {s.name}.{t.name} = {forced}, not an integer"
                 )
         tup = _gamma_tuple(cfg, fibers, components)
+        same = sections.get(t.name)  # a section of this name must be this point
+        if same and (same.s_dot_o, _gamma_tuple(cfg, fibers, same.components)) != (t_dot_o, tup):
+            raise SchemaError(f"{who}: section {t.name!r} is another point (other classes or s.O)")
         coords = group.reduce(coords)
         if not any(coords):
             raise SchemaError(f"torsion section {t.name!r}: zero coords are implicit, not listed")

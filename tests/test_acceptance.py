@@ -95,7 +95,7 @@ def test_splitting_curve_decomposition_both_variants():
     cfg = four_line_surface()
     sharp = build_table(cfg, [eplus_profile("noncollinear")])  # (E+)^2 = 1
     der = derive(sharp, "E+", GENERATOR)
-    assert (der.free.n_squared, der.point.free_coeff, der.free.sign_determined) == (4, 2, True)
+    assert (der.n_squared, der.point.free_coeff, der.sign_determined) == (4, 2, True)
     point = abel_jacobi_image(sharp, "E+", GENERATOR)
     assert point == MWPoint(2, (0, 0)) and point.torsion_is_zero()
     flat = build_table(cfg, [eplus_profile("collinear")])  # (E+)^2 = 3
@@ -105,7 +105,7 @@ def test_splitting_curve_decomposition_both_variants():
 
 def test_generator_height_is_one_half():
     table = build_table(four_line_surface(), [eplus_profile("noncollinear")])
-    assert derive(table, "E+", GENERATOR).free.height == Fraction(1, 2)
+    assert derive(table, "E+", GENERATOR).height == Fraction(1, 2)
 
 
 def test_divisor_class_relations_verify():

@@ -203,8 +203,8 @@ def test_abel_jacobi_section_round_trips():
 
 def test_derivation_record_type2():
     der = derive(table_with(variant="noncollinear"), "E+", "s_o")
-    assert der.free.height == Fraction(1, 2) and der.free.phi0_self == -2
-    assert (der.point.free_coeff, der.free.n_squared, der.free.sign_determined) == (2, 4, True)
+    assert der.height == Fraction(1, 2) and der.phi0_self == -2
+    assert (der.point.free_coeff, der.n_squared, der.sign_determined) == (2, 4, True)
     assert is_zero(der.gamma_classes) and is_zero(der.torsion_residual)
     assert der.point.torsion_is_zero() and der.s_dot_o == 0
     assert der.point == abel_jacobi_image(table_with(variant="noncollinear"), "E+", "s_o")
@@ -227,7 +227,7 @@ def test_image_ignores_trivial_lattice_noise(k, noise):
     table = table_with(profile_from_class(BUNDLED, cls, "D"))
     der = derive(table, "D", "s_o")
     assert der.point == MWPoint(k, (0, 0))
-    assert der.free.n_squared == k * k
+    assert der.n_squared == k * k
     assert is_zero(der.torsion_residual)
 
 
@@ -236,7 +236,7 @@ def test_abel_jacobi_sign_undetermined_ok():
     t = table_with(replace(eplus_profile("noncollinear"), d_dot_section={}))
     der = derive(t, "E+", "s_o")
     assert der.point.free_coeff == 2 and der.point.torsion_is_zero()
-    assert der.free.sign_route == "open" and not der.free.sign_determined
+    assert der.sign_route == "open" and not der.sign_determined
 
 
 def test_abel_jacobi_rejects_non_square():
@@ -451,12 +451,12 @@ def config_table(name):
 @pytest.mark.parametrize("config, divisor", sorted(RECORD_GOLDENS))
 def test_derivation_record_goldens(config, divisor):
     der = derive(config_table(config), divisor, "s_o")
-    free, vectors = der.free, tuple(tuple(map(str, v)) for v in der.gamma_vectors)
+    vectors = tuple(tuple(map(str, v)) for v in der.gamma_vectors)
     if config == "wide_i34_i29star":
         vectors = hashlib.sha256(repr(vectors).encode()).hexdigest()
     got = (
-        (der.point.free_coeff, free.n_squared, free.sign_determined, str(free.height),
-         str(free.phi0_self)),
+        (der.point.free_coeff, der.n_squared, der.sign_determined, str(der.height),
+         str(der.phi0_self)),
         vectors, der.gamma_classes, der.torsion_residual, der.s_dot_o, der.point,
     )
     assert got == RECORD_GOLDENS[config, divisor]
@@ -476,8 +476,8 @@ def test_torsion_fixes_the_sign_of_the_wide_divisors():
         paired = derive(config_table("wide_i34_i29star"), f"D{k}", "s_o")
         der = derive(open_table, f"D{k}", "s_o")
         assert der.point == paired.point == MWPoint(k, (), None)
-        assert der.free.sign_route == "torsion" and paired.free.sign_route == "pairing"
-        assert der == replace(paired, free=replace(paired.free, sign_route="torsion"))
+        assert der.sign_route == "torsion" and paired.sign_route == "pairing"
+        assert der == replace(paired, sign_route="torsion")
 
 
 def test_torsion_fixes_the_sign_on_one_i3_fiber():
@@ -486,7 +486,7 @@ def test_torsion_fixes_the_sign_on_one_i3_fiber():
     table = config_table("i3_sign_by_torsion")
     for name, n in (("P1", 1), ("M2", -2)):
         der = derive(table, name, "s_o")
-        assert (der.free.sign_route, der.point) == ("torsion", MWPoint(n, (), None))
+        assert (der.sign_route, der.point) == ("torsion", MWPoint(n, (), None))
         assert der.torsion_residual == ((0,),)
 
 

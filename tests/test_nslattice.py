@@ -264,6 +264,17 @@ REJECTIONS = [
                    id=f"torsion-named-{name}") for name in ("O", "F", "0")),
     pytest.param(lambda cfg: (_renamed_torsion(cfg, "t1", "t3", "t3"), ()),
                  SchemaError, "duplicate torsion section name 't3'", id="duplicate-torsion-name"),
+    # t2 named s_o would print as "s_o", the generator; an entry may share a
+    # section's name only when it is that point (test_forced_torsion_pairing_builds)
+    pytest.param(lambda cfg: (_renamed_torsion(cfg, "t1", "s_o", "t3"), ()),
+                 SchemaError, "torsion section 's_o': section 's_o' is another point"
+                 " (other classes or s.O)",
+                 id="torsion-named-like-another-section"),
+    pytest.param(lambda cfg: (replace(cfg, sections=(replace(torsion_profile(cfg, T1),
+                                                             s_dot_o=1),)), ()),
+                 SchemaError, "torsion section 't1': section 't1' is another point"
+                 " (other classes or s.O)",
+                 id="torsion-named-like-a-section-of-another-s-dot-o"),
     pytest.param(lambda cfg: (_torsion_entries(cfg, t1=(T1.components, (1,))), ()),
                  SchemaError, "torsion section 't1': coords do not match torsion_group",
                  id="torsion-coords-length"),
@@ -612,9 +623,9 @@ def test_phi0_orthogonal_to_trivial_lattice():
 
 
 def test_phi0_self_goldens():
-    assert derive(table_with(variant="collinear"), "E+", "s_o").free.phi0_self == 0
-    assert derive(table_with(variant="noncollinear"), "E+", "s_o").free.phi0_self == -2
-    assert derive(table_with(F_LIKE), "F_like", "s_o").free.phi0_self == 0
+    assert derive(table_with(variant="collinear"), "E+", "s_o").phi0_self == 0
+    assert derive(table_with(variant="noncollinear"), "E+", "s_o").phi0_self == -2
+    assert derive(table_with(F_LIKE), "F_like", "s_o").phi0_self == 0
     with pytest.raises(MissingIntersectionError, match="D\\^2 required"):
         derive(table_with(DivisorProfile("D", 1, 0, {})), "D", "s_o")
 
@@ -630,22 +641,22 @@ def test_phi0_cross_goldens():
     # the linear route n = -phi0(D).phi0(s_o) / <P_o, P_o> fixes the sign
     for variant, n in (("noncollinear", 2), ("collinear", 0)):
         t = table_with(variant=variant)
-        assert phi0_cross(t, "E+", "s_o") == -n * derive(t, "E+", "s_o").free.height
+        assert phi0_cross(t, "E+", "s_o") == -n * derive(t, "E+", "s_o").height
     # with their pairings O.s_o = s_o.O and F.s_o = 1 registered, the divisors
     # with O's and F's numbers have their signs fixed too
     for prof, s_o in ((O_LIKE, 0), (F_LIKE, 1)):
         t = table_with(replace(prof, d_dot_section={"s_o": s_o}))
         assert phi0_cross(t, prof.name, "s_o") == 0
         der = derive(t, prof.name, "s_o")
-        assert (der.point.free_coeff, der.free.sign_determined) == (0, True)
+        assert (der.point.free_coeff, der.sign_determined) == (0, True)
         # without D.s_o the linear route does not run and the sign stays open
         der = derive(table_with(prof), prof.name, "s_o")
-        assert (der.point.free_coeff, der.free.sign_route) == (0, "open")
+        assert (der.point.free_coeff, der.sign_route) == (0, "open")
 
 
 def test_phi0_cross_on_section_profile_gives_minus_height():
     tt = table_with(section_as_divisor(table_with(), "s_o"))
-    height = derive(tt, "s_o", "s_o").free.height
+    height = derive(tt, "s_o", "s_o").height
     assert phi0_cross(tt, "s_o", "s_o") == -height
     assert phi0_self(tt, "s_o") == -height
 
@@ -655,12 +666,12 @@ def test_phi0_cross_on_section_profile_gives_minus_height():
 
 def test_height_goldens():
     t = table_with(section_as_divisor(table_with(), "s_o"))
-    assert derive(t, "s_o", "s_o").free.height == Fraction(1, 2)
+    assert derive(t, "s_o", "s_o").height == Fraction(1, 2)
     # a section through identity components everywhere with s.O = 0 has height 2 chi
     s_id = SectionProfile("two_gen", 0, {})
     cfg = replace(four_line_surface(), sections=(s_id,))
     t_id = build_table(cfg, [section_as_divisor(build_table(cfg), "two_gen")])
-    assert derive(t_id, "two_gen", "two_gen").free.height == 2
+    assert derive(t_id, "two_gen", "two_gen").height == 2
     # the height is the closed form 2 chi + 2 s.O + sum_v (A_v^{-1})_kk,
     # with A_v^{-1} from the adjugate
     local = sum(inverse_adjugate(t.fibers[fid].a.num)[k - 1][k - 1]
@@ -808,9 +819,9 @@ def test_build_table_accepts_exactly_the_possible_heights(cfg):
 
 
 def n_of(table, name, generator):
-    """The free coefficient's record, with n read off the point."""
+    """The derivation record, with n read off the point."""
     der = derive(table, name, generator)
-    return der.point.free_coeff, der.free
+    return der.point.free_coeff, der
 
 
 def test_n_of_goldens():
@@ -1159,10 +1170,11 @@ def test_derive_on_drawn_wide_surfaces(case):
         assert str(exc.value).startswith(f"height identity gives s(D).O = {s_dot_o},")
         return
     der = derive(table, "D'", "s")
-    free, cls = der.free, phi0(table, "D'")
-    assert free.phi0_self == table.pair_class(cls, cls)
-    assert (free.n_squared, der.s_dot_o, der.point.torsion) == (k * k, s_dot_o, ())
+    # phi0_self is -n^2 <P_o, P_o>, so the Gram pairing checks n and the height
+    cls = phi0(table, "D'")
+    assert der.phi0_self == table.pair_class(cls, cls)
+    assert (der.n_squared, der.s_dot_o, der.point.torsion) == (k * k, s_dot_o, ())
     if keep:
-        assert (der.point.free_coeff, free.sign_route) == (k, "pairing")
+        assert (der.point.free_coeff, der.sign_route) == (k, "pairing")
     else:
-        assert (der.point.free_coeff, free.sign_route) in ((k, "torsion"), (abs(k), "open"))
+        assert (der.point.free_coeff, der.sign_route) in ((k, "torsion"), (abs(k), "open"))
